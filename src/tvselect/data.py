@@ -104,6 +104,9 @@ def from_arrays(subject_ids, times, y, X, covariate_names=None,
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
+    for name, arr in (("time", times), ("y", y), ("covariates", X)):
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{name} contains NaN or inf")
     p = X.shape[1]
     if covariate_names is None:
         covariate_names = tuple(f"x{k + 1}" for k in range(p))
@@ -180,8 +183,9 @@ def load_long_csv(path, rescale: bool = True) -> LongitudinalDataset:
                     raise ParseError(
                         f"{path}: row {rownum}, column '{name}': cannot parse '{raw}' as a number"
                     ) from None
-                if math.isnan(val):
-                    raise ParseError(f"{path}: row {rownum}, column '{name}': NaN is not allowed")
+                if not math.isfinite(val):
+                    raise ParseError(f"{path}: row {rownum}, column '{name}': "
+                                     f"'{raw}' is not allowed (NaN and inf are rejected)")
                 return val
 
             sids.append(row[col_idx["subject"]].strip())

@@ -14,21 +14,24 @@ minimizing its convex subproblem
 
 in the precomputed eigenbasis of G_k + 2*lambda2*Omega.  A block is set to
 exact zero precisely when ||Z_k' r_k / n||_2 <= lambda1 (the subdifferential
-condition at zero); otherwise the stationarity equation is solved for the
-block norm by safeguarded root finding.  Exact block minimization keeps the
-objective monotone and drives the iterate to the global minimum of the
-convex problem, which the reference proximal-gradient solver certifies.
+condition at zero); otherwise the block norm s solves the secular equation
+h(s) = 1, found by a safeguarded Newton iteration on h(s)^(-1/2) that stops
+within 4 ulp of s.  Exact block minimization keeps the objective monotone
+and drives the iterate to the global minimum of the convex problem, which
+the reference proximal-gradient solver certifies.
 
 Partial residuals are maintained incrementally and refreshed from scratch
-every 50 sweeps to cap floating-point drift.
+every 50 sweeps to cap floating-point drift.  Each block's nonzero flag and
+penalty value are cached between updates, so a sweep's objective is a sum
+of cached terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis import CenteredSplineBasis
 from .data import DesignBlocks
@@ -51,6 +54,9 @@ DAMPING_NONE = "none"
 DAMPING_HALVING = "halving"
 
 RESIDUAL_REFRESH_EVERY = 50
+SECULAR_MAX_ITER = 200
+SECULAR_ULPS = 4.0
+_EPS = float(np.finfo(float).eps)
 SCREEN_REFIT_LAMBDA2 = 1e-4
 
 
@@ -177,36 +183,55 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float) 
     """Exact minimizer of 0.5 theta'M theta - z'theta + lambda1 ||theta||_2.
 
     Zero iff ||z|| <= lambda1; otherwise theta = (M + (lambda1/s) I)^{-1} z
-    where the norm s solves sum_i zt_i^2 / (w_i s + lambda1)^2 = 1 in the
-    eigenbasis (w, V) of M.  The left side is decreasing and convex in s,
-    so the root is bracketed and unique.
+    where the norm s solves h(s) = sum_i a_i / (w_i s + lambda1)^2 = 1, with
+    a_i = zt_i^2 in the eigenbasis (w, V) of M.  h is decreasing in s, so the
+    root is unique; g(s) = h(s)^{-1/2} is concave and increasing, so Newton on
+    g - 1 started at s = 0 approaches the root from the left without passing
+    it (More & Sorensen's trust-region secular equation).  A bracket [lo, hi]
+    catches roundoff: a Newton point outside it is replaced by bisection, and
+    an upper end never evaluated is doubled until h(hi) <= 1.
     """
     if lambda1 <= 0.0:
         return factor.solve(z)
-    norm_z = float(np.linalg.norm(z))
+    norm_z = math.sqrt(z @ z)
     # relative slack keeps boundary roundoff (lambda1 == lambda1_max) at zero
     if norm_z <= lambda1 * (1.0 + 1e-12):
         return np.zeros_like(z)
     w, v = factor.w, factor.v
     zt = v.T @ z
-    zt2 = zt * zt
-
-    def excess(s):
-        return float(np.sum(zt2 / (w * s + lambda1) ** 2)) - 1.0
-
-    if excess(0.0) <= 0.0:
-        return np.zeros_like(z)
-    s_hi = (norm_z - lambda1) / factor.w_pos_min
-    doublings = 0
-    while excess(s_hi) > 0.0:         # guard against rounding at the bracket edge
-        s_hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise SingularBlockError("block stationarity equation could not be bracketed")
-    s = brentq(excess, 0.0, s_hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=200)
-    if not np.isfinite(s) or s <= 0.0:
-        return np.zeros_like(z)
-    return v @ (zt / (w + lambda1 / s))
+    a = zt * zt
+    aw = a * w
+    lo, hi = 0.0, (norm_z - lambda1) / factor.w_pos_min
+    hi_checked = False        # h(hi) <= 1 seen, so hi is a true upper bound
+    s = 0.0
+    for _ in range(SECULAR_MAX_ITER):
+        r = 1.0 / (w * s + lambda1)
+        r2 = r * r
+        h = float(a @ r2)
+        if h > 1.0:
+            lo = s
+            if s == hi:
+                hi *= 2.0
+        else:
+            if s == 0.0:
+                return np.zeros_like(z)
+            hi, hi_checked = s, True
+        slope = float(aw @ (r2 * r))      # g'(s) = h^(-3/2) * slope
+        if slope <= 0.0:
+            break
+        step = h * (math.sqrt(h) - 1.0) / slope
+        if (abs(step) <= SECULAR_ULPS * _EPS * s
+                or hi_checked and hi - lo <= SECULAR_ULPS * _EPS * hi):
+            return v @ (zt / (w + lambda1 / s))
+        s_next = s + step
+        if s_next >= hi and not hi_checked:
+            s = hi
+        elif lo < s_next < hi:
+            s = s_next
+        else:
+            s = 0.5 * (lo + hi)
+    raise SingularBlockError("block stationarity equation has no root the safeguarded "
+                             f"Newton iteration could reach (lambda1={lambda1:.3e})")
 
 
 def _constants_init(y, X, intercept):
@@ -227,12 +252,18 @@ def _constants_init(y, X, intercept):
     return 0.0, coef
 
 
+def _block_penalty(th: np.ndarray, lam1: float, lam2: float, omega: np.ndarray) -> float:
+    """lambda1 ||th|| + lambda2 th' Omega th, exactly 0.0 for a zero block."""
+    nrm = math.sqrt(th @ th)
+    if nrm > 0.0:
+        return lam1 * nrm + lam2 * float(th @ omega @ th)
+    return 0.0
+
+
 def _penalty_value(theta, penalty: PenaltyConfig, omega: np.ndarray) -> float:
     val = 0.0
     for th in theta:
-        nrm = float(np.linalg.norm(th))
-        if nrm > 0.0:
-            val += penalty.lambda1 * nrm + penalty.lambda2 * float(th @ omega @ th)
+        val += _block_penalty(th, penalty.lambda1, penalty.lambda2, omega)
     return val
 
 
@@ -282,7 +313,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     if factors is None:
         factors = precompute_block_factors(design, basis, lam2)
     xk_sq = np.einsum("ij,ij->j", X, X)
-    if np.any(xk_sq == 0.0):
+    if (xk_sq == 0.0).any():
         k_bad = int(np.argmin(xk_sq))
         raise DegenerateColumnError(f"covariate column {k_bad} has zero norm")
 
@@ -294,17 +325,25 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
         beta0, mu = _constants_init(y, X, intercept)
         theta = [np.zeros(basis.q) for _ in range(p)]
 
+    # per-block caches: nonzero flag and penalty, updated with every accepted block
+    active = [bool(th.any()) for th in theta]
+    pen = [_block_penalty(th, lam1, lam2, omega) for th in theta]
+
     def fresh_residual():
         e = y - beta0 - X @ mu
-        for Zk, th in zip(Z, theta):
-            if np.any(th):
-                e = e - Zk @ th
+        for k in range(p):
+            if active[k]:
+                e = e - Z[k] @ theta[k]
         return e
 
     e = fresh_residual()
 
     def current_objective():
-        return 0.5 / n * float(e @ e) + _penalty_value(theta, penalty, omega)
+        # summed in block order from 0.0 (not sum()), the same float as _penalty_value
+        val = 0.0
+        for pen_k in pen:
+            val += pen_k
+        return 0.5 / n * float(e @ e) + val
 
     trace = [current_objective()]
     converged = False
@@ -329,36 +368,33 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
 
         for k in range(p):
             th_old = theta[k]
-            active_old = bool(np.any(th_old))
+            active_old = active[k]
             r = e + Z[k] @ th_old if active_old else e
             z = Z[k].T @ r / n
             th_new = _solve_block_subproblem(factors[k], z, lam1)
-            if not active_old and not np.any(th_new):
+            active_new = bool(th_new.any())
+            if not active_old and not active_new:
                 continue
-            e_old_sq = float(e @ e)
-
-            def block_objective(th, e_cand):
-                val = 0.5 / n * float(e_cand @ e_cand)
-                nrm = float(np.linalg.norm(th))
-                if nrm > 0.0:
-                    val += lam1 * nrm + lam2 * float(th @ omega @ th)
-                return val
-
-            e_new = r - Z[k] @ th_new if np.any(th_new) else r
+            e_new = r - Z[k] @ th_new if active_new else r
+            pen_new = _block_penalty(th_new, lam1, lam2, omega)
             if halving:
                 # exact block minimization cannot increase the objective; this
                 # guards against floating-point drift in the running residual
-                base = 0.5 / n * e_old_sq
-                if active_old:
-                    base += lam1 * float(np.linalg.norm(th_old)) + lam2 * float(th_old @ omega @ th_old)
+                base = 0.5 / n * float(e @ e) + pen[k]
+                cand = 0.5 / n * float(e_new @ e_new) + pen_new
                 tries = 0
-                while block_objective(th_new, e_new) > base and tries < 20:
+                while cand > base and tries < 20:
                     th_new = th_old + 0.5 * (th_new - th_old)
+                    active_new = bool(th_new.any())
                     e_new = r - Z[k] @ th_new
+                    pen_new = _block_penalty(th_new, lam1, lam2, omega)
+                    cand = 0.5 / n * float(e_new @ e_new) + pen_new
                     tries += 1
-                if block_objective(th_new, e_new) > base:
+                if cand > base:
                     continue  # revert: keep th_old and the current residual
             theta[k] = th_new
+            active[k] = active_new
+            pen[k] = pen_new
             e = e_new
 
         q_new = current_objective()

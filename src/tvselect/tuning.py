@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import CenteredSplineBasis
 from .data import DesignBlocks, LongitudinalDataset, build_design
-from .errors import ConfigurationError, TuningError
+from .errors import ConfigurationError, TuningError, TVSelectError
 from .solver import (
     METHOD_GROUP_LASSO,
     METHOD_TV_SELECT,
@@ -147,7 +147,8 @@ def _fit_grid(design, basis, grid, options, method):
                                        init=warm, factors=factors)
                 fits[(i, j)] = fit
                 warm = fit
-            except Exception as exc:   # keep scanning; surface records the hole
+            except (TVSelectError, np.linalg.LinAlgError) as exc:
+                # numerical failure: keep scanning; the surface records the hole
                 failures[(i, j)] = exc
     if not fits:
         raise TuningError(f"all {len(failures)} grid fits failed; "
@@ -202,12 +203,14 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
 
     The dataset is used exactly as preprocessed by the caller; whole subjects
     are held out, the criterion pools squared errors over held-out rows, and
-    the winning pair is refit on the full data.
+    the winning pair is refit on the full data.  A grid point whose fit
+    failed in any fold is NaN in the surface.
     """
     folds = subject_folds([s.subject_id for s in dataset.subjects], n_folds, seed)
     shape = (len(grid.lambda1_values), len(grid.lambda2_values))
     sq_err = np.zeros(shape)
     counts = np.zeros(shape)
+    folds_ok = np.zeros(shape, dtype=int)
     for held_out in folds:
         train = _subset(dataset, [s.subject_id for s in dataset.subjects
                                   if s.subject_id not in set(held_out)])
@@ -222,8 +225,9 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
                     pred = pred + Zk @ th
             sq_err[i, j] += float(np.sum((d_test.y - pred) ** 2))
             counts[i, j] += d_test.n
+            folds_ok[i, j] += 1
     with np.errstate(invalid="ignore", divide="ignore"):
-        surface = np.where(counts > 0, sq_err / counts, np.nan)
+        surface = np.where(folds_ok == len(folds), sq_err / counts, np.nan)
     i, j = _argmin_with_tiebreak(surface)
     full_design = build_design(dataset, basis)
     pen = PenaltyConfig(lambda1=grid.lambda1_values[i], lambda2=grid.lambda2_values[j])

@@ -117,6 +117,22 @@ def test_missing_input_exit_code_2(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", [1, 2, 4])          # time, y, covariate x2
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_fit_rejects_infinite_values_exit_code_2(train_csv, tmp_path, capsys, column, value):
+    lines = train_csv.read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[column] = value
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["fit", "--data", str(bad), "--out", str(tmp_path / "out"),
+               "--lambda1", "0.05", "--lambda2", "1e-4", "--knots", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "row 6" in err and "Traceback" not in err
+
+
 def test_lambda1_above_max_gives_empty_vary(train_csv, tmp_path):
     ds = load_long_csv(train_csv)
     from tvselect.data import standardize

@@ -62,6 +62,23 @@ def test_nan_rejected(tmp_path):
         load_long_csv(write_csv(tmp_path / "d.csv", bad))
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "Infinity"])
+def test_infinite_cell_rejected(tmp_path, value):
+    bad = BASIC.replace("b,4,1.0,0.5,3.0", f"b,4,1.0,{value},3.0")
+    with pytest.raises(ParseError, match=r"row 6.*'x1'"):
+        load_long_csv(write_csv(tmp_path / "d.csv", bad))
+
+
+@pytest.mark.parametrize("column", ["time", "y", "covariates"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_from_arrays_rejects_non_finite(column, value):
+    arrays = {"time": np.array([0.0, 0.5, 1.0]), "y": np.zeros(3),
+              "covariates": np.ones((3, 2))}
+    arrays[column].flat[1] = value
+    with pytest.raises(ParseError, match=column):
+        from_arrays(["a", "a", "b"], arrays["time"], arrays["y"], arrays["covariates"])
+
+
 def test_missing_column(tmp_path):
     with pytest.raises(ParseError, match="'time'"):
         load_long_csv(write_csv(tmp_path / "d.csv", "subject,t,y,x1\na,1,2,3\n"))

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.data import build_design, from_arrays, standardize
-from tvselect.errors import ConfigurationError, DegenerateColumnError
+from tvselect.errors import ConfigurationError, DegenerateColumnError, SingularBlockError
 from tvselect.solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
@@ -14,6 +17,7 @@ from tvselect.solver import (
     ModelFit,
     PenaltyConfig,
     SolverOptions,
+    _solve_block_subproblem,
     fit_baseline,
     fit_bcd,
     fit_oracle,
@@ -164,6 +168,84 @@ def test_group_soft_threshold_nonexpansive(u, v, lam):
     u, v = np.array(u), np.array(v)
     du = group_soft_threshold(u, lam) - group_soft_threshold(v, lam)
     assert np.linalg.norm(du) <= np.linalg.norm(u - v) + 1e-9
+
+
+# ------------------------------------------------------------- block solve
+
+EPS = np.finfo(float).eps
+
+
+def brentq_block_solve(factor, z, lambda1):
+    """Reference block solve: bracketed brentq on the secular equation."""
+    if lambda1 <= 0.0:
+        return factor.solve(z)
+    norm_z = float(np.linalg.norm(z))
+    if norm_z <= lambda1 * (1.0 + 1e-12):
+        return np.zeros_like(z)
+    w, v = factor.w, factor.v
+    zt = v.T @ z
+    zt2 = zt * zt
+
+    def excess(s):
+        return float(np.sum(zt2 / (w * s + lambda1) ** 2)) - 1.0
+
+    if excess(0.0) <= 0.0:
+        return np.zeros_like(z)
+    s_hi = (norm_z - lambda1) / factor.w_pos_min
+    while excess(s_hi) > 0.0:
+        s_hi *= 2.0
+    s = brentq(excess, 0.0, s_hi, xtol=1e-300, rtol=4 * EPS, maxiter=200)
+    return v @ (zt / (w + lambda1 / s))
+
+
+def block_with_null_vector(seed, log_eigs):
+    """Random block matrix with one zero eigenvalue and its orthonormal eigenbasis."""
+    q = len(log_eigs) + 1
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    w = np.concatenate([[0.0], 10.0 ** np.asarray(log_eigs)])
+    return (V * w) @ V.T, V, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-2.0, 5.0), min_size=2, max_size=13),
+       st.one_of(st.just(0.0), st.floats(-4.0, 2.0).map(lambda e: 10.0 ** e)),
+       st.one_of(st.floats(-0.9, 0.0), st.floats(-11.0, 1.0).map(lambda e: 10.0 ** e)))
+def test_block_solve_matches_brentq_reference(seed, log_eigs, lam1, delta):
+    # eigenvalues span 1e-2..1e5 (desk blocks span 0.06..5.4e4); z lies in the
+    # range of M with ||z|| = lambda1 (1 + delta), so small delta probes the
+    # zero boundary
+    M, V, rng = block_with_null_vector(seed, log_eigs)
+    factor = BlockFactor(M)
+    z = V[:, 1:] @ rng.standard_normal(len(log_eigs))
+    z *= (lam1 if lam1 > 0.0 else 1.0) * (1.0 + delta) / np.linalg.norm(z)
+    theta = _solve_block_subproblem(factor, z, lam1)
+    ref = brentq_block_solve(factor, z, lam1)
+    assert theta.any() == ref.any()
+    norm_z = math.sqrt(z @ z)
+    if not ref.any():
+        assert norm_z <= lam1 * (1.0 + 1e-12)
+        return
+    # near the boundary the block norm is only determined to about
+    # eps * lambda1 / (||z|| - lambda1) relative, for either root finder
+    slack = 16 * EPS * lam1 / (norm_z - lam1) if lam1 > 0.0 else 0.0
+    assert np.linalg.norm(theta - ref) <= (1e-12 + slack) * np.linalg.norm(ref)
+    norm_th = math.sqrt(theta @ theta)
+    grad = M @ theta - z + (lam1 / norm_th) * theta
+    # a rounded theta is exact for a block matrix perturbed by eps ||M||
+    assert np.linalg.norm(grad) <= (1e-10 * (1.0 + norm_z)
+                                    + 64 * EPS * np.linalg.norm(M, 2) * norm_th)
+
+
+def test_block_solve_without_root_raises():
+    # a null-direction component larger than lambda1 keeps h(s) above 1 for
+    # every s: the stationarity equation has no root and must not return
+    M, V, rng = block_with_null_vector(7, [0.0, 1.0, 2.0])
+    factor = BlockFactor(M)
+    z = 2.0 * V[:, 0] + 0.1 * V[:, 1:] @ rng.standard_normal(3)
+    with pytest.raises(SingularBlockError):
+        _solve_block_subproblem(factor, z, 1.0)
 
 
 # ------------------------------------------------------------------ fit_bcd

@@ -5,7 +5,8 @@ import pytest
 
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.data import build_design, from_arrays, standardize
-from tvselect.errors import ConfigurationError
+from tvselect import tuning
+from tvselect.errors import ConfigurationError, SingularBlockError
 from tvselect.solver import (
     METHOD_GROUP_LASSO,
     METHOD_VC_RIDGE,
@@ -282,3 +283,39 @@ def test_tune_cv_too_many_folds():
     ds, basis, _ = make_dataset(rng, N=4, n_i=4, p=2, q=6, mu=(1.0,))
     with pytest.raises(ConfigurationError):
         tune_cv(ds, basis, TuningGrid((0.1,), (0.01,)), n_folds=5, seed=0)
+
+
+def test_programming_error_in_grid_fit_propagates(monkeypatch):
+    rng = np.random.default_rng(17)
+    _, basis, design = make_dataset(rng, N=10, n_i=4, p=2, q=6, mu=(1.0,))
+
+    def broken_fit(*args, **kwargs):
+        raise TypeError("bug in the solver")
+
+    monkeypatch.setattr(tuning, "fit_bcd", broken_fit)
+    with pytest.raises(TypeError, match="bug in the solver"):
+        tune_ebic(design, basis, TuningGrid((0.2, 0.05), (0.01,)))
+
+
+def test_tune_cv_marks_point_failed_in_one_fold(monkeypatch):
+    rng = np.random.default_rng(18)
+    ds, basis, _ = make_dataset(rng, N=10, n_i=4, p=2, q=6, mu=(1.0,))
+    grid = TuningGrid((0.2, 0.1, 0.05), (0.1, 0.01))
+    failing = (grid.lambda1_values[1], grid.lambda2_values[0])
+    real_fit = tuning.fit_bcd
+    calls = []
+
+    def fit_failing_once(design, basis, penalty, *args, **kwargs):
+        key = (penalty.lambda1, penalty.lambda2)
+        calls.append(key)
+        if key == failing and calls.count(key) == 1:
+            raise SingularBlockError("injected failure in the first fold")
+        return real_fit(design, basis, penalty, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "fit_bcd", fit_failing_once)
+    res = tune_cv(ds, basis, grid, n_folds=5, seed=0)
+    assert calls.count(failing) == 5
+    assert np.isnan(res.criterion_surface[1, 0])
+    mask = np.ones(res.criterion_surface.shape, dtype=bool)
+    mask[1, 0] = False
+    assert np.isfinite(res.criterion_surface[mask]).all()
