@@ -12,7 +12,6 @@ from .basis import (
     SplineConfig,
     build_basis,
     build_basis_from_interior,
-    roughness_quadratic_form,
 )
 from .data import (
     DesignBlocks,
@@ -38,11 +37,9 @@ from .solver import (
     fit_bcd,
     fit_oracle,
     fitted_values,
-    group_soft_threshold,
     objective,
     predict,
     residuals,
-    ridge_smooth,
 )
 from .structure import StructuralPartition, classify, select_vary, threshold
 from .tuning import (

@@ -47,7 +47,6 @@ def fit_to_dict(fit: ModelFit, dataset: LongitudinalDataset | None = None) -> di
         "penalty": {
             "lambda1": fit.penalty.lambda1,
             "lambda2": fit.penalty.lambda2,
-            "epsilon_prox": fit.penalty.epsilon_prox,
         },
         "basis": _basis_payload(fit.basis),
         "coefficients": {
@@ -80,29 +79,57 @@ def save_fit(fit: ModelFit, path, dataset: LongitudinalDataset | None = None) ->
 
 
 def fit_from_dict(payload: dict) -> tuple[ModelFit, dict | None]:
-    """Rebuild (fit, preprocessing payload) from a parsed artifact."""
-    if payload.get("format") != FORMAT_NAME:
+    """Rebuild (fit, preprocessing payload) from a parsed artifact.
+
+    A missing or ill-typed field raises `ParseError`.  Artifacts written by
+    earlier versions carry `penalty.epsilon_prox`; it is ignored.
+    """
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise ParseError(f"not a {FORMAT_NAME} artifact")
     if payload.get("version") != FORMAT_VERSION:
         raise ParseError(f"unsupported artifact version {payload.get('version')}")
-    basis = _rebuild_basis(payload["basis"])
-    coef = payload["coefficients"]
-    mu = np.asarray(coef["mu"], dtype=float)
-    theta = tuple(np.asarray(th, dtype=float) for th in coef["theta"])
-    if any(len(th) != basis.q for th in theta):
-        raise ParseError("theta blocks inconsistent with the stored basis")
-    pen = payload["penalty"]
-    fit = ModelFit(
-        beta0=float(coef["beta0"]), mu=mu, theta=theta,
-        objective_trace=np.asarray(payload["objective_trace"], dtype=float),
-        iterations=int(payload["iterations"]), converged=bool(payload["converged"]),
-        method=payload["method"],
-        penalty=PenaltyConfig(lambda1=pen["lambda1"], lambda2=pen["lambda2"],
-                              epsilon_prox=pen["epsilon_prox"]),
-        basis=basis, intercept=bool(payload["intercept"]),
-        n_train=int(payload["n_train"]),
-    )
-    return fit, payload.get("preprocessing")
+    try:
+        basis = _rebuild_basis(payload["basis"])
+        coef = payload["coefficients"]
+        mu = np.asarray(coef["mu"], dtype=float)
+        theta = np.asarray(coef["theta"], dtype=float)
+        if mu.ndim != 1 or theta.shape != (mu.size, basis.q):
+            raise ParseError("coefficient shapes inconsistent with the stored basis")
+        pen = payload["penalty"]
+        fit = ModelFit(
+            beta0=float(coef["beta0"]), mu=mu, theta=tuple(theta),
+            objective_trace=np.asarray(payload["objective_trace"], dtype=float),
+            iterations=int(payload["iterations"]), converged=bool(payload["converged"]),
+            method=str(payload["method"]),
+            penalty=PenaltyConfig(lambda1=float(pen["lambda1"]), lambda2=float(pen["lambda2"])),
+            basis=basis, intercept=bool(payload["intercept"]),
+            n_train=int(payload["n_train"]),
+        )
+        prep = payload.get("preprocessing")
+        if prep is not None:
+            _check_preprocessing(prep, fit.p)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {FORMAT_NAME} artifact: {type(exc).__name__}: {exc}") from exc
+    return fit, prep
+
+
+def _check_preprocessing(prep, p: int) -> None:
+    """Raise unless `prep` can map new rows of p covariates onto the model scale."""
+    if not isinstance(prep, dict):
+        raise ParseError("preprocessing must be an object or null")
+
+    def shape(key, default=None):
+        value = prep.get(key, default)
+        return None if value is None else np.asarray(value, dtype=float).shape
+
+    if shape("center") != shape("scale") or shape("center") not in (None, (p,)):
+        raise ParseError(f"preprocessing center and scale must both be null or hold {p} numbers")
+    if shape("time_domain", (0.0, 1.0)) != (2,):
+        raise ParseError("preprocessing time_domain must hold 2 numbers")
+    names = prep.get("covariate_names")
+    if names is not None and (not isinstance(names, list) or len(names) != p
+                              or not all(isinstance(v, str) for v in names)):
+        raise ParseError(f"preprocessing covariate_names must be null or {p} strings")
 
 
 def load_fit(path) -> tuple[ModelFit, dict | None]:

@@ -127,15 +127,6 @@ class CenteredSplineBasis:
         vals = np.array(splev(t_arr, self._tck, der=2)).T
         return vals if np.ndim(t) else vals[0]
 
-    def curve(self, coefs: np.ndarray, t) -> np.ndarray:
-        """Evaluate t -> centered_basis(t)' coefs."""
-        return self.eval_centered(t) @ np.asarray(coefs, dtype=float)
-
-
-def roughness_quadratic_form(basis: CenteredSplineBasis, v: np.ndarray) -> float:
-    """Integrated squared second derivative of t -> centered_basis(t)' v."""
-    return basis.roughness.quadratic_form(v)
-
 
 def _gauss_legendre_panels(breakpts: np.ndarray, nodes_per_interval: int):
     """Quadrature nodes/weights over consecutive [a,b] panels."""

@@ -47,6 +47,7 @@ from .solver import (
     SolverOptions,
     fit_baseline,
     fit_bcd,
+    predict,
 )
 from .structure import classify
 from .tuning import TuningGrid, default_grid, tune_cv, tune_ebic
@@ -235,11 +236,7 @@ def cmd_predict(cfg) -> int:
 
     if prep and prep.get("center") is not None:
         X = (X - np.asarray(prep["center"])) / np.asarray(prep["scale"])
-    Bt = fit.basis.eval_centered(t01)
-    pred = fit.beta0 + X @ fit.mu
-    for k, th in enumerate(fit.theta):
-        if np.any(th):
-            pred = pred + X[:, k] * (Bt @ th)
+    pred = predict(fit, X, t01)
     rows = [(i + 1, t, value) for i, (t, value) in enumerate(zip(t01, pred))]
     _write_csv(os.path.join(out, "predictions.csv"),
                ("row", "time01", "prediction"), rows)

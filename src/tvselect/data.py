@@ -66,11 +66,6 @@ class LongitudinalDataset:
         t = np.concatenate([s.times for s in self.subjects])
         return y, X, t
 
-    def rescale_times(self, raw_times: np.ndarray) -> np.ndarray:
-        """Map raw times onto the model's [0,1] scale (may fall outside)."""
-        lo, hi = self.time_domain
-        return (np.asarray(raw_times, dtype=float) - lo) / (hi - lo)
-
 
 @dataclass(frozen=True)
 class DesignBlocks:

@@ -29,8 +29,9 @@ from .solver import (
     PenaltyConfig,
     SolverOptions,
     fit_baseline,
+    predict,
 )
-from .structure import CLASS_CONST, CLASS_VARY, CLASS_ZERO, StructuralPartition, classify
+from .structure import CLASS_CONST, CLASS_VARY, CLASS_ZERO, StructuralPartition, classify, select_vary
 from .tuning import TuningGrid, default_grid, tune_ebic
 
 SCENARIOS = ("A", "B", "C", "D", "E", "F")
@@ -280,15 +281,10 @@ def generate(spec: ScenarioSpec, truth: TrueStructure | None = None,
 def predict_dataset(fit: ModelFit, dataset: LongitudinalDataset,
                     center=None, scale=None) -> np.ndarray:
     """Row predictions for a raw dataset, applying a training standardization."""
-    y, X, t = dataset.stacked()
+    _, X, t = dataset.stacked()
     if center is not None:
         X = (X - center) / scale
-    Bt = fit.basis.eval_centered(t)
-    pred = fit.beta0 + X @ fit.mu
-    for k, th in enumerate(fit.theta):
-        if np.any(th):
-            pred = pred + X[:, k] * (Bt @ th)
-    return pred
+    return predict(fit, X, t)
 
 
 def score_fit(fit: ModelFit, truth: TrueStructure, spec: ScenarioSpec,
@@ -461,7 +457,7 @@ def _run_replication(payload):
     for method, fit in fits.items():
         metrics[method] = score_fit(fit, truth, spec, center, scale,
                                     test_set=test, grid_size=opts.grid_size)
-        selected[method] = tuple(sorted(k for k, th in enumerate(fit.theta) if np.any(th)))
+        selected[method] = tuple(sorted(select_vary(fit)))
         if opts.keep_curves:
             curves[method] = fit.coefficient_curves(tgrid) / scale[:, None]
     return metrics, selected, curves

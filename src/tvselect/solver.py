@@ -50,9 +50,6 @@ METHOD_GROUP_LASSO = "group-lasso"
 METHOD_SCREEN_REFIT = "screen-refit"
 METHODS = (METHOD_TV_SELECT, METHOD_VC_RIDGE, METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT)
 
-DAMPING_NONE = "none"
-DAMPING_HALVING = "halving"
-
 RESIDUAL_REFRESH_EVERY = 50
 SECULAR_MAX_ITER = 200
 SECULAR_ULPS = 4.0
@@ -65,33 +62,26 @@ POLISH_MAX_HALVINGS = 60
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Group penalty lambda1, curvature penalty lambda2, prox stabilizer."""
+    """Group penalty lambda1 and curvature penalty lambda2."""
 
     lambda1: float = 0.0
     lambda2: float = 0.0
-    epsilon_prox: float = 1e-8
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigurationError("penalty levels must be non-negative")
-        if self.epsilon_prox <= 0:
-            raise ConfigurationError("epsilon_prox must be positive")
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-6
     max_iter: int = 500
-    damping: str = DAMPING_HALVING
-    intercept: bool | None = None    # None: follow the design's flag
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ConfigurationError("tol must be positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
-        if self.damping not in (DAMPING_NONE, DAMPING_HALVING):
-            raise ConfigurationError(f"unknown damping mode '{self.damping}'")
 
 
 @dataclass(frozen=True)
@@ -149,37 +139,6 @@ def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
     n = design.n
     omega = basis.roughness.omega
     return [BlockFactor(Zk.T @ Zk / n + 2.0 * lambda2 * omega) for Zk in design.Z]
-
-
-def group_soft_threshold(v: np.ndarray, lambda1: float,
-                         epsilon_prox: float = 1e-8) -> np.ndarray:
-    """(1 - lambda1/(||v|| + eps))_+ * v, exact zeros when the scale is <= 0."""
-    v = np.asarray(v, dtype=float)
-    if lambda1 == 0.0:
-        return v.copy()
-    scale = 1.0 - lambda1 / (np.linalg.norm(v) + epsilon_prox)
-    if scale <= 0.0:
-        return np.zeros_like(v)
-    return scale * v
-
-
-def ridge_smooth(factor: BlockFactor, Zk: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Minimize (1/2n)||r - Z theta||^2 + lambda2 theta' Omega theta."""
-    n = len(r)
-    return factor.solve(Zk.T @ r / n)
-
-
-def update_intercept(residual_plus_intercept: np.ndarray) -> float:
-    """Least-squares intercept: mean of the partial residual."""
-    return float(np.mean(residual_plus_intercept))
-
-
-def update_mu_k(partial_residual: np.ndarray, x_k: np.ndarray) -> float:
-    """One-dimensional least squares for a constant effect."""
-    denom = float(x_k @ x_k)
-    if denom == 0.0:
-        raise DegenerateColumnError("covariate column has zero norm")
-    return float(x_k @ partial_residual) / denom
 
 
 def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float) -> np.ndarray:
@@ -270,24 +229,26 @@ def _penalty_value(theta, penalty: PenaltyConfig, omega: np.ndarray) -> float:
     return val
 
 
+def _predictor(design: DesignBlocks, beta0: float, mu: np.ndarray, theta) -> np.ndarray:
+    """beta0 + X mu + sum_k Z_k theta_k on the design rows, skipping zero blocks."""
+    pred = beta0 + design.X @ mu
+    for Zk, th in zip(design.Z, theta):
+        if np.any(th):
+            pred = pred + Zk @ th
+    return pred
+
+
 def objective(design: DesignBlocks, fit: ModelFit) -> float:
     """Penalized objective of a fit on a design (recomputed from scratch)."""
     if design.p != fit.p:
         raise DimensionError(f"design has p={design.p}, fit has p={fit.p}")
-    e = design.y - fit.beta0 - design.X @ fit.mu
-    for Zk, th in zip(design.Z, fit.theta):
-        if np.any(th):
-            e = e - Zk @ th
+    e = residuals(design, fit)
     loss = 0.5 / design.n * float(e @ e)
     return loss + _penalty_value(fit.theta, fit.penalty, fit.basis.roughness.omega)
 
 
 def fitted_values(design: DesignBlocks, fit: ModelFit) -> np.ndarray:
-    pred = fit.beta0 + design.X @ fit.mu
-    for Zk, th in zip(design.Z, fit.theta):
-        if np.any(th):
-            pred = pred + Zk @ th
-    return pred
+    return _predictor(design, fit.beta0, fit.mu, fit.theta)
 
 
 def residuals(design: DesignBlocks, fit: ModelFit) -> np.ndarray:
@@ -309,9 +270,8 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     if basis.q != design.q:
         raise DimensionError(f"basis has q={basis.q}, design has q={design.q}")
     omega = basis.roughness.omega
-    intercept = design.intercept_included if options.intercept is None else options.intercept
+    intercept = design.intercept_included
     lam1, lam2 = penalty.lambda1, penalty.lambda2
-    halving = options.damping == DAMPING_HALVING
 
     if factors is None:
         factors = precompute_block_factors(design, basis, lam2)
@@ -332,14 +292,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     active = [bool(th.any()) for th in theta]
     pen = [_block_penalty(th, lam1, lam2, omega) for th in theta]
 
-    def fresh_residual():
-        e = y - beta0 - X @ mu
-        for k in range(p):
-            if active[k]:
-                e = e - Z[k] @ theta[k]
-        return e
-
-    e = fresh_residual()
+    e = y - _predictor(design, beta0, mu, theta)
 
     def current_objective():
         # summed in block order from 0.0 (not sum()), the same float as _penalty_value
@@ -354,11 +307,11 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     for sweep in range(1, options.max_iter + 1):
         sweeps = sweep
         if sweep % RESIDUAL_REFRESH_EVERY == 0:
-            e = fresh_residual()
+            e = y - _predictor(design, beta0, mu, theta)
 
         if intercept:
             r0 = e + beta0
-            beta0_new = update_intercept(r0)
+            beta0_new = float(np.mean(r0))
             e = r0 - beta0_new
             beta0 = beta0_new
 
@@ -380,21 +333,20 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
                 continue
             e_new = r - Z[k] @ th_new if active_new else r
             pen_new = _block_penalty(th_new, lam1, lam2, omega)
-            if halving:
-                # exact block minimization cannot increase the objective; this
-                # guards against floating-point drift in the running residual
-                base = 0.5 / n * float(e @ e) + pen[k]
+            # exact block minimization cannot increase the objective; this
+            # guards against floating-point drift in the running residual
+            base = 0.5 / n * float(e @ e) + pen[k]
+            cand = 0.5 / n * float(e_new @ e_new) + pen_new
+            tries = 0
+            while cand > base and tries < 20:
+                th_new = th_old + 0.5 * (th_new - th_old)
+                active_new = bool(th_new.any())
+                e_new = r - Z[k] @ th_new
+                pen_new = _block_penalty(th_new, lam1, lam2, omega)
                 cand = 0.5 / n * float(e_new @ e_new) + pen_new
-                tries = 0
-                while cand > base and tries < 20:
-                    th_new = th_old + 0.5 * (th_new - th_old)
-                    active_new = bool(th_new.any())
-                    e_new = r - Z[k] @ th_new
-                    pen_new = _block_penalty(th_new, lam1, lam2, omega)
-                    cand = 0.5 / n * float(e_new @ e_new) + pen_new
-                    tries += 1
-                if cand > base:
-                    continue  # revert: keep th_old and the current residual
+                tries += 1
+            if cand > base:
+                continue  # revert: keep th_old and the current residual
             theta[k] = th_new
             active[k] = active_new
             pen[k] = pen_new
@@ -462,22 +414,20 @@ def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
                    a mild curvature ridge (lambda2 = 1e-4) for stability.
     """
     if method == METHOD_VC_RIDGE:
-        pen = PenaltyConfig(0.0, penalty.lambda2, penalty.epsilon_prox)
+        pen = PenaltyConfig(0.0, penalty.lambda2)
         return fit_bcd(design, basis, pen, options, init=init, method=method, factors=factors)
     if method == METHOD_GROUP_LASSO:
-        pen = PenaltyConfig(penalty.lambda1, 0.0, penalty.epsilon_prox)
+        pen = PenaltyConfig(penalty.lambda1, 0.0)
         return fit_bcd(design, basis, pen, options, init=init, method=method, factors=factors)
     if method == METHOD_SCREEN_REFIT:
-        pen = PenaltyConfig(penalty.lambda1, 0.0, penalty.epsilon_prox)
+        pen = PenaltyConfig(penalty.lambda1, 0.0)
         screen = fit_bcd(design, basis, pen, options, init=init,
                          method=METHOD_GROUP_LASSO, factors=factors)
         selected = [k for k, th in enumerate(screen.theta) if np.any(th)]
-        intercept = design.intercept_included if options.intercept is None else options.intercept
+        intercept = design.intercept_included
         beta0, mu, theta = _joint_refit(design, basis, selected, intercept,
                                         SCREEN_REFIT_LAMBDA2)
-        e = design.y - beta0 - design.X @ mu
-        for k in selected:
-            e = e - design.Z[k] @ theta[k]
+        e = design.y - _predictor(design, beta0, mu, theta)
         loss = 0.5 / design.n * float(e @ e)
         mu.setflags(write=False)
         for th in theta:
@@ -594,7 +544,6 @@ def _active_set_polish(x, hess, grad, off, p, q, lam1, kkt_bound):
 
 def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyConfig,
                tol: float = 1e-10, max_iter: int = 5_000,
-               intercept: bool | None = None,
                grad_tol: float | None = None) -> ModelFit:
     """Reference solver for the convex objective, independent of `fit_bcd`.
 
@@ -614,7 +563,7 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
     y, X, Z = design.y, design.X, design.Z
     n, p, q = design.n, design.p, basis.q
     omega = basis.roughness.omega
-    use_intercept = design.intercept_included if intercept is None else intercept
+    use_intercept = design.intercept_included
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
     off = (1 if use_intercept else 0) + p
@@ -733,24 +682,26 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
         intercept=use_intercept, n_train=n,
     )
 
+
 def predict(fit: ModelFit, x, t):
     """beta0 + sum_k x_k * (mu_k + Btilde(t)' theta_k).
 
     `x` is one covariate vector (length p) or a matrix of rows; `t` a scalar
-    or a vector matching the rows.  Covariates must already be on the scale
-    the model was fitted on.
+    or a vector of length 1 or the row count, with finite times in [0,1].
+    Covariates must already be on the scale the model was fitted on.
     """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 1
     X = x_arr[None, :] if scalar else x_arr
-    if X.shape[1] != fit.p:
-        raise DimensionError(f"expected {fit.p} covariates, got {X.shape[1]}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise DomainError("prediction times must lie in [0,1] on the model scale")
-    if t_arr.size == 1 and X.shape[0] > 1:
-        t_arr = np.full(X.shape[0], t_arr[0])
-    Bt = fit.basis.eval_centered(t_arr)                     # (m, q)
+    if X.ndim != 2 or X.shape[1] != fit.p:
+        raise DimensionError(f"expected rows of {fit.p} covariates, got shape {x_arr.shape}")
+    t_arr = np.asarray(t, dtype=float)
+    if t_arr.ndim > 1 or t_arr.size not in (1, X.shape[0]):
+        raise DimensionError(f"expected a scalar time or a vector of length 1 or "
+                             f"{X.shape[0]}, got shape {t_arr.shape}")
+    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
+        raise DomainError("prediction times must be finite and lie in [0,1] on the model scale")
+    Bt = fit.basis.eval_centered(np.atleast_1d(t_arr))      # (m, q) or (1, q)
     out = fit.beta0 + X @ fit.mu
     for k, th in enumerate(fit.theta):
         if np.any(th):

@@ -4,7 +4,9 @@ The group-penalty grid is anchored at lambda1_max, the smallest level that
 zeroes every spline block on the first sweep when started from zero.  Grids
 are stored descending; the lambda1 path is traversed from large to small
 with warm starts at fixed lambda2.  Ties in the criterion go to the larger
-lambda1, then the larger lambda2 (sparser, smoother).
+lambda1, then the larger lambda2 (sparser, smoother).  Values within
+1e-12 (1 + |value|) of the best are ties, because fits of one optimum
+reached from different warm starts agree only to roundoff.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .structure import select_vary
 DEFAULT_LAMBDA1_COUNT = 20
 DEFAULT_LAMBDA1_MIN_RATIO = 1e-3
 DEFAULT_LAMBDA2_GRID = tuple(np.logspace(0.0, -4.0, 5))   # 1 .. 1e-4, descending
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,14 @@ def ebic(fit: ModelFit, design: DesignBlocks, gamma: float = 0.5) -> float:
 
 
 def _argmin_with_tiebreak(surface: np.ndarray) -> tuple[int, int]:
-    """Smallest value; ties go to the smallest indices (largest penalties)."""
+    """Smallest value; ties (within TIE_RTOL) go to the smallest indices (largest penalties)."""
     best = None
     for i in range(surface.shape[0]):
         for j in range(surface.shape[1]):
             v = surface[i, j]
             if np.isnan(v):
                 continue
-            if best is None or v < surface[best]:
+            if best is None or v < surface[best] - TIE_RTOL * (1.0 + abs(surface[best])):
                 best = (i, j)
     if best is None:
         raise TuningError("every grid point failed")
@@ -219,11 +222,7 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
         d_test = build_design(test, basis, intercept=d_train.intercept_included)
         fits = _fit_grid(d_train, basis, grid, options, method)
         for (i, j), fit in fits.items():
-            pred = fit.beta0 + d_test.X @ fit.mu
-            for Zk, th in zip(d_test.Z, fit.theta):
-                if np.any(th):
-                    pred = pred + Zk @ th
-            sq_err[i, j] += float(np.sum((d_test.y - pred) ** 2))
+            sq_err[i, j] += float(np.sum(residuals(d_test, fit) ** 2))
             counts[i, j] += d_test.n
             folds_ok[i, j] += 1
     with np.errstate(invalid="ignore", divide="ignore"):

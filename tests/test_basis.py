@@ -9,7 +9,6 @@ from tvselect.basis import (
     SplineConfig,
     build_basis,
     build_basis_from_interior,
-    roughness_quadratic_form,
 )
 from tvselect.errors import ConfigurationError, DegenerateDesignError, DimensionError, DomainError
 
@@ -131,16 +130,16 @@ def test_linear_functions_in_nullspace(cubic_q8):
     knots = cubic_q8.full_knot_vector
     greville = np.array([knots[i + 1:i + 1 + d].mean() for i in range(cubic_q8.q)])
     for v in (np.ones(cubic_q8.q), greville, 2.0 - 3.0 * greville):
-        assert roughness_quadratic_form(cubic_q8, v) == pytest.approx(0.0, abs=1e-9)
+        assert cubic_q8.roughness.quadratic_form(v) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_quadratic_form_zero_vector(cubic_q8):
-    assert roughness_quadratic_form(cubic_q8, np.zeros(cubic_q8.q)) == 0.0
+    assert cubic_q8.roughness.quadratic_form(np.zeros(cubic_q8.q)) == 0.0
 
 
 def test_quadratic_form_dimension_mismatch(cubic_q8):
     with pytest.raises(DimensionError):
-        roughness_quadratic_form(cubic_q8, np.ones(cubic_q8.q + 1))
+        cubic_q8.roughness.quadratic_form(np.ones(cubic_q8.q + 1))
 
 
 def test_quadratic_form_matches_finite_differences(cubic_q8):
@@ -152,7 +151,7 @@ def test_quadratic_form_matches_finite_differences(cubic_q8):
         g = cubic_q8.eval_centered(t) @ v
         g2 = np.gradient(np.gradient(g, t), t)
         approx = np.trapezoid(g2 ** 2, t)
-        exact = roughness_quadratic_form(cubic_q8, v)
+        exact = cubic_q8.roughness.quadratic_form(v)
         assert abs(approx - exact) / exact < 0.01
 
 

@@ -7,8 +7,10 @@ import pytest
 from tvselect import artifact
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.cli import main
-from tvselect.data import build_design, from_arrays, load_long_csv
-from tvselect.solver import PenaltyConfig, SolverOptions, fit_bcd, fitted_values
+from tvselect.data import build_design, from_arrays, load_long_csv, standardize
+from tvselect.errors import ParseError
+from tvselect.simulate import predict_dataset
+from tvselect.solver import PenaltyConfig, SolverOptions, fit_bcd, fitted_values, predict
 from tvselect.tuning import lambda1_max
 
 
@@ -81,6 +83,54 @@ def test_artifact_mismatch_detected(train_csv, tmp_path):
         artifact.check_compatible(loaded, prep, other)
 
 
+def fitted_payload(train_csv):
+    ds = standardize(load_long_csv(train_csv))
+    basis = build_basis(SplineConfig(degree=3, num_internal_knots=2))
+    fit = fit_bcd(build_design(ds, basis), basis, PenaltyConfig(0.02, 1e-5), SolverOptions())
+    return fit, artifact.fit_to_dict(fit, ds)
+
+
+def test_artifact_with_epsilon_prox_still_loads(train_csv, tmp_path):
+    # artifacts written before the stabilizer was dropped carry penalty.epsilon_prox
+    fit, payload = fitted_payload(train_csv)
+    assert set(payload["penalty"]) == {"lambda1", "lambda2"}
+    payload["penalty"]["epsilon_prox"] = 1e-8
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    loaded, _ = artifact.load_fit(path)
+    assert loaded.penalty == fit.penalty
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.theta, fit.theta))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("basis",), None),
+    (("coefficients", "mu"), "abc"),
+    (("coefficients", "theta"), [[0.0, 1.0]]),
+    (("preprocessing", "center"), [0.0]),
+])
+def test_malformed_artifact_fields_raise_parse_error(train_csv, path, value):
+    _, payload = fitted_payload(train_csv)
+    *outer, key = path
+    owner = payload
+    for part in outer:
+        owner = owner[part]
+    owner[key] = value
+    with pytest.raises(ParseError):
+        artifact.fit_from_dict(payload)
+
+
+@pytest.mark.parametrize("command", ["classify", "predict"])
+def test_malformed_artifact_exit_code_2(train_csv, tmp_path, capsys, command):
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps({"format": "tvselect-fit", "version": 1}), encoding="utf-8")
+    argv = [command, "--artifact", str(path), "--out", str(tmp_path / "out")]
+    if command == "predict":
+        argv += ["--data", str(train_csv)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "malformed" in err and "Traceback" not in err
+
+
 # ----------------------------------------------------------------- commands
 
 
@@ -109,6 +159,32 @@ def test_fit_then_predict_roundtrip(train_csv, tmp_path):
     fit = fit_bcd(design, basis, PenaltyConfig(0.02, 1e-5), SolverOptions())
     expected = fitted_values(design, fit)
     assert np.abs(np.sort(preds[:, 2]) - np.sort(expected)).max() < 1e-10
+
+
+def test_predictors_agree(train_csv, tmp_path):
+    out_fit, out_pred = tmp_path / "fit_out", tmp_path / "pred_out"
+    assert main(["fit", "--data", str(train_csv), "--out", str(out_fit),
+                 "--lambda1", "0.02", "--lambda2", "1e-5", "--knots", "2", "--no-demean"]) == 0
+    assert main(["predict", "--artifact", str(out_fit / "fit.json"),
+                 "--data", str(train_csv), "--out", str(out_pred)]) == 0
+    fit, prep = artifact.load_fit(out_fit / "fit.json")
+    center, scale = np.asarray(prep["center"]), np.asarray(prep["scale"])
+
+    # the in-design predictor and the raw-row predictor on the training rows
+    ds = standardize(load_long_csv(train_csv))
+    _, X, t = ds.stacked()
+    pred = predict(fit, X, t)
+    gap = np.abs(fitted_values(build_design(ds, fit.basis), fit) - pred).max()
+    assert gap <= 1e-12 * np.abs(pred).max()
+
+    # simulate.predict_dataset and tvselect predict call predict itself
+    raw = load_long_csv(train_csv)
+    _, X_raw, t_raw = raw.stacked()
+    assert np.array_equal(predict_dataset(fit, raw, center, scale),
+                          predict(fit, (X_raw - center) / scale, t_raw))
+    rows = np.loadtxt(out_pred / "predictions.csv", delimiter=",", skiprows=1)
+    _, X_new, _ = load_long_csv(train_csv, rescale=False).stacked()
+    assert np.array_equal(rows[:, 2], predict(fit, (X_new - center) / scale, rows[:, 1]))
 
 
 def test_missing_input_exit_code_2(tmp_path, capsys):

@@ -11,6 +11,8 @@ from tvselect.data import build_design, from_arrays, standardize
 from tvselect.errors import (
     ConfigurationError,
     DegenerateColumnError,
+    DimensionError,
+    DomainError,
     OracleNonconvergenceError,
     SingularBlockError,
 )
@@ -29,14 +31,10 @@ from tvselect.solver import (
     fit_bcd,
     fit_oracle,
     fitted_values,
-    group_soft_threshold,
     objective,
     precompute_block_factors,
     predict,
     residuals,
-    ridge_smooth,
-    update_intercept,
-    update_mu_k,
 )
 from tvselect.tuning import lambda1_max
 
@@ -99,38 +97,25 @@ def test_objective_matches_straight_line_reimplementation():
 # ------------------------------------------------------------ block updates
 
 
-def test_update_intercept_is_mean():
-    assert update_intercept(np.array([1.0, 2.0, 6.0])) == pytest.approx(3.0)
-    assert update_intercept(np.zeros(5)) == 0.0
-
-
-def test_update_mu_k_exact_cases():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(40)
-    assert update_mu_k(x, x) == pytest.approx(1.0, abs=1e-12)
-    r_perp = rng.standard_normal(40)
-    r_perp -= (x @ r_perp) / (x @ x) * x
-    assert update_mu_k(r_perp, x) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_update_mu_k_matches_normal_equation():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(25)
-    r = rng.standard_normal(25)
-    expected = float(np.linalg.lstsq(x[:, None], r, rcond=None)[0][0])
-    assert update_mu_k(r, x) == pytest.approx(expected, abs=1e-12)
-
-
 def test_update_mu_k_zero_column():
-    with pytest.raises(DegenerateColumnError):
-        update_mu_k(np.ones(4), np.zeros(4))
+    rng = np.random.default_rng(2)
+    _, basis, design = make_instance(rng)
+    X = design.X.copy()
+    X[:, 1] = 0.0
+    degenerate = type(design)(y=design.y, X=X, Z=design.Z, intercept_included=True,
+                              subject_slices=design.subject_slices)
+    with pytest.raises(DegenerateColumnError, match="column 1"):
+        fit_bcd(degenerate, basis, PenaltyConfig(0.1, 0.01), SolverOptions())
+
+
+# the vc-ridge block update: lambda1 = 0 leaves the ridge smoother (G_k + 2 lambda2 Omega)^+ z
 
 
 def test_ridge_smooth_zero_residual():
     rng = np.random.default_rng(4)
     _, basis, design = make_instance(rng)
     factor = precompute_block_factors(design, basis, 0.1)[0]
-    assert np.allclose(ridge_smooth(factor, design.Z[0], np.zeros(design.n)), 0.0)
+    assert np.allclose(_solve_block_subproblem(factor, np.zeros(basis.q), 0.0), 0.0)
 
 
 def test_ridge_smooth_identity_gram():
@@ -143,7 +128,8 @@ def test_ridge_smooth_identity_gram():
     Z = Q_mat * np.sqrt(n)
     factor = BlockFactor(Z.T @ Z / n)
     r = rng.standard_normal(n)
-    assert np.allclose(ridge_smooth(factor, Z, r), Z.T @ r / n, atol=1e-12)
+    assert np.allclose(_solve_block_subproblem(factor, Z.T @ r / n, 0.0), Z.T @ r / n,
+                       atol=1e-12)
 
 
 def test_ridge_smooth_solves_linear_system():
@@ -152,29 +138,11 @@ def test_ridge_smooth_solves_linear_system():
     lam2 = 0.3
     factor = precompute_block_factors(design, basis, lam2)[1]
     r = rng.standard_normal(design.n)
-    theta = ridge_smooth(factor, design.Z[1], r)
+    rhs = design.Z[1].T @ r / design.n
+    theta = _solve_block_subproblem(factor, rhs, 0.0)
     G = design.Z[1].T @ design.Z[1] / design.n
     lhs = (G + 2 * lam2 * basis.roughness.omega) @ theta
-    rhs = design.Z[1].T @ r / design.n
     assert np.linalg.norm(lhs - rhs) < 1e-10
-
-
-def test_group_soft_threshold_cases():
-    v = np.array([3.0, 0.0, 0.0])
-    assert np.array_equal(group_soft_threshold(v, 5.0), np.zeros(3))
-    assert np.array_equal(group_soft_threshold(v, 0.0), v)
-    out = group_soft_threshold(v, 1.0, epsilon_prox=1e-300)
-    assert np.allclose(out, (2.0 / 3.0) * v, atol=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-       st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-       st.floats(0, 5))
-def test_group_soft_threshold_nonexpansive(u, v, lam):
-    u, v = np.array(u), np.array(v)
-    du = group_soft_threshold(u, lam) - group_soft_threshold(v, lam)
-    assert np.linalg.norm(du) <= np.linalg.norm(u - v) + 1e-9
 
 
 # ------------------------------------------------------------- block solve
@@ -542,7 +510,6 @@ def test_predict_time_out_of_domain():
     rng = np.random.default_rng(27)
     _, basis, design = make_instance(rng)
     fit = fit_bcd(design, basis, PenaltyConfig(0.1, 0.0), SolverOptions())
-    from tvselect.errors import DomainError
     with pytest.raises(DomainError):
         predict(fit, np.zeros(3), 1.5)
     with pytest.raises(DomainError):
@@ -553,18 +520,33 @@ def test_predict_dimension_mismatch():
     rng = np.random.default_rng(28)
     _, basis, design = make_instance(rng)
     fit = fit_bcd(design, basis, PenaltyConfig(0.1, 0.0), SolverOptions())
-    from tvselect.errors import DimensionError
     with pytest.raises(DimensionError):
         predict(fit, np.zeros(5), 0.5)
+    with pytest.raises(DimensionError):
+        predict(fit, 0.5, 0.5)
 
 
-def test_damping_none_matches_halving():
-    # exact block minimization makes damping a no-op safeguard
-    rng = np.random.default_rng(29)
+@pytest.fixture(scope="module")
+def predict_fit():
+    rng = np.random.default_rng(30)
     _, basis, design = make_instance(rng)
-    pen = PenaltyConfig(0.08, 0.02)
-    a = fit_bcd(design, basis, pen, SolverOptions(damping="halving"))
-    b = fit_bcd(design, basis, pen, SolverOptions(damping="none"))
-    assert a.beta0 == b.beta0
-    assert np.array_equal(a.mu, b.mu)
-    assert all(np.array_equal(x, y) for x, y in zip(a.theta, b.theta))
+    return fit_bcd(design, basis, PenaltyConfig(0.05, 0.001), SolverOptions())
+
+
+def test_predict_rejects_time_vector_of_other_length(predict_fit):
+    # neither one time nor one per row: numpy would raise a broadcast ValueError
+    with pytest.raises(DimensionError):
+        predict(predict_fit, np.ones((3, 3)), np.array([0.2, 0.4]))
+
+
+def test_predict_rejects_two_dimensional_times(predict_fit):
+    # shape (1, 3) against 3 rows would broadcast to a 3 x 3 result
+    with pytest.raises(DimensionError):
+        predict(predict_fit, np.ones((3, 3)), np.full((1, 3), 0.5))
+
+
+def test_predict_rejects_non_finite_times(predict_fit):
+    with pytest.raises(DomainError):
+        predict(predict_fit, np.ones(3), float("nan"))
+    with pytest.raises(DomainError):
+        predict(predict_fit, np.ones((2, 3)), np.array([0.5, np.nan]))

@@ -18,6 +18,7 @@ from tvselect.solver import (
 from tvselect.structure import select_vary
 from tvselect.tuning import (
     TuningGrid,
+    _argmin_with_tiebreak,
     default_grid,
     ebic,
     lambda1_max,
@@ -319,3 +320,10 @@ def test_tune_cv_marks_point_failed_in_one_fold(monkeypatch):
     mask = np.ones(res.criterion_surface.shape, dtype=bool)
     mask[1, 0] = False
     assert np.isfinite(res.criterion_surface[mask]).all()
+
+
+def test_roundoff_ties_go_to_larger_penalties():
+    # fits of one optimum from different warm starts agree only to roundoff
+    surface = np.array([[1.0 + 4e-16, 2.0], [1.0, 1.0 - 1e-9]])
+    assert _argmin_with_tiebreak(surface[:, :1]) == (0, 0)
+    assert _argmin_with_tiebreak(surface) == (1, 1)
