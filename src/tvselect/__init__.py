@@ -23,7 +23,6 @@ from .data import (
     from_arrays,
     load_long_csv,
     standardize,
-    unstandardize_covariates,
 )
 from .solver import (
     METHOD_GROUP_LASSO,

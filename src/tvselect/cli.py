@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .errors import (
     TuningError,
 )
 from .simulate import (
+    CURVE_GRID_SIZE,
     StudyOptions,
     format_summary,
     make_scenario,
@@ -50,7 +52,7 @@ from .solver import (
     predict,
 )
 from .structure import classify
-from .tuning import TuningGrid, default_grid, tune_cv, tune_ebic
+from .tuning import DEFAULT_LAMBDA2_GRID, TuningGrid, default_grid, tune_cv, tune_ebic
 
 USAGE_ERRORS = (ParseError, ConfigurationError, ArtifactMismatchError,
                 DegenerateDesignError, DegenerateColumnError, FileNotFoundError)
@@ -131,6 +133,18 @@ def _basis_for(cfg, dataset):
     return build_basis(config, observed_times=times)
 
 
+def _descending(text, default=()) -> tuple:
+    """Comma-separated finite floats sorted descending; empty text gives `default`."""
+    items = str(text).split(",") if text != "" else default
+    try:
+        values = [float(v) for v in items]
+    except ValueError:
+        raise ParseError(f"grid '{text}' is not a comma-separated list of numbers") from None
+    if not np.isfinite(values).all():
+        raise ParseError(f"grid '{text}' contains NaN or inf")
+    return tuple(sorted(values, reverse=True))
+
+
 def _solver_options(cfg) -> SolverOptions:
     return SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
 
@@ -148,8 +162,8 @@ def _write_partition_report(path, part, names):
         fh.write("\n")
 
 
-def _write_curves(path, fit, names, grid_size=200):
-    tgrid = np.linspace(0.0, 1.0, grid_size)
+def _write_curves(path, fit, names):
+    tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
     curves = fit.coefficient_curves(tgrid)
     rows = []
     for k, name in enumerate(names):
@@ -189,12 +203,11 @@ def cmd_tune(cfg) -> int:
     basis = _basis_for(cfg, dataset)
     design = build_design(dataset, basis)
     options = _solver_options(cfg)
+    lam2 = _descending(cfg["lambda2_grid"], DEFAULT_LAMBDA2_GRID)
     if cfg["lambda1_grid"]:
-        lam1 = tuple(sorted((float(v) for v in cfg["lambda1_grid"].split(",")), reverse=True))
-        lam2 = tuple(sorted((float(v) for v in cfg["lambda2_grid"].split(",")), reverse=True))
-        grid = TuningGrid(lam1, lam2, gamma=cfg["gamma"])
+        grid = TuningGrid(_descending(cfg["lambda1_grid"]), lam2, gamma=cfg["gamma"])
     else:
-        grid = default_grid(design, gamma=cfg["gamma"])
+        grid = default_grid(design, gamma=cfg["gamma"], lambda2_values=lam2)
     if cfg["criterion"] == "ebic":
         result = tune_ebic(design, basis, grid, options)
     else:
@@ -269,26 +282,29 @@ def cmd_simulate(cfg) -> int:
     spec = make_scenario(cfg["scenario"], N=cfg["subjects"], n_i=cfg["obs_per_subject"],
                          p=cfg["covariates"], s_v=cfg["s_vary"], s_c=cfg["s_const"],
                          q=cfg["q"], seed=cfg["seed"], **overrides)
-    # re-echo with the resolved scenario values (presets and forced fields)
+    lam2 = _descending(cfg["lambda2_grid"], StudyOptions().lambda2_values)
+    # re-echo with the resolved values (presets, forced fields and the grid)
     resolved = dict(cfg)
     resolved.update({
         "rho": spec.rho, "alpha": spec.alpha, "sigma": spec.sigma,
         "sigma_x2": spec.sigma_x2, "amplitude": spec.amplitude, "t_df": spec.t_df,
         "error_model": spec.error_model, "time_design": spec.time_design,
         "covariate_design": spec.covariate_design,
+        "lambda2_grid": ",".join(repr(float(v)) for v in lam2),
     })
     _echo_config(out, "simulate", resolved)
     methods = tuple(m.strip() for m in cfg["methods"].split(",") if m.strip())
     for m in methods:
         if m not in METHODS:
             raise ConfigurationError(f"unknown method '{m}', expected subset of {METHODS}")
-    options = StudyOptions(methods=methods, gamma=cfg["gamma"],
-                           lambda2_values=tuple(
-                               sorted((float(v) for v in cfg["lambda2_grid"].split(",")),
-                                      reverse=True)),
+    options = StudyOptions(methods=methods, gamma=cfg["gamma"], lambda2_values=lam2,
                            n_test=cfg["test_subjects"])
+    start = time.perf_counter()
     reports = run_study(spec, R=cfg["replications"], seed=cfg["seed"],
                         parallelism=cfg["parallel"], options=options)
+    workers = cfg["parallel"]
+    print(f"{cfg['replications']} replications in {time.perf_counter() - start:.0f}s "
+          f"({workers} worker{'s' if workers > 1 else ''})", file=sys.stderr)
     rows = []
     for rep in reports:
         rows.extend(rep.rows())
@@ -349,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--cv-folds", dest="cv_folds", type=int, default=5)
     p_tune.add_argument("--lambda1-grid", dest="lambda1_grid", default="",
                         help="comma-separated values; default: data-driven path")
-    p_tune.add_argument("--lambda2-grid", dest="lambda2_grid", default="1,0.1,0.01,0.001,0.0001")
+    p_tune.add_argument("--lambda2-grid", dest="lambda2_grid", default="",
+                        help="comma-separated values; default: tuning.DEFAULT_LAMBDA2_GRID")
 
     p_pred = sub.add_parser("predict", help="predict new rows from a fit artifact")
     add_common(p_pred)
@@ -382,10 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--time-design", dest="time_design", default="")
     p_sim.add_argument("--covariate-design", dest="covariate_design", default="")
     p_sim.add_argument("--methods", default=",".join(METHODS))
-    p_sim.add_argument("--gamma", type=float, default=0.5)
-    p_sim.add_argument("--lambda2-grid", dest="lambda2_grid",
-                       default="1,0.0316,0.001,3.16e-05,1e-06")
-    p_sim.add_argument("--test-subjects", dest="test_subjects", type=int, default=500)
+    p_sim.add_argument("--gamma", type=float, default=StudyOptions.gamma)
+    p_sim.add_argument("--lambda2-grid", dest="lambda2_grid", default="",
+                       help="comma-separated values; default: StudyOptions().lambda2_values")
+    p_sim.add_argument("--test-subjects", dest="test_subjects", type=int,
+                       default=StudyOptions.n_test)
     p_sim.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
     p_sim.add_argument("--curves", action="store_true")
     return parser

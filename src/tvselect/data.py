@@ -33,8 +33,6 @@ class SubjectRecord:
 @dataclass(frozen=True)
 class PreprocessState:
     demeaned: bool = False
-    subject_means_y: dict | None = None     # subject_id -> float
-    subject_means_x: dict | None = None     # subject_id -> (p,) array
     center: np.ndarray | None = None        # per-covariate standardization
     scale: np.ndarray | None = None
 
@@ -75,7 +73,6 @@ class DesignBlocks:
     X: np.ndarray                    # (n, p)
     Z: tuple                         # p matrices, each (n, q)
     intercept_included: bool
-    subject_slices: tuple            # row ranges per subject, for CV and reporting
 
     @property
     def n(self) -> int:
@@ -203,16 +200,11 @@ def demean_within_subject(dataset: LongitudinalDataset) -> LongitudinalDataset:
     """
     if dataset.preprocessing.demeaned:
         return dataset
-    means_y, means_x, subjects = {}, {}, []
-    for s in dataset.subjects:
-        my = s.responses.mean()
-        mx = s.covariates.mean(axis=0)
-        means_y[s.subject_id] = float(my)
-        means_x[s.subject_id] = mx
-        subjects.append(replace(s, responses=s.responses - my, covariates=s.covariates - mx))
-    state = replace(dataset.preprocessing, demeaned=True,
-                    subject_means_y=means_y, subject_means_x=means_x)
-    return replace(dataset, subjects=tuple(subjects), preprocessing=state)
+    subjects = tuple(replace(s, responses=s.responses - s.responses.mean(),
+                             covariates=s.covariates - s.covariates.mean(axis=0))
+                     for s in dataset.subjects)
+    state = replace(dataset.preprocessing, demeaned=True)
+    return replace(dataset, subjects=subjects, preprocessing=state)
 
 
 def standardize(dataset: LongitudinalDataset, binary_columns=()) -> LongitudinalDataset:
@@ -240,14 +232,6 @@ def standardize(dataset: LongitudinalDataset, binary_columns=()) -> Longitudinal
     return replace(dataset, subjects=subjects, preprocessing=state)
 
 
-def unstandardize_covariates(dataset: LongitudinalDataset, X: np.ndarray) -> np.ndarray:
-    """Invert `standardize` on a covariate matrix."""
-    state = dataset.preprocessing
-    if not state.standardized:
-        return np.asarray(X, dtype=float)
-    return np.asarray(X, dtype=float) * state.scale + state.center
-
-
 def build_design(dataset: LongitudinalDataset, basis: CenteredSplineBasis,
                  intercept: bool | None = None) -> DesignBlocks:
     """Assemble y, X, and the spline blocks Z_k with rows x_ijk * Btilde(t_ij)'.
@@ -259,11 +243,6 @@ def build_design(dataset: LongitudinalDataset, basis: CenteredSplineBasis,
     Z = tuple(X[:, k:k + 1] * Btil for k in range(dataset.p))
     if intercept is None:
         intercept = not dataset.preprocessing.demeaned
-    slices, start = [], 0
-    for s in dataset.subjects:
-        slices.append((start, start + s.n_obs))
-        start += s.n_obs
     for arr in (y, X, *Z):
         arr.setflags(write=False)
-    return DesignBlocks(y=y, X=X, Z=Z, intercept_included=bool(intercept),
-                        subject_slices=tuple(slices))
+    return DesignBlocks(y=y, X=X, Z=Z, intercept_included=bool(intercept))

@@ -31,7 +31,7 @@ from .solver import (
     fit_baseline,
     predict,
 )
-from .structure import CLASS_CONST, CLASS_VARY, CLASS_ZERO, StructuralPartition, classify, select_vary
+from .structure import CLASS_CONST, CLASS_VARY, CLASS_ZERO, classify, select_vary
 from .tuning import TuningGrid, default_grid, tune_ebic
 
 SCENARIOS = ("A", "B", "C", "D", "E", "F")
@@ -50,6 +50,9 @@ COV_TIME_VARYING = "time-varying"
 
 METRIC_NAMES = ("ise", "mse_mu", "mse_mu_act", "re", "tpr_vary", "fpr_vary",
                 "class_acc", "stab", "mspe")
+
+CURVE_GRID_SIZE = 200          # points on [0,1] for curve errors and curve outputs
+MAX_FAILURE_FRACTION = 0.10    # failed replications a scenario tolerates
 
 # Deviation templates: (value, second derivative, integral over [0,1]).
 _TEMPLATES = (
@@ -138,19 +141,13 @@ _SCENARIO_PRESETS = {
     "E": {"covariate_design": COV_TIME_VARYING},
     "F": {"amplitude": 0.5},
 }
-_SCENARIO_FORCED = {"B": ("rho",), "F": ("amplitude",)}
 
 
 def make_scenario(scenario: str, N: int, n_i: int, p: int, **overrides) -> ScenarioSpec:
-    """Scenario preset with overrides; forced fields reject contradictions."""
+    """Scenario preset with overrides; ScenarioSpec rejects overrides of forced fields."""
     if scenario not in SCENARIOS:
         raise ConfigurationError(f"scenario must be one of {SCENARIOS}")
     preset = dict(_SCENARIO_PRESETS[scenario])
-    for key in _SCENARIO_FORCED.get(scenario, ()):
-        if key in overrides and overrides[key] != preset[key]:
-            raise ConfigurationError(
-                f"scenario {scenario} fixes {key} = {preset[key]}, got {overrides[key]}"
-            )
     preset.update(overrides)
     return ScenarioSpec(scenario=scenario, N=N, n_i=n_i, p=p, **preset)
 
@@ -196,10 +193,6 @@ class TrueStructure:
         return [CLASS_VARY if k in self.s_vary else
                 CLASS_CONST if k in self.s_const else CLASS_ZERO
                 for k in range(self.p)]
-
-    def partition(self) -> StructuralPartition:
-        return StructuralPartition(s_vary=self.s_vary, s_const=self.s_const,
-                                   s_zero=self.s_zero, threshold_used=0.0)
 
 
 def make_truth(spec: ScenarioSpec) -> TrueStructure:
@@ -289,8 +282,7 @@ def predict_dataset(fit: ModelFit, dataset: LongitudinalDataset,
 
 def score_fit(fit: ModelFit, truth: TrueStructure, spec: ScenarioSpec,
               train_center=None, train_scale=None,
-              test_set: LongitudinalDataset | None = None,
-              grid_size: int = 200) -> dict:
+              test_set: LongitudinalDataset | None = None) -> dict:
     """All single-replication metrics; coefficient errors on the raw scale.
 
     The fit lives on the standardized covariate scale, so curves and mu are
@@ -299,7 +291,7 @@ def score_fit(fit: ModelFit, truth: TrueStructure, spec: ScenarioSpec,
     """
     p = fit.p
     scale = np.ones(p) if train_scale is None else np.asarray(train_scale, dtype=float)
-    tgrid = np.linspace(0.0, 1.0, grid_size)
+    tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
     curves = fit.coefficient_curves(tgrid) / scale[:, None]
     truth_curves = np.vstack([truth.beta(k, tgrid) for k in range(p)])
     ise = float(np.mean((curves - truth_curves) ** 2))
@@ -366,7 +358,8 @@ def stability(selected_sets) -> float:
 class StudyOptions:
     """Knobs for the replicated study; defaults mirror the benchmark design.
 
-    The study lambda2 grid reaches lower than the generic tuning default:
+    Fits use `SolverOptions()` and the lambda1 path of `default_grid`.  The
+    study lambda2 grid reaches lower than the generic tuning default:
     the curvature matrix has operator norm in the thousands, so useful
     smoothing levels for the 1/(2n)-scaled loss sit near 1e-6..1e-3.
     """
@@ -375,17 +368,12 @@ class StudyOptions:
                       METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT)
     gamma: float = 0.5
     lambda1_count: int = 20
-    lambda1_min_ratio: float = 1e-3
     lambda2_values: tuple = tuple(np.logspace(0.0, -6.0, 5))
-    solver_tol: float = 1e-6
-    solver_max_iter: int = 500
     n_test: int = 500
-    grid_size: int = 200
-    keep_curves: bool = False
-    max_failure_fraction: float = 0.10
 
-    def solver_options(self) -> SolverOptions:
-        return SolverOptions(tol=self.solver_tol, max_iter=self.solver_max_iter)
+    def __post_init__(self):
+        if self.n_test < 1:
+            raise ConfigurationError("n_test must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -414,9 +402,8 @@ def _child_seeds(seed: int, spec: ScenarioSpec, r: int):
 
 def fit_study_methods(design, basis, opts: StudyOptions) -> dict:
     """EBIC-tuned fit per method on a shared design (paired comparison)."""
-    sopt = opts.solver_options()
+    sopt = SolverOptions()
     grid_tv = default_grid(design, gamma=opts.gamma, lambda1_count=opts.lambda1_count,
-                           lambda1_min_ratio=opts.lambda1_min_ratio,
                            lambda2_values=opts.lambda2_values)
     fits = {}
     if METHOD_TV_SELECT in opts.methods:
@@ -438,29 +425,26 @@ def fit_study_methods(design, basis, opts: StudyOptions) -> dict:
     return fits
 
 
+def _fit_replication(spec: ScenarioSpec, truth: TrueStructure, train_seed,
+                     opts: StudyOptions):
+    """Training standardization and every method's fit for one replication."""
+    train_std = standardize(generate(spec, truth, seed=train_seed))
+    basis = build_basis(SplineConfig.from_q(spec.q))
+    design = build_design(train_std, basis)
+    return train_std.preprocessing, fit_study_methods(design, basis, opts)
+
+
 def _run_replication(payload):
     spec, r, seed, opts = payload
     train_ss, test_ss = _child_seeds(seed, spec, r)
     truth = make_truth(spec)
-    train = generate(spec, truth, seed=train_ss)
     test = generate(replace(spec, N=opts.n_test), truth, seed=test_ss)
-
-    train_std = standardize(train)
-    basis = build_basis(SplineConfig.from_q(spec.q))
-    design = build_design(train_std, basis)
-    center = train_std.preprocessing.center
-    scale = train_std.preprocessing.scale
-
-    fits = fit_study_methods(design, basis, opts)
-    metrics, selected, curves = {}, {}, {}
-    tgrid = np.linspace(0.0, 1.0, opts.grid_size)
+    prep, fits = _fit_replication(spec, truth, train_ss, opts)
+    metrics, selected = {}, {}
     for method, fit in fits.items():
-        metrics[method] = score_fit(fit, truth, spec, center, scale,
-                                    test_set=test, grid_size=opts.grid_size)
+        metrics[method] = score_fit(fit, truth, spec, prep.center, prep.scale, test_set=test)
         selected[method] = tuple(sorted(select_vary(fit)))
-        if opts.keep_curves:
-            curves[method] = fit.coefficient_curves(tgrid) / scale[:, None]
-    return metrics, selected, curves
+    return metrics, selected
 
 
 def run_study(specs, R: int, seed: int = 0, parallelism: int = 1,
@@ -468,7 +452,7 @@ def run_study(specs, R: int, seed: int = 0, parallelism: int = 1,
     """Replicated paired comparison of the configured methods.
 
     Individual replication failures are tolerated up to
-    `options.max_failure_fraction` per scenario, then the study errors out.
+    MAX_FAILURE_FRACTION per scenario, then the study errors out.
     Aggregation is deterministic and independent of `parallelism`.
     """
     if R < 1:
@@ -488,14 +472,14 @@ def run_study(specs, R: int, seed: int = 0, parallelism: int = 1,
 
         failures = [err for err in raw if isinstance(err, str)]
         results = [res for res in raw if not isinstance(res, str)]
-        if len(failures) > options.max_failure_fraction * R:
+        if len(failures) > MAX_FAILURE_FRACTION * R:
             raise StudyError(
                 f"{len(failures)}/{R} replications failed for scenario {spec.scenario}; "
                 f"first failure: {failures[0]}"
             )
         per_method = {m: [] for m in options.methods}
         sel_method = {m: [] for m in options.methods}
-        for metrics, selected, _ in results:
+        for metrics, selected in results:
             for m in options.methods:
                 per_method[m].append(metrics[m])
                 sel_method[m].append(selected[m])
@@ -526,12 +510,17 @@ def _run_replication_safe(payload):
 
 def replication_curves(spec: ScenarioSpec, r: int, seed: int,
                        options: StudyOptions) -> dict:
-    """Fitted and true coefficient curves for one replication (figure data)."""
-    opts = replace(options, keep_curves=True)
-    _, _, curves = _run_replication((spec, r, seed, opts))
+    """Fitted and true coefficient curves for one replication (figure data).
+
+    The fits are the ones `run_study` scores for replication r; fitted curves
+    are mapped back to the raw covariate scale.
+    """
     truth = make_truth(spec)
-    tgrid = np.linspace(0.0, 1.0, options.grid_size)
+    prep, fits = _fit_replication(spec, truth, _child_seeds(seed, spec, r)[0], options)
+    tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
     truth_curves = np.vstack([truth.beta(k, tgrid) for k in range(spec.p)])
+    curves = {method: fit.coefficient_curves(tgrid) / prep.scale[:, None]
+              for method, fit in fits.items()}
     return {"t": tgrid, "truth": truth_curves, "methods": curves}
 
 

@@ -86,6 +86,8 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class ModelFit:
+    """A fitted model; `mu` and each `theta[k]` are read-only float copies."""
+
     beta0: float
     mu: np.ndarray
     theta: tuple
@@ -97,6 +99,14 @@ class ModelFit:
     basis: CenteredSplineBasis
     intercept: bool
     n_train: int
+
+    def __post_init__(self):
+        mu = np.array(self.mu, dtype=float)
+        theta = tuple(np.array(th, dtype=float) for th in self.theta)
+        for arr in (mu, *theta):
+            arr.setflags(write=False)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def p(self) -> int:
@@ -358,15 +368,8 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             converged = True
             break
 
-    mu_out = mu.copy()
-    mu_out.setflags(write=False)
-    theta_out = []
-    for th in theta:
-        th = th.copy()
-        th.setflags(write=False)
-        theta_out.append(th)
     return ModelFit(
-        beta0=beta0, mu=mu_out, theta=tuple(theta_out),
+        beta0=beta0, mu=mu, theta=tuple(theta),
         objective_trace=np.array(trace), iterations=sweeps, converged=converged,
         method=method, penalty=penalty, basis=basis, intercept=intercept, n_train=n,
     )
@@ -429,13 +432,10 @@ def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
                                         SCREEN_REFIT_LAMBDA2)
         e = design.y - _predictor(design, beta0, mu, theta)
         loss = 0.5 / design.n * float(e @ e)
-        mu.setflags(write=False)
-        for th in theta:
-            th.setflags(write=False)
         return ModelFit(
             beta0=beta0, mu=mu, theta=tuple(theta),
             objective_trace=np.array([loss]), iterations=screen.iterations,
-            converged=screen.converged, method=method, penalty=penalty,
+            converged=screen.converged, method=method, penalty=pen,
             basis=basis, intercept=intercept, n_train=design.n,
         )
     raise ConfigurationError(f"unknown baseline method '{method}', expected one of "
@@ -672,11 +672,8 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
                 f"certificate bound {kkt_bound:.3e}")
 
     beta0 = float(x[0]) if use_intercept else 0.0
-    mu = x[off - p: off].copy()
-    th = theta_of(x)
-    theta = tuple(th[k].copy() for k in range(p))
     return ModelFit(
-        beta0=beta0, mu=mu, theta=theta,
+        beta0=beta0, mu=x[off - p: off], theta=tuple(theta_of(x)),
         objective_trace=np.array([total(x)]), iterations=it, converged=True,
         method=METHOD_TV_SELECT, penalty=penalty, basis=basis,
         intercept=use_intercept, n_train=n,

@@ -20,6 +20,7 @@ from .data import DesignBlocks, LongitudinalDataset, build_design
 from .errors import ConfigurationError, TuningError, TVSelectError
 from .solver import (
     METHOD_GROUP_LASSO,
+    METHOD_SCREEN_REFIT,
     METHOD_TV_SELECT,
     METHOD_VC_RIDGE,
     ModelFit,
@@ -90,15 +91,14 @@ def lambda1_max(design: DesignBlocks) -> float:
 
 def default_grid(design: DesignBlocks, gamma: float = 0.5,
                  lambda1_count: int = DEFAULT_LAMBDA1_COUNT,
-                 lambda1_min_ratio: float = DEFAULT_LAMBDA1_MIN_RATIO,
                  lambda2_values=DEFAULT_LAMBDA2_GRID) -> TuningGrid:
-    """Log-spaced lambda1 path from lambda1_max down, default lambda2 grid."""
+    """Log-spaced lambda1 path from lambda1_max down to DEFAULT_LAMBDA1_MIN_RATIO of it."""
     top = lambda1_max(design)
     if top <= 0.0:
         lam1 = tuple(np.zeros(1))
     else:
-        lam1 = tuple(np.logspace(np.log10(top), np.log10(top * lambda1_min_ratio),
-                                 lambda1_count))
+        bottom = top * DEFAULT_LAMBDA1_MIN_RATIO
+        lam1 = tuple(np.logspace(np.log10(top), np.log10(bottom), lambda1_count))
     lam2 = tuple(sorted((float(v) for v in lambda2_values), reverse=True))
     return TuningGrid(lambda1_values=lam1, lambda2_values=lam2, gamma=gamma)
 
@@ -133,6 +133,20 @@ def _argmin_with_tiebreak(surface: np.ndarray) -> tuple[int, int]:
     return best
 
 
+def _check_grid(grid: TuningGrid, method: str) -> None:
+    """Reject a grid level the method would silently replace by its forced zero.
+
+    group-lasso and screen-refit fit with lambda2 = 0, and `_fit_grid`
+    factors the blocks for the grid's lambda2, so any other level would
+    minimize a different objective.  vc-ridge forces lambda1 = 0.
+    """
+    if (method in (METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT)
+            and any(v != 0.0 for v in grid.lambda2_values)):
+        raise ConfigurationError(f"{method} tunes lambda1 only; use lambda2_values=(0,)")
+    if method == METHOD_VC_RIDGE and any(v != 0.0 for v in grid.lambda1_values):
+        raise ConfigurationError("vc-ridge tunes lambda2 only; use lambda1_values=(0,)")
+
+
 def _fit_grid(design, basis, grid, options, method):
     """All grid fits, warm-started down the lambda1 path at fixed lambda2."""
     fits = {}
@@ -163,10 +177,7 @@ def tune_ebic(design: DesignBlocks, basis: CenteredSplineBasis, grid: TuningGrid
               options: SolverOptions = SolverOptions(),
               method: str = METHOD_TV_SELECT) -> TuningResult:
     """Fit every grid point and return the EBIC minimizer."""
-    if method == METHOD_GROUP_LASSO and any(v != 0.0 for v in grid.lambda2_values):
-        raise ConfigurationError("group-lasso tunes lambda1 only; use lambda2_values=(0,)")
-    if method == METHOD_VC_RIDGE and any(v != 0.0 for v in grid.lambda1_values):
-        raise ConfigurationError("vc-ridge tunes lambda2 only; use lambda1_values=(0,)")
+    _check_grid(grid, method)
     fits = _fit_grid(design, basis, grid, options, method)
     surface = np.full((len(grid.lambda1_values), len(grid.lambda2_values)), np.nan)
     for (i, j), fit in fits.items():
@@ -209,6 +220,7 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     the winning pair is refit on the full data.  A grid point whose fit
     failed in any fold is NaN in the surface.
     """
+    _check_grid(grid, method)
     folds = subject_folds([s.subject_id for s in dataset.subjects], n_folds, seed)
     shape = (len(grid.lambda1_values), len(grid.lambda2_values))
     sq_err = np.zeros(shape)

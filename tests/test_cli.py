@@ -9,8 +9,15 @@ from tvselect.basis import SplineConfig, build_basis
 from tvselect.cli import main
 from tvselect.data import build_design, from_arrays, load_long_csv, standardize
 from tvselect.errors import ParseError
-from tvselect.simulate import predict_dataset
-from tvselect.solver import PenaltyConfig, SolverOptions, fit_bcd, fitted_values, predict
+from tvselect.simulate import StudyOptions, predict_dataset
+from tvselect.solver import (
+    PenaltyConfig,
+    SolverOptions,
+    fit_bcd,
+    fit_oracle,
+    fitted_values,
+    predict,
+)
 from tvselect.tuning import lambda1_max
 
 
@@ -66,6 +73,17 @@ def test_artifact_round_trip(train_csv, tmp_path):
     assert prep["covariate_names"] == ["x1", "x2", "x3"]
     # reloaded fit reproduces fitted values exactly
     assert np.array_equal(fitted_values(design, loaded), fitted_values(design, fit))
+
+
+def test_oracle_and_loaded_fits_are_read_only(train_csv, tmp_path):
+    ds = standardize(load_long_csv(train_csv))
+    basis = build_basis(SplineConfig(degree=3, num_internal_knots=2))
+    design = build_design(ds, basis)
+    oracle = fit_oracle(design, basis, PenaltyConfig(0.02, 1e-5))
+    artifact.save_fit(oracle, tmp_path / "fit.json", ds)
+    loaded, _ = artifact.load_fit(tmp_path / "fit.json")
+    for fit in (oracle, loaded):
+        assert not any(arr.flags.writeable for arr in (fit.mu, *fit.theta))
 
 
 def test_artifact_mismatch_detected(train_csv, tmp_path):
@@ -269,6 +287,25 @@ def test_tune_command_surface_consistency(train_csv, tmp_path):
     assert fit_payload["penalty"]["lambda1"] == pytest.approx(best[0])
 
 
+def test_tune_honours_lambda2_grid_on_the_default_lambda1_path(train_csv, tmp_path):
+    out = tmp_path / "tune_out"
+    rc = main(["tune", "--data", str(train_csv), "--out", str(out), "--knots", "2",
+               "--no-demean", "--lambda2-grid", "0.5"])
+    assert rc == 0
+    lines = (out / "surface.csv").read_text().strip().splitlines()[1:]
+    assert {float(ln.split(",")[1]) for ln in lines} == {0.5}
+
+
+@pytest.mark.parametrize("flag,value", [("--lambda1-grid", "0.1,abc"),
+                                        ("--lambda1-grid", "0.1,,0.01"),
+                                        ("--lambda2-grid", "nan")])
+def test_malformed_grid_exit_code_2(train_csv, tmp_path, capsys, flag, value):
+    rc = main(["tune", "--data", str(train_csv), "--out", str(tmp_path / "t"),
+               "--knots", "2", "--lambda1-grid", "0.1", flag, value])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_tune_cv_command(train_csv, tmp_path):
     out = tmp_path / "cv_out"
     rc = main(["tune", "--data", str(train_csv), "--out", str(out), "--knots", "2",
@@ -331,6 +368,27 @@ def test_simulate_scenario_f_echo(tmp_path):
     assert echo["scenario"] == "F"
     # scenario F forces the half-strength amplitude into the emitted echo
     assert echo["amplitude"] == 0.5
+
+
+def test_simulate_rejects_empty_test_set_exit_code_2(tmp_path, capsys):
+    rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
+               "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "6",
+               "--replications", "1", "--out", str(tmp_path / "sim"), "--parallel", "1",
+               "--test-subjects", "0", "--methods", "tv-select"])
+    assert rc == 2
+    assert "n_test" in capsys.readouterr().err
+
+
+def test_simulate_echo_holds_the_library_default_grid(tmp_path):
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
+               "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "6",
+               "--replications", "1", "--out", str(out), "--parallel", "1",
+               "--test-subjects", "20", "--methods", "tv-select"])
+    assert rc == 0
+    echo = json.loads((out / "config_echo.json").read_text())
+    grid = tuple(float(v) for v in echo["lambda2_grid"].split(","))
+    assert grid == StudyOptions().lambda2_values
 
 
 def test_config_file_wins_with_warning(train_csv, tmp_path, capsys):

@@ -378,8 +378,7 @@ def test_run_study_tolerates_minority_failures(monkeypatch):
         return real(payload)
 
     monkeypatch.setattr(sim, "_run_replication", flaky)
-    reports = run_study(SMALL, R=12, seed=3,
-                        options=replace_opts(FAST, max_failure_fraction=0.10))
+    reports = run_study(SMALL, R=12, seed=3, options=FAST)
     assert all(rep.n_failures == 1 for rep in reports)
     assert all(rep.n_replications == 11 for rep in reports)
 
@@ -394,7 +393,3 @@ def test_run_study_errors_on_excess_failures(monkeypatch):
     with pytest.raises(StudyError):
         run_study(SMALL, R=3, seed=3, options=FAST)
 
-
-def replace_opts(opts, **kw):
-    from dataclasses import replace
-    return replace(opts, **kw)

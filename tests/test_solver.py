@@ -102,8 +102,7 @@ def test_update_mu_k_zero_column():
     _, basis, design = make_instance(rng)
     X = design.X.copy()
     X[:, 1] = 0.0
-    degenerate = type(design)(y=design.y, X=X, Z=design.Z, intercept_included=True,
-                              subject_slices=design.subject_slices)
+    degenerate = type(design)(y=design.y, X=X, Z=design.Z, intercept_included=True)
     with pytest.raises(DegenerateColumnError, match="column 1"):
         fit_bcd(degenerate, basis, PenaltyConfig(0.1, 0.01), SolverOptions())
 
@@ -245,8 +244,7 @@ def test_zero_response_gives_zero_fit():
     ds, basis, design = make_instance(rng)
     y0 = np.zeros(design.n)
     design0 = type(design)(y=y0, X=design.X, Z=design.Z,
-                           intercept_included=design.intercept_included,
-                           subject_slices=design.subject_slices)
+                           intercept_included=design.intercept_included)
     fit = fit_bcd(design0, basis, PenaltyConfig(0.5, 0.1), SolverOptions())
     assert fit.beta0 == 0.0
     assert np.allclose(fit.mu, 0.0, atol=1e-14)
@@ -384,6 +382,15 @@ def test_screen_refit_refits_selected_blocks():
     assert {k for k, th in enumerate(refit.theta) if np.any(th)} == selected
 
 
+def test_screen_refit_records_the_penalty_it_fits():
+    rng = np.random.default_rng(19)
+    _, basis, design = make_instance(rng, theta_scale=2.0)
+    lam1 = 0.2 * lambda1_max(design)
+    fit = fit_baseline(design, basis, METHOD_SCREEN_REFIT, PenaltyConfig(lam1, 0.5),
+                       SolverOptions())
+    assert fit.penalty == PenaltyConfig(lam1, 0.0)
+
+
 def test_unknown_method_rejected():
     rng = np.random.default_rng(20)
     _, basis, design = make_instance(rng)
@@ -410,8 +417,7 @@ def test_oracle_zero_data():
     rng = np.random.default_rng(22)
     _, basis, design = make_instance(rng, N=8, n_i=3, p=2, q=5)
     design0 = type(design)(y=np.zeros(design.n), X=design.X, Z=design.Z,
-                           intercept_included=False,
-                           subject_slices=design.subject_slices)
+                           intercept_included=False)
     fit = fit_oracle(design0, basis, PenaltyConfig(0.2, 0.1))
     assert np.allclose(fit.mu, 0.0, atol=1e-12)
     assert all(np.allclose(th, 0.0, atol=1e-12) for th in fit.theta)
@@ -472,8 +478,7 @@ def test_oracle_raises_when_it_cannot_certify():
     X[:, 1] = X[:, 0]          # a duplicated covariate leaves the Newton system singular
     Z = list(design.Z)
     Z[1] = Z[0]
-    collinear = type(design)(y=design.y, X=X, Z=tuple(Z), intercept_included=True,
-                             subject_slices=design.subject_slices)
+    collinear = type(design)(y=design.y, X=X, Z=tuple(Z), intercept_included=True)
     with pytest.raises(OracleNonconvergenceError, match="KKT residual"):
         fit_oracle(collinear, basis, PenaltyConfig(0.3 * lambda1_max(design), 0.9),
                    max_iter=50)

@@ -9,6 +9,7 @@ from tvselect import tuning
 from tvselect.errors import ConfigurationError, SingularBlockError
 from tvselect.solver import (
     METHOD_GROUP_LASSO,
+    METHOD_SCREEN_REFIT,
     METHOD_VC_RIDGE,
     ModelFit,
     PenaltyConfig,
@@ -62,8 +63,7 @@ def test_lambda1_max_zero_when_orthogonal():
     # response == fitted constants part: residual orthogonal to every Z
     y_fit = design.X @ np.zeros(design.p)
     design0 = type(design)(y=y_fit, X=design.X, Z=design.Z,
-                           intercept_included=design.intercept_included,
-                           subject_slices=design.subject_slices)
+                           intercept_included=design.intercept_included)
     assert lambda1_max(design0) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -140,8 +140,7 @@ def test_ebic_zero_rss_sentinel():
     rng = np.random.default_rng(6)
     _, basis, design = make_dataset(rng, s_v=0, mu=())
     y_zero = np.zeros(design.n)
-    d0 = type(design)(y=y_zero, X=design.X, Z=design.Z,
-                      intercept_included=False, subject_slices=design.subject_slices)
+    d0 = type(design)(y=y_zero, X=design.X, Z=design.Z, intercept_included=False)
     fit = fit_bcd(d0, basis, PenaltyConfig(0.1, 0.0), SolverOptions())
     assert ebic(fit, d0, 0.5) == float("-inf")
 
@@ -186,6 +185,22 @@ def test_method_grid_guards():
     with pytest.raises(ConfigurationError):
         tune_ebic(design, basis, TuningGrid((0.1,), (0.5,)), SolverOptions(),
                   method=METHOD_VC_RIDGE)
+
+
+def test_tune_cv_rejects_group_lasso_with_lambda2():
+    rng = np.random.default_rng(10)
+    ds, basis, _ = make_dataset(rng)
+    with pytest.raises(ConfigurationError):
+        tune_cv(ds, basis, TuningGrid((0.1,), (1.0,)), n_folds=5, seed=0,
+                method=METHOD_GROUP_LASSO)
+
+
+def test_tune_ebic_rejects_screen_refit_with_lambda2():
+    rng = np.random.default_rng(10)
+    _, basis, design = make_dataset(rng)
+    with pytest.raises(ConfigurationError):
+        tune_ebic(design, basis, TuningGrid((0.1,), (1.0,)), SolverOptions(),
+                  method=METHOD_SCREEN_REFIT)
 
 
 def test_warm_vs_cold_starts_agree():
