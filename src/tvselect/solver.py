@@ -16,14 +16,22 @@ in the precomputed eigenbasis of G_k + 2*lambda2*Omega.  A block is set to
 exact zero precisely when ||Z_k' r_k / n||_2 <= lambda1 (the subdifferential
 condition at zero); otherwise the block norm s solves the secular equation
 h(s) = 1, found by a safeguarded Newton iteration on h(s)^(-1/2) that stops
-within 4 ulp of s.  Exact block minimization keeps the objective monotone
-and drives the iterate to the global minimum of the convex problem, which
-the reference solver `fit_oracle` certifies.
+within 4 ulp of s.  The iteration starts from the block's current norm, which
+along a lambda1 path and in every later sweep is close to the new root.
+Exact block minimization keeps the objective monotone and drives the iterate
+to the global minimum of the convex problem, which the reference solver
+`fit_oracle` certifies.
+
+The constant effects are updated in covariance form, as in glmnet (Friedman,
+Hastie & Tibshirani 2010): with X'X formed once per fit and X'e once per
+sweep, each Gauss-Seidel step on mu_k updates the p-vector X'e, and the
+residual absorbs the sweep's change of mu in one product.  The same Gram
+matrix refuses a rank-deficient constant design, whose mu is not identified.
 
 Partial residuals are maintained incrementally and refreshed from scratch
-every 50 sweeps to cap floating-point drift.  Each block's nonzero flag and
-penalty value are cached between updates, so a sweep's objective is a sum
-of cached terms.
+every 50 sweeps to cap floating-point drift.  Each block's norm and penalty
+value and the residual's squared norm are cached between updates, so a
+sweep's objective is a sum of cached terms.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from .data import DesignBlocks
 from .errors import (
     ConfigurationError,
     DegenerateColumnError,
+    DegenerateDesignError,
     DimensionError,
     DomainError,
     OracleNonconvergenceError,
@@ -58,6 +67,8 @@ SCREEN_REFIT_LAMBDA2 = 1e-4
 ORACLE_KKT_TOL = 1e-8
 POLISH_MAX_ITER = 100
 POLISH_MAX_HALVINGS = 60
+# lambda_min <= this * lambda_max of the constant design's Gram: cond([1 X]) >= 1e6
+CONSTANT_GRAM_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,17 +162,22 @@ def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
     return [BlockFactor(Zk.T @ Zk / n + 2.0 * lambda2 * omega) for Zk in design.Z]
 
 
-def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float) -> np.ndarray:
+def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
+                            s0: float = 0.0) -> np.ndarray:
     """Exact minimizer of 0.5 theta'M theta - z'theta + lambda1 ||theta||_2.
 
     Zero iff ||z|| <= lambda1; otherwise theta = (M + (lambda1/s) I)^{-1} z
     where the norm s solves h(s) = sum_i a_i / (w_i s + lambda1)^2 = 1, with
     a_i = zt_i^2 in the eigenbasis (w, V) of M.  h is decreasing in s, so the
-    root is unique; g(s) = h(s)^{-1/2} is concave and increasing, so Newton on
-    g - 1 started at s = 0 approaches the root from the left without passing
-    it (More & Sorensen's trust-region secular equation).  A bracket [lo, hi]
-    catches roundoff: a Newton point outside it is replaced by bisection, and
-    an upper end never evaluated is doubled until h(hi) <= 1.
+    root is unique, and g(s) = h(s)^{-1/2} is concave and increasing (More &
+    Sorensen's trust-region secular equation).  Newton on g - 1 starts at
+    s = min(s0, hi), a guess of the norm such as the block's current one.
+    Started left of the root, Newton approaches it monotonically without
+    passing it.  Started right of it, one step lands left of the root, because
+    the concave g lies below its tangent, and from there the iteration is
+    monotone again.  A bracket [lo, hi] catches roundoff and a step below 0: a
+    Newton point outside it is replaced by bisection, and an upper end never
+    evaluated is doubled until h(hi) <= 1.
     """
     if lambda1 <= 0.0:
         return factor.solve(z)
@@ -175,7 +191,7 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float) 
     aw = a * w
     lo, hi = 0.0, (norm_z - lambda1) / factor.w_pos_min
     hi_checked = False        # h(hi) <= 1 seen, so hi is a true upper bound
-    s = 0.0
+    s = min(s0, hi)
     for _ in range(SECULAR_MAX_ITER):
         r = 1.0 / (w * s + lambda1)
         r2 = r * r
@@ -224,9 +240,9 @@ def _constants_init(y, X, intercept):
     return 0.0, coef
 
 
-def _block_penalty(th: np.ndarray, lam1: float, lam2: float, omega: np.ndarray) -> float:
-    """lambda1 ||th|| + lambda2 th' Omega th, exactly 0.0 for a zero block."""
-    nrm = math.sqrt(th @ th)
+def _block_penalty(th: np.ndarray, nrm: float, lam1: float, lam2: float,
+                   omega: np.ndarray) -> float:
+    """lambda1 ||th|| + lambda2 th' Omega th given nrm = ||th||, exactly 0.0 for a zero block."""
     if nrm > 0.0:
         return lam1 * nrm + lam2 * float(th @ omega @ th)
     return 0.0
@@ -235,7 +251,7 @@ def _block_penalty(th: np.ndarray, lam1: float, lam2: float, omega: np.ndarray) 
 def _penalty_value(theta, penalty: PenaltyConfig, omega: np.ndarray) -> float:
     val = 0.0
     for th in theta:
-        val += _block_penalty(th, penalty.lambda1, penalty.lambda2, omega)
+        val += _block_penalty(th, math.sqrt(th @ th), penalty.lambda1, penalty.lambda2, omega)
     return val
 
 
@@ -274,6 +290,8 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     `init` warm-starts the parameters (e.g. along a lambda1 path); the default
     start is theta = 0 with mu from a constants-only least-squares fit.
     Non-convergence within max_iter is reported via `converged`, not raised.
+    Raises `DegenerateDesignError` when the constant design [1 X] (X without
+    an intercept) has condition number 1e6 or more, so mu is not identified.
     """
     y, X, Z = design.y, design.X, design.Z
     n, p = design.n, design.p
@@ -283,12 +301,24 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     intercept = design.intercept_included
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
-    if factors is None:
-        factors = precompute_block_factors(design, basis, lam2)
-    xk_sq = np.einsum("ij,ij->j", X, X)
+    gram = X.T @ X
+    xk_sq = gram.diagonal()
     if (xk_sq == 0.0).any():
         k_bad = int(np.argmin(xk_sq))
         raise DegenerateColumnError(f"covariate column {k_bad} has zero norm")
+    gram_const = gram
+    if intercept:
+        col_sums = X.sum(axis=0)
+        gram_const = np.block([[n, col_sums], [col_sums[:, None], gram]])
+    eig = np.linalg.eigvalsh(gram_const)
+    if eig[0] <= CONSTANT_GRAM_RCOND * eig[-1]:
+        design_name = "[1 X]" if intercept else "X"
+        raise DegenerateDesignError(
+            f"the constant design {design_name} is rank-deficient or nearly so "
+            f"(eigenvalue ratio {max(eig[0], 0.0) / eig[-1]:.1e} of its Gram matrix): "
+            f"the constant effects are not identified")
+    if factors is None:
+        factors = precompute_block_factors(design, basis, lam2)
 
     if init is not None:
         beta0 = float(init.beta0) if intercept else 0.0
@@ -298,18 +328,20 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
         beta0, mu = _constants_init(y, X, intercept)
         theta = [np.zeros(basis.q) for _ in range(p)]
 
-    # per-block caches: nonzero flag and penalty, updated with every accepted block
-    active = [bool(th.any()) for th in theta]
-    pen = [_block_penalty(th, lam1, lam2, omega) for th in theta]
+    # per-block caches: norm (0.0 for a zero block, the block solve's warm
+    # start) and penalty, updated with every accepted block; ee = e'e
+    norms = [math.sqrt(th @ th) for th in theta]
+    pen = [_block_penalty(th, nrm, lam1, lam2, omega) for th, nrm in zip(theta, norms)]
 
     e = y - _predictor(design, beta0, mu, theta)
+    ee = float(e @ e)
 
     def current_objective():
         # summed in block order from 0.0 (not sum()), the same float as _penalty_value
         val = 0.0
         for pen_k in pen:
             val += pen_k
-        return 0.5 / n * float(e @ e) + val
+        return 0.5 / n * ee + val
 
     trace = [current_objective()]
     converged = False
@@ -325,42 +357,48 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             e = r0 - beta0_new
             beta0 = beta0_new
 
+        # Gauss-Seidel on mu with xte = X'e kept current: mu_k moves by
+        # x_k'e / x_k'x_k, which changes X'e by that step times column k of X'X
+        mu_old = mu.copy()
+        xte = X.T @ e
         for k in range(p):
-            xk = X[:, k]
-            r = e + mu[k] * xk
-            mu_new = float(xk @ r) / xk_sq[k]
-            e = r - mu_new * xk
-            mu[k] = mu_new
+            delta = xte[k] / xk_sq[k]
+            mu[k] += delta
+            xte -= delta * gram[k]
+        e = e - X @ (mu - mu_old)
+        ee = float(e @ e)
 
         for k in range(p):
             th_old = theta[k]
-            active_old = active[k]
-            r = e + Z[k] @ th_old if active_old else e
+            nrm_old = norms[k]
+            r = e + Z[k] @ th_old if nrm_old > 0.0 else e
             z = Z[k].T @ r / n
-            th_new = _solve_block_subproblem(factors[k], z, lam1)
-            active_new = bool(th_new.any())
-            if not active_old and not active_new:
+            th_new = _solve_block_subproblem(factors[k], z, lam1, nrm_old)
+            nrm_new = math.sqrt(th_new @ th_new)
+            if nrm_old == 0.0 and nrm_new == 0.0:
                 continue
-            e_new = r - Z[k] @ th_new if active_new else r
-            pen_new = _block_penalty(th_new, lam1, lam2, omega)
+            e_new = r - Z[k] @ th_new if nrm_new > 0.0 else r
+            pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
+            ee_new = float(e_new @ e_new)
             # exact block minimization cannot increase the objective; this
             # guards against floating-point drift in the running residual
-            base = 0.5 / n * float(e @ e) + pen[k]
-            cand = 0.5 / n * float(e_new @ e_new) + pen_new
+            base = 0.5 / n * ee + pen[k]
+            cand = 0.5 / n * ee_new + pen_new
             tries = 0
             while cand > base and tries < 20:
                 th_new = th_old + 0.5 * (th_new - th_old)
-                active_new = bool(th_new.any())
+                nrm_new = math.sqrt(th_new @ th_new)
                 e_new = r - Z[k] @ th_new
-                pen_new = _block_penalty(th_new, lam1, lam2, omega)
-                cand = 0.5 / n * float(e_new @ e_new) + pen_new
+                pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
+                ee_new = float(e_new @ e_new)
+                cand = 0.5 / n * ee_new + pen_new
                 tries += 1
             if cand > base:
                 continue  # revert: keep th_old and the current residual
             theta[k] = th_new
-            active[k] = active_new
+            norms[k] = nrm_new
             pen[k] = pen_new
-            e = e_new
+            e, ee = e_new, ee_new
 
         q_new = current_objective()
         trace.append(q_new)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import CenteredSplineBasis
 from .data import DesignBlocks, LongitudinalDataset, build_design
-from .errors import ConfigurationError, TuningError, TVSelectError
+from .errors import ConfigurationError, DegenerateDesignError, TuningError, TVSelectError
 from .solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
@@ -164,6 +164,8 @@ def _fit_grid(design, basis, grid, options, method):
                                        init=warm, factors=factors)
                 fits[(i, j)] = fit
                 warm = fit
+            except DegenerateDesignError:
+                raise       # a property of the design: every grid point would fail
             except (TVSelectError, np.linalg.LinAlgError) as exc:
                 # numerical failure: keep scanning; the surface records the hole
                 failures[(i, j)] = exc

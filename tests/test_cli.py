@@ -9,7 +9,7 @@ from tvselect.basis import SplineConfig, build_basis
 from tvselect.cli import main
 from tvselect.data import build_design, from_arrays, load_long_csv, standardize
 from tvselect.errors import ParseError
-from tvselect.simulate import StudyOptions, predict_dataset
+from tvselect.simulate import StudyOptions, generate, make_scenario, predict_dataset
 from tvselect.solver import (
     PenaltyConfig,
     SolverOptions,
@@ -209,6 +209,25 @@ def test_missing_input_exit_code_2(tmp_path, capsys):
     rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
     assert rc == 2
     assert "nope.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "tune"])
+def test_rank_deficient_constant_design_exit_code_2(tmp_path, capsys, command):
+    # scenario A's baseline covariates give [1 X] 21 columns of rank 20
+    # with 20 subjects and p = 20
+    ds = generate(make_scenario("A", N=20, n_i=5, p=20), seed=3)
+    header = ["subject", "time", "y"] + list(ds.covariate_names)
+    rows = [",".join(header)]
+    for subj in ds.subjects:
+        for t, y, x in zip(subj.times, subj.responses, subj.covariates):
+            rows.append(",".join([subj.subject_id] + ["%.17g" % v for v in (t, y, *x)]))
+    path = tmp_path / "rank.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = [command, "--data", str(path), "--out", str(tmp_path / "out"), "--no-demean"]
+    argv += ["--lambda1", "0.05"] if command == "fit" else ["--lambda1-grid", "0.05"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "rank-deficient" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("column", [1, 2, 4])          # time, y, covariate x2

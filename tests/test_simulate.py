@@ -393,3 +393,10 @@ def test_run_study_errors_on_excess_failures(monkeypatch):
     with pytest.raises(StudyError):
         run_study(SMALL, R=3, seed=3, options=FAST)
 
+
+def test_run_study_names_a_rank_deficient_constant_design():
+    # 20 subjects with 20 baseline covariates: [1 X] has rank 20 < 21 in
+    # every replication, which fails instead of scoring an unidentified mu
+    spec = make_scenario("A", N=20, n_i=5, p=20)
+    with pytest.raises(StudyError, match="rank-deficient"):
+        run_study(spec, R=2, seed=3, options=FAST)

@@ -11,15 +11,18 @@ from tvselect.data import build_design, from_arrays, standardize
 from tvselect.errors import (
     ConfigurationError,
     DegenerateColumnError,
+    DegenerateDesignError,
     DimensionError,
     DomainError,
     OracleNonconvergenceError,
     SingularBlockError,
 )
+from tvselect.simulate import generate, make_scenario
 from tvselect.solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
     METHOD_VC_RIDGE,
+    RESIDUAL_REFRESH_EVERY,
     BlockFactor,
     ModelFit,
     PenaltyConfig,
@@ -185,17 +188,22 @@ def block_with_null_vector(seed, log_eigs):
 @given(st.integers(0, 2**32 - 1),
        st.lists(st.floats(-2.0, 5.0), min_size=2, max_size=13),
        st.one_of(st.just(0.0), st.floats(-4.0, 2.0).map(lambda e: 10.0 ** e)),
-       st.one_of(st.floats(-0.9, 0.0), st.floats(-11.0, 1.0).map(lambda e: 10.0 ** e)))
-def test_block_solve_matches_brentq_reference(seed, log_eigs, lam1, delta):
+       st.one_of(st.floats(-0.9, 0.0), st.floats(-11.0, 1.0).map(lambda e: 10.0 ** e)),
+       st.one_of(st.just("zero"), st.just("huge"), st.floats(-6.0, 6.0)))
+def test_block_solve_matches_brentq_reference(seed, log_eigs, lam1, delta, start):
     # eigenvalues span 1e-2..1e5 (desk blocks span 0.06..5.4e4); z lies in the
     # range of M with ||z|| = lambda1 (1 + delta), so small delta probes the
-    # zero boundary
+    # zero boundary; the Newton start s0 is 0, far beyond any bracket, or the
+    # reference norm scaled by 10^start, on either side of the root
     M, V, rng = block_with_null_vector(seed, log_eigs)
     factor = BlockFactor(M)
     z = V[:, 1:] @ rng.standard_normal(len(log_eigs))
     z *= (lam1 if lam1 > 0.0 else 1.0) * (1.0 + delta) / np.linalg.norm(z)
-    theta = _solve_block_subproblem(factor, z, lam1)
     ref = brentq_block_solve(factor, z, lam1)
+    s0 = {"zero": 0.0, "huge": 1e300}.get(start)
+    if s0 is None:
+        s0 = float(np.linalg.norm(ref)) * 10.0 ** start
+    theta = _solve_block_subproblem(factor, z, lam1, s0)
     assert theta.any() == ref.any()
     norm_z = math.sqrt(z @ z)
     if not ref.any():
@@ -214,12 +222,14 @@ def test_block_solve_matches_brentq_reference(seed, log_eigs, lam1, delta):
 
 def test_block_solve_without_root_raises():
     # a null-direction component larger than lambda1 keeps h(s) above 1 for
-    # every s: the stationarity equation has no root and must not return
+    # every s: the stationarity equation has no root and must not return,
+    # from any start
     M, V, rng = block_with_null_vector(7, [0.0, 1.0, 2.0])
     factor = BlockFactor(M)
     z = 2.0 * V[:, 0] + 0.1 * V[:, 1:] @ rng.standard_normal(3)
-    with pytest.raises(SingularBlockError):
-        _solve_block_subproblem(factor, z, 1.0)
+    for s0 in (0.0, 0.5, 1e300):
+        with pytest.raises(SingularBlockError):
+            _solve_block_subproblem(factor, z, 1.0, s0)
 
 
 # ------------------------------------------------------------------ fit_bcd
@@ -271,6 +281,21 @@ def test_monotone_objective_trace():
         fit = fit_bcd(design, basis, pen, SolverOptions())
         diffs = np.diff(fit.objective_trace)
         assert diffs.max(initial=-np.inf) <= 1e-12
+
+
+@pytest.mark.parametrize("lam1_share", [0.0, 0.3])
+@pytest.mark.parametrize("lam2", [0.0, 0.05])
+def test_cached_objective_trace_matches_recomputed_objective(lam1_share, lam2):
+    # a saturated instance (p*q = 48 > n = 40) converges slowly, so tol = 1e-16
+    # runs past the residual refresh at sweep 50; the trace is built from
+    # cached block penalties and a cached e'e
+    rng = np.random.default_rng(17)
+    _, basis, design = make_instance(rng, N=10, n_i=4, p=6, q=8)
+    pen = PenaltyConfig(lam1_share * lambda1_max(design), lam2)
+    fit = fit_bcd(design, basis, pen, SolverOptions(tol=1e-16, max_iter=60))
+    assert fit.iterations > RESIDUAL_REFRESH_EVERY
+    assert np.diff(fit.objective_trace).max() <= 1e-12
+    assert fit.objective_trace[-1] == pytest.approx(objective(design, fit), rel=1e-12)
 
 
 def test_kkt_conditions_at_convergence():
@@ -325,6 +350,27 @@ def test_nonconvergence_reported_not_raised():
                   SolverOptions(tol=1e-16, max_iter=2))
     assert fit.converged is False
     assert fit.iterations == 2
+
+
+def test_fit_bcd_refuses_rank_deficient_constant_design():
+    # scenario A's covariates are constant within a subject, so 20 subjects
+    # give [1 X] 21 columns of rank 20: mu is not identified
+    spec = make_scenario("A", N=20, n_i=5, p=20)
+    basis = build_basis(SplineConfig.from_q(spec.q))
+    design = build_design(standardize(generate(spec, seed=3)), basis)
+    assert design.intercept_included
+    with pytest.raises(DegenerateDesignError, match="rank-deficient"):
+        fit_bcd(design, basis, PenaltyConfig(0.1, 0.01))
+
+
+def test_fit_bcd_refuses_collinear_design_without_intercept():
+    rng = np.random.default_rng(16)
+    _, basis, design = make_instance(rng)
+    X = design.X.copy()
+    X[:, 2] = 2.0 * X[:, 0]
+    collinear = type(design)(y=design.y, X=X, Z=design.Z, intercept_included=False)
+    with pytest.raises(DegenerateDesignError, match="rank-deficient"):
+        fit_bcd(collinear, basis, PenaltyConfig(0.1, 0.01))
 
 
 # ---------------------------------------------------------------- baselines
