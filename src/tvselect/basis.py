@@ -5,6 +5,13 @@ B-spline basis on [0, 1] whose functions are centered by their integral,
 so any spanned function integrates to zero.  The curvature penalty is the
 Gram matrix of second derivatives, assembled by exact per-interval
 Gauss-Legendre quadrature (the integrands are piecewise polynomials).
+
+Basis values come from the Cox-de Boor recursion (de Boor 1978, *A
+Practical Guide to Splines*) and second derivatives from de Boor's
+differencing of the coefficients, vectorized over the evaluation points.
+Both follow FITPACK's ``fpbspl``/``splev``/``splder`` (Dierckx 1993)
+operation for operation, so the results are bit-identical to
+``scipy.interpolate.splev`` without importing scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import splev
 
 from .errors import ConfigurationError, DegenerateDesignError, DimensionError, DomainError
 
@@ -95,7 +101,7 @@ class CenteredSplineBasis:
     full_knot_vector: np.ndarray
     basis_means: np.ndarray
     roughness: RoughnessMatrix
-    _tck: tuple = field(repr=False, default=None)
+    _d2_coefficients: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def q(self) -> int:
@@ -108,11 +114,7 @@ class CenteredSplineBasis:
 
     def eval_raw(self, t) -> np.ndarray:
         """B(t): rows of non-negative basis values summing to 1."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-            raise DomainError(f"evaluation points must lie in [0,1], got range "
-                              f"[{t_arr.min()}, {t_arr.max()}]")
-        vals = np.array(splev(t_arr, self._tck)).T
+        vals = _bspline_values(self.full_knot_vector, self.config.degree, _in_domain(t))
         return vals if np.ndim(t) else vals[0]
 
     def eval_centered(self, t) -> np.ndarray:
@@ -120,12 +122,80 @@ class CenteredSplineBasis:
         return self.eval_raw(t) - self.basis_means
 
     def eval_second_derivative(self, t) -> np.ndarray:
-        """Second derivative of the basis (centering shifts by constants only)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-            raise DomainError("evaluation points must lie in [0,1]")
-        vals = np.array(splev(t_arr, self._tck, der=2)).T
+        """Second derivative of the basis (centering shifts by constants only).
+
+        Zero for degree < 2, whose basis is piecewise linear.
+        """
+        t_arr = _in_domain(t)
+        d = self.config.degree
+        if d < 2:
+            vals = np.zeros((t_arr.size, self.q))
+        else:
+            vals = _spline_values(self.full_knot_vector[2:-2], d - 2, self._d2_coefficients, t_arr)
         return vals if np.ndim(t) else vals[0]
+
+
+def _in_domain(t) -> np.ndarray:
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
+        raise DomainError(f"evaluation points must be finite and lie in [0,1], got range "
+                          f"[{t_arr.min()}, {t_arr.max()}]")
+    return t_arr
+
+
+def _nonzero_bsplines(knots: np.ndarray, degree: int, t: np.ndarray):
+    """The degree+1 B-splines nonzero at each t, by FITPACK's ``fpbspl``.
+
+    Uses the knot interval knots[l] <= t < knots[l+1] (the last one for
+    t = 1).  Returns the index of the first of these B-splines and their
+    values, shape (degree+1, len(t)).
+    """
+    num = knots.size - degree - 1
+    span = np.clip(np.searchsorted(knots, t, side="right") - 1, degree, num - 1)
+    h = np.ones((1, t.size))
+    for j in range(1, degree + 1):
+        idx = span + np.arange(1, j + 1)[:, None]
+        right, left = knots[idx], knots[idx - j]
+        f = h / (right - left)
+        h = np.concatenate([np.zeros((1, t.size)), f * (t - left)])
+        h[:-1] += f * (right - t)
+    return span - degree, h
+
+
+# Both evaluators return the transpose of a C-ordered array, the layout of
+# splev's stacked output: BLAS products of the design depend on it bitwise.
+
+def _bspline_values(knots: np.ndarray, degree: int, t: np.ndarray) -> np.ndarray:
+    """Every B-spline at each t; shape (len(t), number of B-splines).
+
+    splev's sum over a unit coefficient vector adds +0.0 terms to the one
+    nonzero value, which is never -0.0, so placing the values is exact.
+    """
+    first, h = _nonzero_bsplines(knots, degree, t)
+    out = np.zeros((knots.size - degree - 1, t.size))
+    out[first + np.arange(degree + 1)[:, None], np.arange(t.size)] = h
+    return out.T
+
+
+def _spline_values(knots: np.ndarray, degree: int, coefs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Splines sum_i coefs[i, j] B_i(t), one column per j, summed from 0.0 in splev's order."""
+    first, h = _nonzero_bsplines(knots, degree, t)
+    out = np.zeros((coefs.shape[1], t.size))
+    for j in range(degree + 1):
+        term = np.take(coefs.T, first + j, axis=1)
+        term *= h[j]
+        out += term
+    return out.T
+
+
+def _derivative_coefficients(knots: np.ndarray, degree: int, coefs: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative, a degree-1 spline on knots[1:-1].
+
+    De Boor's differencing as in FITPACK's ``splder``.  Its guard for a
+    zero-length span never fires: interior knots are strictly increasing.
+    """
+    width = knots[degree + 1:-1] - knots[1:-(degree + 1)]
+    return degree * (coefs[1:] - coefs[:-1]) / width[:, None]
 
 
 def _gauss_legendre_panels(breakpts: np.ndarray, nodes_per_interval: int):
@@ -164,7 +234,6 @@ def build_basis_from_interior(config: SplineConfig, interior_knots,
         raise ConfigurationError("interior knots must be strictly increasing inside (0,1)")
     knots = np.concatenate([np.zeros(d + 1), interior, np.ones(d + 1)])
     q = config.q
-    tck = (knots, np.eye(q), d)
 
     breakpts = np.unique(knots)
     n_nodes = quadrature_nodes if quadrature_nodes is not None else d + 1
@@ -172,13 +241,17 @@ def build_basis_from_interior(config: SplineConfig, interior_knots,
         raise ConfigurationError("quadrature_nodes must be >= 1")
     x, w = _gauss_legendre_panels(breakpts, n_nodes)
 
-    vals = np.array(splev(x, tck)).T          # (len(x), q)
+    vals = _bspline_values(knots, d, x)            # (len(x), q)
     means = w @ vals
 
+    d2_coefs = None
     if d >= 2:
-        d2 = np.array(splev(x, tck, der=2)).T
+        d2_coefs = _derivative_coefficients(
+            knots[1:-1], d - 1, _derivative_coefficients(knots, d, np.eye(q)))
+        d2 = _spline_values(knots[2:-2], d - 2, d2_coefs, x)
         omega = (d2 * w[:, None]).T @ d2
         omega = 0.5 * (omega + omega.T)
+        d2_coefs.setflags(write=False)
     else:
         omega = np.zeros((q, q))
 
@@ -190,5 +263,5 @@ def build_basis_from_interior(config: SplineConfig, interior_knots,
         full_knot_vector=knots,
         basis_means=means,
         roughness=RoughnessMatrix(omega=omega),
-        _tck=tck,
+        _d2_coefficients=d2_coefs,
     )

@@ -111,6 +111,15 @@ def test_domain_errors(cubic_q8):
         cubic_q8.eval_centered(np.array([0.5, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_rejected(cubic_q8, bad):
+    for evaluate in (cubic_q8.eval_raw, cubic_q8.eval_second_derivative):
+        with pytest.raises(DomainError):
+            evaluate(bad)
+        with pytest.raises(DomainError):
+            evaluate(np.array([0.25, bad, 0.75]))
+
+
 def test_omega_symmetric_psd(cubic_q8):
     om = cubic_q8.roughness.omega
     assert np.abs(om - om.T).max() < 1e-12
@@ -208,3 +217,49 @@ def test_centering_property(coefs):
     x, w = gauss_legendre_on_panels(np.unique(basis.full_knot_vector))
     integral = w @ (basis.eval_centered(x) @ np.array(coefs))
     assert abs(integral) < 1e-10
+
+
+def splev_reference(basis, t, der=0):
+    """The basis through scipy's FITPACK wrapper, stacked into a (len(t), q) matrix."""
+    splev = pytest.importorskip("scipy.interpolate").splev
+    tck = (basis.full_knot_vector, np.eye(basis.q), basis.config.degree)
+    return np.array(splev(t, tck, der=der)).T
+
+
+def assert_bit_identical(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # downstream BLAS products depend on the memory layout for their last bit
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+@pytest.mark.parametrize("placement", [EQUALLY_SPACED, TIME_QUANTILES])
+@pytest.mark.parametrize("q", [4, 5, 6, 8, 12, 16])
+def test_matches_splev_bitwise(q, placement):
+    times = np.random.default_rng(q).beta(0.7, 1.3, 300)
+    # degree 5 makes the second derivative a sum of four terms, so its order shows
+    for degree in [d for d in (1, 2, 3, 5) if d < q]:
+        basis = build_basis(SplineConfig.from_q(q, degree=degree, knot_placement=placement),
+                            observed_times=times)
+        knots = np.unique(basis.full_knot_vector)
+        t = np.clip(np.concatenate([[0.0, 1.0], knots, np.nextafter(knots, 0.0),
+                                    np.nextafter(knots, 1.0), np.linspace(0.0, 1.0, 101)]),
+                    0.0, 1.0)
+        assert_bit_identical(basis.eval_raw(t), splev_reference(basis, t))
+        if degree >= 2:
+            assert_bit_identical(basis.eval_second_derivative(t), splev_reference(basis, t, der=2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
+def test_matches_splev_bitwise_property(cubic_q8, t):
+    t = np.array(t)
+    assert_bit_identical(cubic_q8.eval_raw(t), splev_reference(cubic_q8, t))
+    assert_bit_identical(cubic_q8.eval_second_derivative(t), splev_reference(cubic_q8, t, der=2))
+
+
+def test_second_derivative_zero_below_degree_two():
+    basis = build_basis(SplineConfig(degree=1, num_internal_knots=3))
+    assert np.array_equal(basis.eval_second_derivative(np.linspace(0, 1, 7)), np.zeros((7, 5)))
+    assert not np.any(basis.roughness.omega)

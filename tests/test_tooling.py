@@ -1,14 +1,25 @@
-"""The benchmark's span targets must name functions that exist in the package.
+"""Checks on the repository around the package rather than on its numbers.
 
+The benchmark's span targets must name functions that exist in the package:
 `perfbench/spans.py` wraps each target by `vars(owner)[attr]`; a rename in
 `src/` would otherwise surface only when a traced benchmark run crashes.
+The package's imports must match its declared runtime dependencies, and
+importing it must not pull in scipy, whose import would dominate start-up.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
+import re
+import subprocess
+import sys
 
-SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SPANS_PATH = os.path.join(ROOT, "perfbench", "spans.py")
+SRC = os.path.join(ROOT, "src")
 
 
 def load_spans():
@@ -30,3 +41,37 @@ def test_every_span_target_resolves():
         except (AttributeError, KeyError):
             missing.append(f"{modname}.{attr_path}")
     assert missing == []
+
+
+def test_import_leaves_scipy_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = ("import sys, tvselect, tvselect.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def third_party_imports(package_dir):
+    found = set()
+    for name in os.listdir(package_dir):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"tvselect"}
+
+
+def test_runtime_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+             for req in declared}
+    assert third_party_imports(os.path.join(SRC, "tvselect")) == names
