@@ -70,12 +70,20 @@ def _fmt(value) -> str:
     return FMT % float(value)
 
 
+def _csv_cell(cell) -> str:
+    if not isinstance(cell, str):
+        return _fmt(cell)
+    # subject ids and covariate names come from the input and may need quotes
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row) + "\n")
+            fh.write(",".join(_csv_cell(cell) for cell in row) + "\n")
 
 
 def _load_config_file(path):
@@ -238,11 +246,13 @@ def cmd_predict(cfg) -> int:
     lo, hi = (prep or {}).get("time_domain", [0.0, 1.0])
     t01 = (raw_times - lo) / (hi - lo) if hi > lo else raw_times
 
-    bad = [i + 2 for i, t in enumerate(t01) if not 0.0 <= t <= 1.0]
+    # rows are regrouped by subject and time, so name them by subject and time
+    ids = [s.subject_id for s in dataset.subjects for _ in range(s.n_obs)]
+    bad = [(sid, t, "time outside the fitted [0,1] range")
+           for sid, t, t_fit in zip(ids, raw_times, t01) if not 0.0 <= t_fit <= 1.0]
     if bad:
         report = os.path.join(out, "prediction_errors.csv")
-        _write_csv(report, ("row", "reason"),
-                   [(str(r), "time outside the fitted [0,1] range") for r in bad])
+        _write_csv(report, ("subject", "time", "reason"), bad)
         print(f"error: {len(bad)} rows have times outside the model's range; "
               f"see {report}", file=sys.stderr)
         return 2

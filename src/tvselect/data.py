@@ -4,13 +4,22 @@ Expected file format: long CSV with header ``subject,time,y,<covariate...>``.
 Rows may arrive in any order; they are grouped by subject (first-appearance
 order) and sorted by time within subject.  Observation times are rescaled to
 [0,1] by the pooled (min, max) so one basis serves all subjects.
+
+The accepted grammar: UTF-8 text, comma-separated, every row with as many
+fields as the header.  A field may be quoted with ``"`` (``""`` inside quotes
+is a literal quote).  Numbers use Python ``float`` syntax in ASCII without
+underscores (``1.5``, ``-2e-05``, ``.5``) and may be padded with spaces; NaN
+and inf are rejected.  Empty lines are skipped but still counted in the row
+numbers of error messages; a line of spaces or of empty fields is an error.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -137,18 +146,21 @@ def load_long_csv(path, rescale: bool = True) -> LongitudinalDataset:
     """Read a long-format CSV; times are rescaled to [0,1] by the global range.
 
     `rescale=False` keeps the times as read (used when scoring new data
-    against a previously fitted time domain).
+    against a previously fitted time domain).  numpy's C reader parses the
+    data rows in one pass; only when it refuses the file does a csv scan
+    look for the row and column to name in the error.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(f"{path}: file is empty") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
         header = [h.strip() for h in header]
         required = ("subject", "time", "y")
         for col in required:
@@ -160,17 +172,55 @@ def load_long_csv(path, rescale: bool = True) -> LongitudinalDataset:
         if not cov_names:
             raise ParseError(f"{path}: no covariate columns found beyond subject,time,y")
 
-        sids, times, ys, xs = [], [], [], []
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
+        # numeric columns as (index, name), in the order errors are checked
+        numeric = [(col_idx["time"], "time"), (col_idx["y"], "y"), *zip(cov_idx, cov_names)]
+        used = {j for j, _ in numeric}
+        fields = np.dtype([(f"c{j}", float if j in used else object)
+                           for j in range(len(header))])
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, dtype=fields, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+        except ValueError as exc:
+            _raise_first_bad_row(fh, path, len(header), numeric, str(exc))
+        if len(table) == 0:
+            raise ParseError(f"{path}: no data rows")
+        values = np.column_stack([table[f"c{j}"] for j, _ in numeric])
+        if not np.isfinite(values).all():
+            _raise_first_bad_row(fh, path, len(header), numeric, "NaN or inf found")
 
-            def cell(j, name):
+    sids = np.char.strip(table[f"c{col_idx['subject']}"].astype(str))
+    return from_arrays(sids, values[:, 0], values[:, 1], values[:, 2:],
+                       covariate_names=tuple(cov_names), rescale=rescale)
+
+
+def _parse_number(raw: str) -> float:
+    """float(raw) restricted to what numpy's reader takes: ASCII, no underscores."""
+    if "_" in raw or not raw.isascii():
+        raise ValueError(raw)
+    return float(raw)
+
+
+def _raise_first_bad_row(fh, path, n_fields, numeric, reason: str) -> NoReturn:
+    """Re-read the data rows with csv and raise a ParseError naming the first bad one.
+
+    Rows are numbered as in the file, the header being row 1.  If every row
+    passes, `reason` (the reader's own message) is reported.
+    """
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    try:
+        for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != n_fields:
+                raise ParseError(f"{path}: row {rownum} has {len(row)} fields, expected {n_fields}")
+            for j, name in numeric:
                 raw = row[j].strip()
                 try:
-                    val = float(raw)
+                    val = _parse_number(raw)
                 except ValueError:
                     raise ParseError(
                         f"{path}: row {rownum}, column '{name}': cannot parse '{raw}' as a number"
@@ -178,17 +228,9 @@ def load_long_csv(path, rescale: bool = True) -> LongitudinalDataset:
                 if not math.isfinite(val):
                     raise ParseError(f"{path}: row {rownum}, column '{name}': "
                                      f"'{raw}' is not allowed (NaN and inf are rejected)")
-                return val
-
-            sids.append(row[col_idx["subject"]].strip())
-            times.append(cell(col_idx["time"], "time"))
-            ys.append(cell(col_idx["y"], "y"))
-            xs.append([cell(j, name) for j, name in zip(cov_idx, cov_names)])
-
-    if not sids:
-        raise ParseError(f"{path}: no data rows")
-    return from_arrays(sids, times, ys, np.array(xs), covariate_names=tuple(cov_names),
-                       rescale=rescale)
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err}") from None
+    raise ParseError(f"{path}: cannot read the data rows: {reason}")
 
 
 def demean_within_subject(dataset: LongitudinalDataset) -> LongitudinalDataset:

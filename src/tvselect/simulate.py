@@ -12,7 +12,6 @@ earlier ones.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -463,6 +462,7 @@ def run_study(specs, R: int, seed: int = 0, parallelism: int = 1,
     for spec in specs:
         payloads = [(spec, r, seed, options) for r in range(R)]
         if parallelism > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
             with ProcessPoolExecutor(max_workers=parallelism) as pool:
                 raw = []
                 for r, res in enumerate(pool.map(_run_replication_safe, payloads)):

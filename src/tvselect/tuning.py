@@ -229,8 +229,9 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     counts = np.zeros(shape)
     folds_ok = np.zeros(shape, dtype=int)
     for held_out in folds:
+        held = set(held_out)
         train = _subset(dataset, [s.subject_id for s in dataset.subjects
-                                  if s.subject_id not in set(held_out)])
+                                  if s.subject_id not in held])
         test = _subset(dataset, held_out)
         d_train = build_design(train, basis)
         d_test = build_design(test, basis, intercept=d_train.intercept_included)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -246,6 +247,20 @@ def test_fit_rejects_infinite_values_exit_code_2(train_csv, tmp_path, capsys, co
     assert "row 6" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("cell", ["1_000", ""])
+def test_fit_rejects_cells_outside_the_grammar_exit_code_2(train_csv, tmp_path, capsys, cell):
+    # float() takes '1_000'; a row of empty fields used to be skipped
+    lines = train_csv.read_text(encoding="utf-8").splitlines()
+    lines[5] = ",".join([cell] * 6)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["fit", "--data", str(bad), "--out", str(tmp_path / "out"),
+               "--lambda1", "0.05", "--lambda2", "1e-4", "--knots", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"row 6, column 'time': cannot parse '{cell}'" in err and "Traceback" not in err
+
+
 def test_lambda1_above_max_gives_empty_vary(train_csv, tmp_path):
     ds = load_long_csv(train_csv)
     from tvselect.data import standardize
@@ -272,8 +287,23 @@ def test_predict_time_out_of_range(train_csv, tmp_path, capsys):
     rc = main(["predict", "--artifact", str(out_fit / "fit.json"),
                "--data", str(bad), "--out", str(out_pred)])
     assert rc == 2
+    # the loader regroups rows by subject and time, so the report names the
+    # row by its subject and time, not by its position
     report = (out_pred / "prediction_errors.csv").read_text()
-    assert "time outside" in report
+    assert report == 'subject,time,reason\nz,99,"time outside the fitted [0,1] range"\n'
+
+
+def test_prediction_errors_quote_subject_ids(train_csv, tmp_path):
+    out_fit = tmp_path / "fit_out"
+    main(["fit", "--data", str(train_csv), "--out", str(out_fit), "--knots", "2"])
+    bad = tmp_path / "bad.csv"
+    bad.write_text('subject,time,y,x1,x2,x3\n"d,""e""",-1.0,0,0,0,0\n', encoding="utf-8")
+    out_pred = tmp_path / "pred_out"
+    assert main(["predict", "--artifact", str(out_fit / "fit.json"),
+                 "--data", str(bad), "--out", str(out_pred)]) == 2
+    with open(out_pred / "prediction_errors.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ['d,"e"', "-1", "time outside the fitted [0,1] range"]
 
 
 def test_classify_command(train_csv, tmp_path):

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.data import (
@@ -96,6 +101,104 @@ def test_no_covariates(tmp_path):
 def test_missing_file():
     with pytest.raises(ParseError, match="nope.csv"):
         load_long_csv("nope.csv")
+
+
+@pytest.mark.parametrize("row, fields", [("b,4,1.0,0.5,3.0,7", 6), ("b,4,1.0,0.5", 4),
+                                         ("   ", 1)])
+def test_ragged_row_named(tmp_path, row, fields):
+    bad = BASIC.replace("b,4,1.0,0.5,3.0", row)
+    with pytest.raises(ParseError, match=rf"row 6 has {fields} fields, expected 5"):
+        load_long_csv(write_csv(tmp_path / "d.csv", bad))
+
+
+def test_every_row_one_field_too_many(tmp_path):
+    text = "subject,time,y,x1\na,1,2,3,4\nb,2,3,4,5\n"
+    with pytest.raises(ParseError, match="row 2 has 5 fields, expected 4"):
+        load_long_csv(write_csv(tmp_path / "d.csv", text))
+
+
+def test_bad_cell_after_blank_line_names_file_row(tmp_path):
+    bad = BASIC.replace("a,4,3.0", "\n\na,4,3.0").replace("b,4,1.0,0.5,3.0", "b,4,1.0,x,3.0")
+    with pytest.raises(ParseError, match=r"row 8, column 'x1': cannot parse 'x'"):
+        load_long_csv(write_csv(tmp_path / "d.csv", bad))
+
+
+@pytest.mark.parametrize("row, where", [
+    ("b,nan,inf,inf,3.0", "row 6, column 'time'"),
+    ("b,4,-inf,nan,3.0", "row 6, column 'y'"),
+    ("b,4,1.0,inf,nan", "row 6, column 'x1'"),
+])
+def test_first_non_finite_cell_named(tmp_path, row, where):
+    bad = BASIC.replace("b,4,1.0,0.5,3.0", row).replace("b,6,-1.0,-1.5,2.0", "b,inf,-1,-1,2")
+    with pytest.raises(ParseError, match=where):
+        load_long_csv(write_csv(tmp_path / "d.csv", bad))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("b,1_000,1.0,0.5,3.0", r"row 6, column 'time': cannot parse '1_000'"),
+    ("b,4,1.0,\u0661,3.0", r"row 6, column 'x1': cannot parse '\u0661'"),
+    (",,,,", r"row 6, column 'time': cannot parse ''"),
+])
+def test_cells_float_takes_but_the_reader_refuses(tmp_path, row, message):
+    # float() accepts '1_000' and Arabic-Indic digits; the file grammar does not
+    bad = BASIC.replace("b,4,1.0,0.5,3.0", row)
+    with pytest.raises(ParseError, match=message):
+        load_long_csv(write_csv(tmp_path / "d.csv", bad))
+
+
+def test_no_data_rows(tmp_path):
+    with pytest.raises(ParseError, match="no data rows"):
+        load_long_csv(write_csv(tmp_path / "d.csv", "subject,time,y,x1\n\n\n"))
+
+
+def test_invalid_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(BASIC.replace("b,4,1.0", "b,4,\xff1.0").encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_long_csv(path)
+
+
+NUMBER_FORMS = (repr, "%.6g".__mod__, "%.3e".__mod__, "%.17g".__mod__)
+
+
+@st.composite
+def long_csv(draw):
+    """CSV text in the documented grammar, and the cells float() reads from it."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(["subject", "time", "y"] + [f"x{k + 1}" for k in range(p)])]
+    ids, cells = [], []
+    for _ in range(n):
+        sid = draw(st.sampled_from(["a", "b", " c ", "d,e"]))
+        row = ['"' + sid + '"' if "," in sid or draw(st.booleans()) else sid]
+        ids.append(sid.strip())
+        values = []
+        for _ in range(2 + p):
+            text = draw(st.sampled_from(NUMBER_FORMS))(draw(st.floats(-1e300, 1e300)))
+            text = " " * draw(st.integers(0, 2)) + text + " " * draw(st.integers(0, 2))
+            row.append(f'"{text}"' if draw(st.booleans()) else text)
+            values.append(float(text))
+        cells.append(values)
+        lines.append(",".join(row))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append("")
+    return newline.join(lines) + newline, ids, np.array(cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_csv())
+def test_load_matches_from_arrays_on_float_cells(case):
+    text, ids, cells = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = load_long_csv(path, rescale=False)
+    want = from_arrays(ids, cells[:, 0], cells[:, 1], cells[:, 2:],
+                       covariate_names=got.covariate_names, rescale=False)
+    assert [s.subject_id for s in got.subjects] == [s.subject_id for s in want.subjects]
+    for a, b in zip(got.stacked(), want.stacked()):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_identical_times_degenerate():

@@ -4,7 +4,8 @@ The benchmark's span targets must name functions that exist in the package:
 `perfbench/spans.py` wraps each target by `vars(owner)[attr]`; a rename in
 `src/` would otherwise surface only when a traced benchmark run crashes.
 The package's imports must match its declared runtime dependencies, and
-importing it must not pull in scipy, whose import would dominate start-up.
+importing it must not pull in scipy, whose import would dominate start-up, nor
+the process pool, which only `simulate --parallel` uses.
 """
 
 import ast
@@ -44,10 +45,12 @@ def test_every_span_target_resolves():
 
 
 def test_import_leaves_scipy_unloaded():
+    # multiprocessing is loaded only by `simulate --parallel` > 1
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     code = ("import sys, tvselect, tvselect.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m == 'concurrent.futures' "
+            "or m.split('.')[0] in ('scipy', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
