@@ -170,19 +170,23 @@ def _write_partition_report(path, part, names):
         fh.write("\n")
 
 
-def _write_curves(path, fit, names):
+def _write_fit_outputs(cfg, fit, dataset):
+    """fit.json, partition.json and curves.csv of a fitted model; returns its partition."""
+    out, names = cfg["out"], dataset.covariate_names
+    artifact.save_fit(fit, os.path.join(out, "fit.json"), dataset)
+    part = classify(fit, threshold_multiplier=cfg["threshold_multiplier"])
+    _write_partition_report(os.path.join(out, "partition.json"), part, names)
     tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
     curves = fit.coefficient_curves(tgrid)
     rows = []
     for k, name in enumerate(names):
         for g, t in enumerate(tgrid):
             rows.append((str(k + 1), name, t, curves[k, g]))
-    _write_csv(path, ("k", "covariate", "t", "beta_hat"), rows)
+    _write_csv(os.path.join(out, "curves.csv"), ("k", "covariate", "t", "beta_hat"), rows)
+    return part
 
 
 def cmd_fit(cfg) -> int:
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     dataset = _prepare_dataset(cfg)
     basis = _basis_for(cfg, dataset)
     design = build_design(dataset, basis)
@@ -192,11 +196,7 @@ def cmd_fit(cfg) -> int:
         fit = fit_bcd(design, basis, penalty, options)
     else:
         fit = fit_baseline(design, basis, cfg["method"], penalty, options)
-    artifact.save_fit(fit, os.path.join(out, "fit.json"), dataset)
-    part = classify(fit, threshold_multiplier=cfg["threshold_multiplier"])
-    _write_partition_report(os.path.join(out, "partition.json"), part,
-                            dataset.covariate_names)
-    _write_curves(os.path.join(out, "curves.csv"), fit, dataset.covariate_names)
+    part = _write_fit_outputs(cfg, fit, dataset)
     print(f"method={fit.method} converged={fit.converged} iterations={fit.iterations} "
           f"objective={_fmt(fit.objective_trace[-1])}")
     print(f"vary={sorted(dataset.covariate_names[k] for k in part.s_vary)} "
@@ -205,8 +205,6 @@ def cmd_fit(cfg) -> int:
 
 
 def cmd_tune(cfg) -> int:
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     dataset = _prepare_dataset(cfg)
     basis = _basis_for(cfg, dataset)
     design = build_design(dataset, basis)
@@ -221,14 +219,9 @@ def cmd_tune(cfg) -> int:
     else:
         result = tune_cv(dataset, basis, grid, n_folds=cfg["cv_folds"],
                          seed=cfg["seed"], options=options)
-    _write_csv(os.path.join(out, "surface.csv"),
+    _write_csv(os.path.join(cfg["out"], "surface.csv"),
                ("lambda1", "lambda2", "criterion"), list(result.surface_rows()))
-    artifact.save_fit(result.best_fit, os.path.join(out, "fit.json"), dataset)
-    part = classify(result.best_fit, threshold_multiplier=cfg["threshold_multiplier"])
-    _write_partition_report(os.path.join(out, "partition.json"), part,
-                            dataset.covariate_names)
-    _write_curves(os.path.join(out, "curves.csv"), result.best_fit,
-                  dataset.covariate_names)
+    _write_fit_outputs(cfg, result.best_fit, dataset)
     print(f"criterion={result.criterion} best_lambda1={_fmt(result.best_lambda1)} "
           f"best_lambda2={_fmt(result.best_lambda2)}")
     return 0
@@ -236,7 +229,6 @@ def cmd_tune(cfg) -> int:
 
 def cmd_predict(cfg) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     fit, prep = artifact.load_fit(cfg["artifact"])
     dataset = load_long_csv(cfg["data"], rescale=False)
     artifact.check_compatible(fit, prep, dataset)
@@ -269,7 +261,6 @@ def cmd_predict(cfg) -> int:
 
 def cmd_classify(cfg) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     fit, prep = artifact.load_fit(cfg["artifact"])
     names = (prep or {}).get("covariate_names") or [f"x{k+1}" for k in range(fit.p)]
     part = classify(fit, threshold_multiplier=cfg["threshold_multiplier"])
@@ -281,7 +272,6 @@ def cmd_classify(cfg) -> int:
 
 def cmd_simulate(cfg) -> int:
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
     overrides = {}
     for key in ("rho", "alpha", "sigma", "sigma_x2", "amplitude", "t_df"):
         if cfg.get(key) is not None:

@@ -99,7 +99,6 @@ class DesignBlocks:
 def from_arrays(subject_ids, times, y, X, covariate_names=None,
                 rescale: bool = True) -> LongitudinalDataset:
     """Build a dataset from parallel arrays (one entry per observation)."""
-    subject_ids = [str(s) for s in subject_ids]
     times = np.asarray(times, dtype=float)
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -121,20 +120,21 @@ def from_arrays(subject_ids, times, y, X, covariate_names=None,
         t01 = times
         lo, hi = 0.0, 1.0
 
-    order: dict[str, list[int]] = {}
-    for i, sid in enumerate(subject_ids):
-        order.setdefault(sid, []).append(i)
-
-    subjects = []
-    for sid, idx in order.items():
-        idx = np.asarray(idx)
-        srt = idx[np.argsort(t01[idx], kind="stable")]
-        subjects.append(SubjectRecord(
-            subject_id=sid,
-            times=t01[srt].copy(),
-            responses=y[srt].copy(),
-            covariates=X[srt].copy(),
-        ))
+    # subjects by first appearance, rows by time within a subject; the stable
+    # lexsort keeps file order among tied times.  Object dtype, because a
+    # fixed-width str array would drop trailing NULs from the ids.
+    ids = np.array([str(s) for s in subject_ids], dtype=object)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    appearance = np.argsort(first)
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(len(first))
+    row_rank = rank[inverse]
+    order = np.lexsort((t01, row_rank))
+    ts, ys, Xs = t01[order], y[order], X[order]
+    ends = np.cumsum(np.bincount(row_rank)).tolist()
+    subjects = [SubjectRecord(subject_id=ids[i], times=ts[a:b], responses=ys[a:b],
+                              covariates=Xs[a:b])
+                for i, a, b in zip(first[appearance].tolist(), [0] + ends, ends)]
     return LongitudinalDataset(
         subjects=tuple(subjects), p=p,
         covariate_names=tuple(covariate_names),

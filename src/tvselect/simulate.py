@@ -464,9 +464,7 @@ def run_study(specs, R: int, seed: int = 0, parallelism: int = 1,
         if parallelism > 1:
             from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
             with ProcessPoolExecutor(max_workers=parallelism) as pool:
-                raw = []
-                for r, res in enumerate(pool.map(_run_replication_safe, payloads)):
-                    raw.append(res)
+                raw = list(pool.map(_run_replication_safe, payloads))
         else:
             raw = [_run_replication_safe(pl) for pl in payloads]
 

@@ -6,9 +6,11 @@ The objective, with n the total observation count, is
                           + lambda1 * sum_k ||theta_k||_2
                           + lambda2 * sum_k theta_k' Omega theta_k.
 
-One sweep updates the intercept, every constant effect mu_k by exact
-one-dimensional least squares, and every spline block theta_k by exactly
-minimizing its convex subproblem
+The intercept is column 0 of one unpenalized design C = [1 X] (C = X when
+the data are de-meaned; `_constant_design`), and (beta0, mu) is split from
+C's coefficients only where a `ModelFit` is built.  One sweep updates every
+column of C by exact one-dimensional least squares, and every spline block
+theta_k by exactly minimizing its convex subproblem
 
     (1/2n) ||r_k - Z_k theta||^2 + lambda2 theta' Omega theta + lambda1 ||theta||_2
 
@@ -22,11 +24,16 @@ Exact block minimization keeps the objective monotone and drives the iterate
 to the global minimum of the convex problem, which the reference solver
 `fit_oracle` certifies.
 
-The constant effects are updated in covariance form, as in glmnet (Friedman,
-Hastie & Tibshirani 2010): with X'X formed once per fit and X'e once per
-sweep, each Gauss-Seidel step on mu_k updates the p-vector X'e, and the
-residual absorbs the sweep's change of mu in one product.  The same Gram
-matrix refuses a rank-deficient constant design, whose mu is not identified.
+The constants are updated in one covariance-form loop over C's columns, as
+in glmnet (Friedman, Hastie & Tibshirani 2010): with C'C formed once per fit
+and C'e once per sweep, each Gauss-Seidel step updates the vector C'e, and
+the residual absorbs the sweep's change of the constants in one product.
+The same Gram matrix gives the cold start and refuses a rank-deficient
+constant design, whose constants are not identified.
+
+`fit_oracle` and the screen-refit's joint least squares share one stacked
+system (`_stacked_system`): [C Z_k for the chosen blocks] and its Gram,
+with 2*lambda2*Omega on each block's diagonal.
 
 Partial residuals are maintained incrementally and refreshed from scratch
 every 50 sweeps to cap floating-point drift.  Each block's norm and penalty
@@ -222,22 +229,42 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
                              f"Newton iteration could reach (lambda1={lambda1:.3e})")
 
 
-def _constants_init(y, X, intercept):
-    """Constants-only least squares, ridge jitter 1e-10 on singular systems."""
-    n, p = X.shape
-    if intercept:
-        A = np.column_stack([np.ones(n), X])
-    else:
-        A = X
-    gram = A.T @ A
-    rhs = A.T @ y
+def _constant_design(design: DesignBlocks) -> np.ndarray:
+    """The unpenalized design C: [1 X] with the intercept as column 0, or X alone."""
+    if design.intercept_included:
+        return np.column_stack([np.ones(design.n), design.X])
+    return design.X
+
+
+def _split_constants(c: np.ndarray, p: int) -> tuple:
+    """(beta0, mu) from coefficients on the columns of `_constant_design`."""
+    if len(c) > p:
+        return float(c[0]), c[1:]
+    return 0.0, c
+
+
+def _constants_init(y, C):
+    """Least squares on the constant design C, ridge jitter 1e-10 on singular systems."""
+    gram = C.T @ C
+    rhs = C.T @ y
     try:
-        coef = np.linalg.solve(gram, rhs)
+        return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
-        coef = np.linalg.solve(gram + 1e-10 * np.eye(A.shape[1]), rhs)
-    if intercept:
-        return float(coef[0]), coef[1:]
-    return 0.0, coef
+        return np.linalg.solve(gram + 1e-10 * np.eye(C.shape[1]), rhs)
+
+
+def _stacked_system(design: DesignBlocks, basis: CenteredSplineBasis, blocks,
+                    lambda2: float) -> tuple:
+    """A = [C Z_k for k in blocks], its Gram A'A/n plus 2*lambda2*Omega on each
+    block's diagonal, and the column offset of the first block."""
+    C = _constant_design(design)
+    A = np.hstack([C] + [design.Z[k] for k in blocks])
+    gram = A.T @ A / design.n
+    off, q = C.shape[1], basis.q
+    for j in range(len(blocks)):
+        sl = slice(off + j * q, off + (j + 1) * q)
+        gram[sl, sl] += 2.0 * lambda2 * basis.roughness.omega
+    return A, gram, off
 
 
 def _block_penalty(th: np.ndarray, nrm: float, lam1: float, lam2: float,
@@ -287,32 +314,32 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             factors: list[BlockFactor] | None = None) -> ModelFit:
     """Cyclic block coordinate descent to the global minimum of the objective.
 
-    `init` warm-starts the parameters (e.g. along a lambda1 path); the default
-    start is theta = 0 with mu from a constants-only least-squares fit.
-    Non-convergence within max_iter is reported via `converged`, not raised.
-    Raises `DegenerateDesignError` when the constant design [1 X] (X without
-    an intercept) has condition number 1e6 or more, so mu is not identified.
+    Each sweep is one covariance-form Gauss-Seidel loop over the columns of
+    the constant design C = [1 X] (intercept = column 0; X alone without an
+    intercept), then one exact solve per spline block.  `init` warm-starts
+    the parameters (e.g. along a lambda1 path); the default start is
+    theta = 0 with the constants from solve(C'C, C'y).  Non-convergence
+    within max_iter is reported via `converged`, not raised.  Raises
+    `DegenerateDesignError` when C has condition number 1e6 or more, so the
+    constants are not identified.
     """
-    y, X, Z = design.y, design.X, design.Z
+    y, Z = design.y, design.Z
     n, p = design.n, design.p
     if basis.q != design.q:
         raise DimensionError(f"basis has q={basis.q}, design has q={design.q}")
     omega = basis.roughness.omega
-    intercept = design.intercept_included
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
-    gram = X.T @ X
-    xk_sq = gram.diagonal()
-    if (xk_sq == 0.0).any():
-        k_bad = int(np.argmin(xk_sq))
+    C = _constant_design(design)
+    m = C.shape[1]
+    gram = C.T @ C
+    c_sq = gram.diagonal()
+    if (c_sq == 0.0).any():
+        k_bad = int(np.argmin(c_sq)) - (m - p)
         raise DegenerateColumnError(f"covariate column {k_bad} has zero norm")
-    gram_const = gram
-    if intercept:
-        col_sums = X.sum(axis=0)
-        gram_const = np.block([[n, col_sums], [col_sums[:, None], gram]])
-    eig = np.linalg.eigvalsh(gram_const)
+    eig = np.linalg.eigvalsh(gram)
     if eig[0] <= CONSTANT_GRAM_RCOND * eig[-1]:
-        design_name = "[1 X]" if intercept else "X"
+        design_name = "[1 X]" if design.intercept_included else "X"
         raise DegenerateDesignError(
             f"the constant design {design_name} is rank-deficient or nearly so "
             f"(eigenvalue ratio {max(eig[0], 0.0) / eig[-1]:.1e} of its Gram matrix): "
@@ -321,11 +348,11 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
         factors = precompute_block_factors(design, basis, lam2)
 
     if init is not None:
-        beta0 = float(init.beta0) if intercept else 0.0
-        mu = np.array(init.mu, dtype=float)
+        # (beta0, mu), or mu alone when C has no intercept column
+        c = np.append(float(init.beta0), init.mu)[-m:]
         theta = [np.array(th, dtype=float) for th in init.theta]
     else:
-        beta0, mu = _constants_init(y, X, intercept)
+        c = np.linalg.solve(gram, C.T @ y)
         theta = [np.zeros(basis.q) for _ in range(p)]
 
     # per-block caches: norm (0.0 for a zero block, the block solve's warm
@@ -333,7 +360,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     norms = [math.sqrt(th @ th) for th in theta]
     pen = [_block_penalty(th, nrm, lam1, lam2, omega) for th, nrm in zip(theta, norms)]
 
-    e = y - _predictor(design, beta0, mu, theta)
+    e = y - _predictor(design, *_split_constants(c, p), theta)
     ee = float(e @ e)
 
     def current_objective():
@@ -349,23 +376,17 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     for sweep in range(1, options.max_iter + 1):
         sweeps = sweep
         if sweep % RESIDUAL_REFRESH_EVERY == 0:
-            e = y - _predictor(design, beta0, mu, theta)
+            e = y - _predictor(design, *_split_constants(c, p), theta)
 
-        if intercept:
-            r0 = e + beta0
-            beta0_new = float(np.mean(r0))
-            e = r0 - beta0_new
-            beta0 = beta0_new
-
-        # Gauss-Seidel on mu with xte = X'e kept current: mu_k moves by
-        # x_k'e / x_k'x_k, which changes X'e by that step times column k of X'X
-        mu_old = mu.copy()
-        xte = X.T @ e
-        for k in range(p):
-            delta = xte[k] / xk_sq[k]
-            mu[k] += delta
-            xte -= delta * gram[k]
-        e = e - X @ (mu - mu_old)
+        # Gauss-Seidel on the constants with cte = C'e kept current: c_j moves
+        # by c_j'e / c_j'c_j, which changes C'e by that step times column j of C'C
+        c_old = c.copy()
+        cte = C.T @ e
+        for j in range(m):
+            delta = cte[j] / c_sq[j]
+            c[j] += delta
+            cte -= delta * gram[j]
+        e = e - C @ (c - c_old)
         ee = float(e @ e)
 
         for k in range(p):
@@ -406,40 +427,29 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             converged = True
             break
 
+    beta0, mu = _split_constants(c, p)
     return ModelFit(
         beta0=beta0, mu=mu, theta=tuple(theta),
         objective_trace=np.array(trace), iterations=sweeps, converged=converged,
-        method=method, penalty=penalty, basis=basis, intercept=intercept, n_train=n,
+        method=method, penalty=penalty, basis=basis,
+        intercept=design.intercept_included, n_train=n,
     )
 
 
 def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
-                 intercept: bool, lambda2_refit: float) -> tuple:
-    """Joint least squares for (beta0, mu, theta_S) with a mild curvature ridge."""
-    y, X = design.y, design.X
-    n, p, q = design.n, design.p, basis.q
+                 lambda2_refit: float) -> tuple:
+    """Joint least squares for the constants and theta_S with a mild curvature ridge."""
     selected = sorted(selected)
-    cols = [np.ones((n, 1))] if intercept else []
-    cols.append(X)
-    cols.extend(design.Z[k] for k in selected)
-    A = np.hstack(cols)
-    m = A.shape[1]
-    gram = A.T @ A / n
-    off = (1 if intercept else 0) + p
-    omega = basis.roughness.omega
-    for j in range(len(selected)):
-        sl = slice(off + j * q, off + (j + 1) * q)
-        gram[sl, sl] += 2.0 * lambda2_refit * omega
-    rhs = A.T @ y / n
+    A, gram, off = _stacked_system(design, basis, selected, lambda2_refit)
+    rhs = A.T @ design.y / design.n
     # each selected block contributes the structural ones-nullvector, so the
     # system is consistent but singular; take the minimum-norm solution
     coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    beta0 = float(coef[0]) if intercept else 0.0
-    mu = coef[1:1 + p] if intercept else coef[:p]
-    theta = [np.zeros(q) for _ in range(p)]
+    q = basis.q
+    theta = [np.zeros(q) for _ in range(design.p)]
     for j, k in enumerate(selected):
         theta[k] = coef[off + j * q: off + (j + 1) * q]
-    return beta0, mu, theta
+    return coef[:off], theta
 
 
 def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
@@ -465,16 +475,15 @@ def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
         screen = fit_bcd(design, basis, pen, options, init=init,
                          method=METHOD_GROUP_LASSO, factors=factors)
         selected = [k for k, th in enumerate(screen.theta) if np.any(th)]
-        intercept = design.intercept_included
-        beta0, mu, theta = _joint_refit(design, basis, selected, intercept,
-                                        SCREEN_REFIT_LAMBDA2)
+        c, theta = _joint_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
+        beta0, mu = _split_constants(c, design.p)
         e = design.y - _predictor(design, beta0, mu, theta)
         loss = 0.5 / design.n * float(e @ e)
         return ModelFit(
             beta0=beta0, mu=mu, theta=tuple(theta),
             objective_trace=np.array([loss]), iterations=screen.iterations,
             converged=screen.converged, method=method, penalty=pen,
-            basis=basis, intercept=intercept, n_train=design.n,
+            basis=basis, intercept=design.intercept_included, n_train=design.n,
         )
     raise ConfigurationError(f"unknown baseline method '{method}', expected one of "
                              f"{(METHOD_VC_RIDGE, METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT)}")
@@ -598,16 +607,12 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
     tightens the certificate to `grad_tol`, so the iterate itself is
     accurate, not just the objective.  Intended for small problems.
     """
-    y, X, Z = design.y, design.X, design.Z
+    y = design.y
     n, p, q = design.n, design.p, basis.q
     omega = basis.roughness.omega
-    use_intercept = design.intercept_included
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
-    off = (1 if use_intercept else 0) + p
-    dim = off + p * q
-    cols = ([np.ones((n, 1))] if use_intercept else []) + [X] + list(Z)
-    A = np.hstack(cols)
+    A, hess, off = _stacked_system(design, basis, range(p), lam2)   # hess: exact Hessian
 
     def theta_of(c):
         return c[off:].reshape(p, q)
@@ -643,18 +648,12 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
         th *= scale[:, None]
         return out
 
-    x = np.zeros(dim)
-    beta0_init, mu_init = _constants_init(y, X, use_intercept)
-    if use_intercept:
-        x[0] = beta0_init
-    x[off - p: off] = mu_init
+    x = np.zeros(off + p * q)
+    x[:off] = _constants_init(y, _constant_design(design))
 
     momentum = x.copy()
     t_acc = 1.0
     # exact spectral bound keeps steps long; backtracking is a safety net
-    hess = A.T @ A / n
-    if lam2 > 0.0:
-        hess[off:, off:] += 2.0 * lam2 * np.kron(np.eye(p), omega)
     lip = float(np.linalg.eigvalsh(hess)[-1]) * (1.0 + 1e-9) + 1e-12
     q_prev = total(x)
     best_x, best_q = x.copy(), q_prev
@@ -709,12 +708,12 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
                 f"active-set Newton polish left KKT residual {kkt:.3e} above the "
                 f"certificate bound {kkt_bound:.3e}")
 
-    beta0 = float(x[0]) if use_intercept else 0.0
+    beta0, mu = _split_constants(x[:off], p)
     return ModelFit(
-        beta0=beta0, mu=x[off - p: off], theta=tuple(theta_of(x)),
+        beta0=beta0, mu=mu, theta=tuple(theta_of(x)),
         objective_trace=np.array([total(x)]), iterations=it, converged=True,
         method=METHOD_TV_SELECT, penalty=penalty, basis=basis,
-        intercept=use_intercept, n_train=n,
+        intercept=design.intercept_included, n_train=n,
     )
 
 

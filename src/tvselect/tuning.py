@@ -11,7 +11,7 @@ reached from different warm starts agree only to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .solver import (
     ModelFit,
     PenaltyConfig,
     SolverOptions,
+    _constant_design,
     _constants_init,
     fit_baseline,
     fit_bcd,
@@ -83,8 +84,8 @@ def lambda1_max(design: DesignBlocks) -> float:
 
     At or above this level a zero-started sweep zeroes every block.
     """
-    beta0, mu = _constants_init(design.y, design.X, design.intercept_included)
-    y0 = design.y - beta0 - design.X @ mu
+    C = _constant_design(design)
+    y0 = design.y - C @ _constants_init(design.y, C)
     n = design.n
     return max(float(np.linalg.norm(Zk.T @ y0 / n)) for Zk in design.Z)
 
@@ -206,7 +207,6 @@ def subject_folds(subject_ids, n_folds: int, seed) -> list[list[str]]:
 
 def _subset(dataset: LongitudinalDataset, keep_ids) -> LongitudinalDataset:
     keep = set(keep_ids)
-    from dataclasses import replace
     subjects = tuple(s for s in dataset.subjects if s.subject_id in keep)
     return replace(dataset, subjects=subjects)
 

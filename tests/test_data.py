@@ -54,6 +54,30 @@ def test_load_sorts_within_subject_by_time(tmp_path):
     assert np.allclose(subj_a.responses, [1.0, 3.0, 2.0])
 
 
+def test_from_arrays_groups_rows_like_a_per_row_pass():
+    # interleaved subjects, tied times within a subject, ids whose sorted order
+    # differs from their first appearance, and ids equal up to a trailing NUL
+    rng = np.random.default_rng(3)
+    pool = ["z", "b", "a10", "a9", 7, "a", "a\x00"]
+    n = 80
+    sids = [pool[i] for i in rng.integers(0, len(pool), n)]
+    times = rng.integers(0, 4, n).astype(float)
+    y = np.arange(n, dtype=float)
+    X = np.column_stack([2.0 * y, -y])
+    ds = from_arrays(sids, times, y, X)
+
+    groups = {}
+    for i, sid in enumerate(sids):
+        groups.setdefault(str(sid), []).append(i)
+    expected = [(sid, sorted(rows, key=lambda i: times[i])) for sid, rows in groups.items()]
+    t01 = times / 3.0
+    assert [s.subject_id for s in ds.subjects] == [sid for sid, _ in expected]
+    for subj, (_, rows) in zip(ds.subjects, expected):
+        assert np.array_equal(subj.responses, y[rows])
+        assert np.array_equal(subj.covariates, X[rows])
+        assert np.array_equal(subj.times, t01[rows])
+
+
 def test_malformed_cell_names_row_and_column(tmp_path):
     bad = BASIC.replace("b,4,1.0,0.5,3.0", "b,4,oops,0.5,3.0")
     with pytest.raises(ParseError, match=r"row 6.*'y'"):

@@ -262,9 +262,11 @@ def test_zero_response_gives_zero_fit():
     assert fit.iterations == 1
 
 
-def test_bcd_matches_oracle_small_instance():
+@pytest.mark.parametrize("intercept", [True, False])
+def test_bcd_matches_oracle_small_instance(intercept):
     rng = np.random.default_rng(9)
-    _, basis, design = make_instance(rng, N=20, n_i=4, p=3, q=6)
+    ds, basis, _ = make_instance(rng, N=20, n_i=4, p=3, q=6)
+    design = build_design(ds, basis, intercept=intercept)
     l1max = lambda1_max(design)
     pen = PenaltyConfig(lambda1=0.3 * l1max, lambda2=0.2)
     fit = fit_bcd(design, basis, pen, TIGHT)
@@ -404,17 +406,19 @@ def test_group_lasso_at_zero_selects_generic():
     assert any(np.linalg.norm(th) > 0 for th in fit.theta)
 
 
-def test_screen_refit_empty_screen_is_constants_least_squares():
+@pytest.mark.parametrize("intercept", [True, False])
+def test_screen_refit_empty_screen_is_constants_least_squares(intercept):
     rng = np.random.default_rng(18)
-    _, basis, design = make_instance(rng)
+    ds, basis, _ = make_instance(rng)
+    design = build_design(ds, basis, intercept=intercept)
     l1max = lambda1_max(design)
     fit = fit_baseline(design, basis, METHOD_SCREEN_REFIT,
                        PenaltyConfig(1.5 * l1max, 0.0), TIGHT)
     assert all(not np.any(th) for th in fit.theta)
-    A = np.column_stack([np.ones(design.n), design.X])
+    A = np.column_stack([np.ones(design.n), design.X]) if intercept else design.X
     coef = np.linalg.solve(A.T @ A, A.T @ design.y)
-    assert fit.beta0 == pytest.approx(coef[0], abs=1e-8)
-    assert np.allclose(fit.mu, coef[1:], atol=1e-8)
+    assert fit.beta0 == pytest.approx(coef[0] if intercept else 0.0, abs=1e-8)
+    assert np.allclose(fit.mu, coef[-design.p:], atol=1e-8)
 
 
 def test_screen_refit_refits_selected_blocks():
@@ -484,8 +488,9 @@ def test_oracle_never_worse_than_bcd():
 
 def oracle_certificate(design, basis, fit):
     """KKT residual of a fit and fit_oracle's gradient scale, recomputed here."""
-    y, X, n, p = design.y, design.X, design.n, design.p
-    A = np.hstack([np.ones((n, 1)), X] + list(design.Z))
+    y, n, p = design.y, design.n, design.p
+    C = np.column_stack([np.ones(n), design.X])
+    A = np.hstack([C] + list(design.Z))
     off = 1 + p
     lam1, lam2 = fit.penalty.lambda1, fit.penalty.lambda2
 
@@ -494,8 +499,7 @@ def oracle_certificate(design, basis, fit):
         g[off:] += 2.0 * lam2 * (c[off:].reshape(p, -1) @ basis.roughness.omega).ravel()
         return g
 
-    beta0, mu = _constants_init(y, X, True)
-    start = np.concatenate([[beta0], mu, np.zeros(p * basis.q)])
+    start = np.concatenate([_constants_init(y, C), np.zeros(p * basis.q)])
     c = np.concatenate([[fit.beta0], fit.mu, np.concatenate(fit.theta)])
     kkt = _oracle_kkt_residual(grad(c), np.vstack(fit.theta), off, lam1)
     return kkt, 1.0 + float(np.linalg.norm(grad(start)))

@@ -5,7 +5,8 @@ The benchmark's span targets must name functions that exist in the package:
 `src/` would otherwise surface only when a traced benchmark run crashes.
 The package's imports must match its declared runtime dependencies, and
 importing it must not pull in scipy, whose import would dominate start-up, nor
-the process pool, which only `simulate --parallel` uses.
+the process pool, which only `simulate --parallel` uses.  A private helper
+that nothing else in the package calls is dead code.
 """
 
 import ast
@@ -21,6 +22,7 @@ import pytest
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SPANS_PATH = os.path.join(ROOT, "perfbench", "spans.py")
 SRC = os.path.join(ROOT, "src")
+PACKAGE = os.path.join(SRC, "tvselect")
 
 
 def load_spans():
@@ -56,13 +58,17 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def third_party_imports(package_dir):
+def module_trees():
+    """(file name, syntax tree) of every module in the package."""
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
+def third_party_imports():
     found = set()
-    for name in os.listdir(package_dir):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for _, tree in module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 found.update(alias.name.split(".")[0] for alias in node.names)
@@ -77,4 +83,18 @@ def test_runtime_dependencies_match_imports():
         declared = tomllib.load(fh)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
              for req in declared}
-    assert third_party_imports(os.path.join(SRC, "tvselect")) == names
+    assert third_party_imports() == names
+
+
+def test_every_private_helper_is_used():
+    defined, used = [], set()
+    for name, tree in module_trees():
+        defined.extend(f"{name}:{node.name}" for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and node.name.startswith("_") and not node.name.endswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [d for d in defined if d.split(":")[1] not in used] == []
