@@ -198,18 +198,7 @@ def _derivative_coefficients(knots: np.ndarray, degree: int, coefs: np.ndarray) 
     return degree * (coefs[1:] - coefs[:-1]) / width[:, None]
 
 
-def _gauss_legendre_panels(breakpts: np.ndarray, nodes_per_interval: int):
-    """Quadrature nodes/weights over consecutive [a,b] panels."""
-    x_ref, w_ref = np.polynomial.legendre.leggauss(nodes_per_interval)
-    xs, ws = [], []
-    for a, b in zip(breakpts[:-1], breakpts[1:]):
-        xs.append(0.5 * (b - a) * x_ref + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * w_ref)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def build_basis(config: SplineConfig, observed_times=None,
-                quadrature_nodes: int | None = None) -> CenteredSplineBasis:
+def build_basis(config: SplineConfig, observed_times=None) -> CenteredSplineBasis:
     """Construct the centered basis, its means, and the curvature matrix.
 
     Basis-function means are exact: each function is piecewise polynomial
@@ -218,11 +207,10 @@ def build_basis(config: SplineConfig, observed_times=None,
     derivatives (degree 2d-4).
     """
     interior = _interior_knots(config, observed_times)
-    return build_basis_from_interior(config, interior, quadrature_nodes)
+    return build_basis_from_interior(config, interior)
 
 
-def build_basis_from_interior(config: SplineConfig, interior_knots,
-                              quadrature_nodes: int | None = None) -> CenteredSplineBasis:
+def build_basis_from_interior(config: SplineConfig, interior_knots) -> CenteredSplineBasis:
     """Assemble a basis around explicitly given interior knots."""
     d = config.degree
     interior = np.asarray(interior_knots, dtype=float)
@@ -235,11 +223,11 @@ def build_basis_from_interior(config: SplineConfig, interior_knots,
     knots = np.concatenate([np.zeros(d + 1), interior, np.ones(d + 1)])
     q = config.q
 
-    breakpts = np.unique(knots)
-    n_nodes = quadrature_nodes if quadrature_nodes is not None else d + 1
-    if n_nodes < 1:
-        raise ConfigurationError("quadrature_nodes must be >= 1")
-    x, w = _gauss_legendre_panels(breakpts, n_nodes)
+    breakpts = np.unique(knots)[:, None]
+    a, b = breakpts[:-1], breakpts[1:]
+    x_ref, w_ref = np.polynomial.legendre.leggauss(d + 1)
+    x = (0.5 * (b - a) * x_ref + 0.5 * (a + b)).ravel()
+    w = (0.5 * (b - a) * w_ref).ravel()
 
     vals = _bspline_values(knots, d, x)            # (len(x), q)
     means = w @ vals

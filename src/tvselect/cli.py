@@ -99,15 +99,27 @@ def _load_config_file(path):
     return payload
 
 
-def _merge_config(args, parser_defaults, file_config):
-    """File values override explicit flags (with a warning) and defaults."""
+def _merge_config(args, actions, file_config):
+    """File values override flags (with a warning) and defaults, each read as its flag reads it."""
     merged = vars(args).copy()
     for key, value in file_config.items():
         if key in ("command", "config"):
             continue
         if key not in merged:
             raise ParseError(f"config key '{key}' is not a recognized option")
-        flag_given = merged[key] != parser_defaults.get(key)
+        action = actions[key]
+        if (action.nargs == 0) != isinstance(value, bool):        # true/false for bare flags only
+            raise ParseError(f"config key '{key}' cannot take {value!r}")
+        if action.nargs != 0 and value != action.default:
+            try:
+                read = (action.type or str)(str(value))            # as the flag reads its text
+            except (TypeError, ValueError):
+                raise ParseError(f"config key '{key}' cannot take {value!r}") from None
+            if action.choices is not None and read not in action.choices:
+                raise ParseError(f"config key '{key}': {read!r} is not one of "
+                                 f"{list(action.choices)}")
+            value = value if value == read else read         # 1 for a float flag stays 1
+        flag_given = merged[key] != action.default
         if flag_given and merged[key] != value:
             print(f"warning: config file overrides --{key.replace('_', '-')} "
                   f"({merged[key]!r} -> {value!r})", file=sys.stderr)
@@ -137,8 +149,7 @@ def _prepare_dataset(cfg):
 def _basis_for(cfg, dataset):
     config = SplineConfig(degree=cfg["degree"], num_internal_knots=cfg["knots"],
                           knot_placement=cfg["knot_placement"])
-    times = np.concatenate([s.times for s in dataset.subjects])
-    return build_basis(config, observed_times=times)
+    return build_basis(config, observed_times=dataset.times)
 
 
 def _descending(text, default=()) -> tuple:
@@ -239,7 +250,7 @@ def cmd_predict(cfg) -> int:
     t01 = (raw_times - lo) / (hi - lo) if hi > lo else raw_times
 
     # rows are regrouped by subject and time, so name them by subject and time
-    ids = [s.subject_id for s in dataset.subjects for _ in range(s.n_obs)]
+    ids = dataset.row_subject_ids()
     bad = [(sid, t, "time outside the fitted [0,1] range")
            for sid, t, t_fit in zip(ids, raw_times, t01) if not 0.0 <= t_fit <= 1.0]
     if bad:
@@ -421,12 +432,12 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = {a.dest: a.default
-                for g in parser._subparsers._group_actions
-                for a in g.choices[args.command]._actions}
+    actions = {a.dest: a
+               for g in parser._subparsers._group_actions
+               for a in g.choices[args.command]._actions}
     try:
         file_cfg = _load_config_file(args.config) if args.config else {}
-        cfg = _merge_config(args, defaults, file_cfg)
+        cfg = _merge_config(args, actions, file_cfg)
         if args.command in ("fit", "tune") and not cfg.get("data"):
             print("error: --data is required", file=sys.stderr)
             return 2

@@ -1,9 +1,10 @@
 """Longitudinal data container, preprocessing, and stacked design assembly.
 
 Expected file format: long CSV with header ``subject,time,y,<covariate...>``.
-Rows may arrive in any order; they are grouped by subject (first-appearance
-order) and sorted by time within subject.  Observation times are rescaled to
-[0,1] by the pooled (min, max) so one basis serves all subjects.
+Rows may arrive in any order; a dataset stores them once, stacked by subject
+(first-appearance order) and by time within subject, with each subject's row
+offsets.  Observation times are rescaled to [0,1] by the pooled (min, max) so
+one basis serves all subjects.
 
 The accepted grammar: UTF-8 text, comma-separated, every row with as many
 fields as the header.  A field may be quoted with ``"`` (``""`` inside quotes
@@ -18,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import NoReturn
 
@@ -27,16 +29,7 @@ from .basis import CenteredSplineBasis
 from .errors import DegenerateColumnError, DegenerateDesignError, ParseError
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    subject_id: str
-    times: np.ndarray          # sorted, rescaled to [0,1]
-    responses: np.ndarray
-    covariates: np.ndarray     # (n_i, p)
-
-    @property
-    def n_obs(self) -> int:
-        return len(self.times)
+SubjectRecord = namedtuple("SubjectRecord", "subject_id times responses covariates")
 
 
 @dataclass(frozen=True)
@@ -52,26 +45,44 @@ class PreprocessState:
 
 @dataclass(frozen=True)
 class LongitudinalDataset:
-    subjects: tuple
-    p: int
+    """Read-only y, X, times stacked by subject; subject i owns rows bounds[i]:bounds[i+1]."""
+
+    subject_ids: tuple
+    bounds: np.ndarray                      # (n_subjects + 1,) row offsets
+    y: np.ndarray
+    X: np.ndarray
+    times: np.ndarray                       # rescaled to [0,1]
     covariate_names: tuple
     time_domain: tuple                      # original (min, max) before rescaling
     preprocessing: PreprocessState = field(default_factory=PreprocessState)
 
+    def __post_init__(self):
+        for arr in (self.bounds, self.y, self.X, self.times):
+            arr.setflags(write=False)
+
+    @property
+    def p(self) -> int:
+        return self.X.shape[1]
+
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
+        return len(self.subject_ids)
 
     @property
     def n_total(self) -> int:
-        return sum(s.n_obs for s in self.subjects)
+        return len(self.y)
+
+    @property
+    def subjects(self) -> tuple:
+        return tuple(SubjectRecord(sid, self.times[lo:hi], self.y[lo:hi], self.X[lo:hi])
+                     for sid, lo, hi in zip(self.subject_ids, self.bounds, self.bounds[1:]))
+
+    def row_subject_ids(self) -> np.ndarray:
+        return np.repeat(np.array(self.subject_ids, dtype=object), np.diff(self.bounds))
 
     def stacked(self):
-        """(y, X, t) stacked over subjects in order, observations by time."""
-        y = np.concatenate([s.responses for s in self.subjects])
-        X = np.vstack([s.covariates for s in self.subjects])
-        t = np.concatenate([s.times for s in self.subjects])
-        return y, X, t
+        """(y, X, t), the stored arrays themselves."""
+        return self.y, self.X, self.times
 
 
 @dataclass(frozen=True)
@@ -107,9 +118,8 @@ def from_arrays(subject_ids, times, y, X, covariate_names=None,
     for name, arr in (("time", times), ("y", y), ("covariates", X)):
         if not np.isfinite(arr).all():
             raise ParseError(f"{name} contains NaN or inf")
-    p = X.shape[1]
     if covariate_names is None:
-        covariate_names = tuple(f"x{k + 1}" for k in range(p))
+        covariate_names = tuple(f"x{k + 1}" for k in range(X.shape[1]))
 
     lo, hi = float(times.min()), float(times.max())
     if rescale:
@@ -125,18 +135,12 @@ def from_arrays(subject_ids, times, y, X, covariate_names=None,
     # fixed-width str array would drop trailing NULs from the ids.
     ids = np.array([str(s) for s in subject_ids], dtype=object)
     _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    appearance = np.argsort(first)
-    rank = np.empty_like(appearance)
-    rank[appearance] = np.arange(len(first))
-    row_rank = rank[inverse]
+    row_rank = np.argsort(np.argsort(first))[inverse]
     order = np.lexsort((t01, row_rank))
-    ts, ys, Xs = t01[order], y[order], X[order]
-    ends = np.cumsum(np.bincount(row_rank)).tolist()
-    subjects = [SubjectRecord(subject_id=ids[i], times=ts[a:b], responses=ys[a:b],
-                              covariates=Xs[a:b])
-                for i, a, b in zip(first[appearance].tolist(), [0] + ends, ends)]
     return LongitudinalDataset(
-        subjects=tuple(subjects), p=p,
+        subject_ids=tuple(ids[np.sort(first)]),
+        bounds=np.concatenate([[0], np.cumsum(np.bincount(row_rank))]),
+        y=y[order], X=X[order], times=t01[order],
         covariate_names=tuple(covariate_names),
         time_domain=(lo, hi),
     )
@@ -236,17 +240,23 @@ def _raise_first_bad_row(fh, path, n_fields, numeric, reason: str) -> NoReturn:
 def demean_within_subject(dataset: LongitudinalDataset) -> LongitudinalDataset:
     """Subtract subject means from the response and every covariate column.
 
-    Absorbs subject-specific intercepts; idempotent.  Note that covariates
-    constant within subject are annihilated, so constant effects become
-    unidentifiable for purely baseline covariates.
+    Absorbs subject-specific intercepts; idempotent.  A covariate constant
+    within subject is annihilated up to roundoff, at most n_i * eps/2 * |x|
+    for the mean of n_i values x; so a column whose de-meaned magnitude is at
+    most n_max * eps (n_max the largest subject) times its magnitude before
+    raises `DegenerateColumnError`: its constant effect would be noise.
     """
     if dataset.preprocessing.demeaned:
         return dataset
-    subjects = tuple(replace(s, responses=s.responses - s.responses.mean(),
-                             covariates=s.covariates - s.covariates.mean(axis=0))
-                     for s in dataset.subjects)
+    # each subject slice's own mean: a grouped sum (np.add.reduceat) rounds differently
+    y = np.concatenate([s.responses - s.responses.mean() for s in dataset.subjects])
+    X = np.vstack([s.covariates - s.covariates.mean(axis=0) for s in dataset.subjects])
+    bound = np.diff(dataset.bounds).max() * np.finfo(float).eps * np.abs(dataset.X).max(axis=0)
+    for k in np.flatnonzero(np.abs(X).max(axis=0) <= bound):
+        raise DegenerateColumnError(f"covariate '{dataset.covariate_names[k]}' is constant within "
+                                    "every subject; fit without de-meaning (--no-demean)")
     state = replace(dataset.preprocessing, demeaned=True)
-    return replace(dataset, subjects=subjects, preprocessing=state)
+    return replace(dataset, y=y, X=X, preprocessing=state)
 
 
 def standardize(dataset: LongitudinalDataset, binary_columns=()) -> LongitudinalDataset:
@@ -267,24 +277,30 @@ def standardize(dataset: LongitudinalDataset, binary_columns=()) -> Longitudinal
             center[k], scale[k] = 0.0, 1.0
         elif scale[k] == 0.0:
             raise DegenerateColumnError(f"covariate '{name}' has zero pooled variance")
-    subjects = tuple(
-        replace(s, covariates=(s.covariates - center) / scale) for s in dataset.subjects
-    )
     state = replace(dataset.preprocessing, center=center, scale=scale)
-    return replace(dataset, subjects=subjects, preprocessing=state)
+    return replace(dataset, X=(X - center) / scale, preprocessing=state)
 
 
-def build_design(dataset: LongitudinalDataset, basis: CenteredSplineBasis,
-                 intercept: bool | None = None) -> DesignBlocks:
+def split_subjects(dataset: LongitudinalDataset, held_out) -> tuple:
+    """(rest, held): the subjects not named in `held_out` and those named, rows as stored."""
+    held, ids = set(held_out), np.array(dataset.subject_ids, dtype=object)
+    in_held = np.array([sid in held for sid in ids], dtype=bool)
+    sizes = np.diff(dataset.bounds)
+    in_rows = np.repeat(in_held, sizes)
+    return tuple(replace(dataset, subject_ids=tuple(ids[keep]),
+                         bounds=np.concatenate([[0], np.cumsum(sizes[keep])]),
+                         y=dataset.y[rows], X=dataset.X[rows], times=dataset.times[rows])
+                 for keep, rows in ((~in_held, ~in_rows), (in_held, in_rows)))
+
+
+def build_design(dataset: LongitudinalDataset, basis: CenteredSplineBasis) -> DesignBlocks:
     """Assemble y, X, and the spline blocks Z_k with rows x_ijk * Btilde(t_ij)'.
 
-    The intercept defaults to on unless the data were de-meaned.
+    The intercept is included unless the data were de-meaned.
     """
     y, X, t = dataset.stacked()
     Btil = basis.eval_centered(t)                  # (n, q)
     Z = tuple(X[:, k:k + 1] * Btil for k in range(dataset.p))
-    if intercept is None:
-        intercept = not dataset.preprocessing.demeaned
     for arr in (y, X, *Z):
         arr.setflags(write=False)
-    return DesignBlocks(y=y, X=X, Z=Z, intercept_included=bool(intercept))
+    return DesignBlocks(y=y, X=X, Z=Z, intercept_included=not dataset.preprocessing.demeaned)

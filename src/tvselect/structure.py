@@ -61,21 +61,16 @@ def threshold(n: int, p: int, multiplier: float = 1.0) -> float:
     return multiplier * math.sqrt(math.log(p) / n)
 
 
-def classify(fit: ModelFit, n: int | None = None, p: int | None = None,
-             threshold_multiplier: float = 1.0) -> StructuralPartition:
+def classify(fit: ModelFit, threshold_multiplier: float = 1.0) -> StructuralPartition:
     """Partition covariates into zero / constant / time-varying effects.
 
-    `n` defaults to the fit's training size.  Varying status is decided by
+    The threshold uses the fit's n_train and p.  Varying status is decided by
     the nonzero blocks alone; mu is not consulted for those indices.
     """
-    n = fit.n_train if n is None else n
-    p = fit.p if p is None else p
-    if p != fit.p:
-        raise ConfigurationError(f"p={p} does not match the fit (p={fit.p})")
-    tau = threshold(n, p, threshold_multiplier)
+    tau = threshold(fit.n_train, fit.p, threshold_multiplier)
     vary = select_vary(fit)
     const, zero = set(), set()
-    for k in range(p):
+    for k in range(fit.p):
         if k in vary:
             continue
         (const if abs(fit.mu[k]) > tau else zero).add(k)

@@ -11,12 +11,12 @@ reached from different warm starts agree only to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import CenteredSplineBasis
-from .data import DesignBlocks, LongitudinalDataset, build_design
+from .data import DesignBlocks, LongitudinalDataset, build_design, split_subjects
 from .errors import ConfigurationError, DegenerateDesignError, TuningError, TVSelectError
 from .solver import (
     METHOD_GROUP_LASSO,
@@ -205,12 +205,6 @@ def subject_folds(subject_ids, n_folds: int, seed) -> list[list[str]]:
     return [[ids[i] for i in chunk] for chunk in np.array_split(perm, n_folds)]
 
 
-def _subset(dataset: LongitudinalDataset, keep_ids) -> LongitudinalDataset:
-    keep = set(keep_ids)
-    subjects = tuple(s for s in dataset.subjects if s.subject_id in keep)
-    return replace(dataset, subjects=subjects)
-
-
 def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: TuningGrid,
             n_folds: int = 5, seed: int = 0,
             options: SolverOptions = SolverOptions(),
@@ -223,18 +217,13 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     failed in any fold is NaN in the surface.
     """
     _check_grid(grid, method)
-    folds = subject_folds([s.subject_id for s in dataset.subjects], n_folds, seed)
+    folds = subject_folds(dataset.subject_ids, n_folds, seed)
     shape = (len(grid.lambda1_values), len(grid.lambda2_values))
     sq_err = np.zeros(shape)
     counts = np.zeros(shape)
     folds_ok = np.zeros(shape, dtype=int)
     for held_out in folds:
-        held = set(held_out)
-        train = _subset(dataset, [s.subject_id for s in dataset.subjects
-                                  if s.subject_id not in held])
-        test = _subset(dataset, held_out)
-        d_train = build_design(train, basis)
-        d_test = build_design(test, basis, intercept=d_train.intercept_included)
+        d_train, d_test = (build_design(part, basis) for part in split_subjects(dataset, held_out))
         fits = _fit_grid(d_train, basis, grid, options, method)
         for (i, j), fit in fits.items():
             sq_err[i, j] += float(np.sum(residuals(d_test, fit) ** 2))

@@ -164,15 +164,19 @@ def test_quadratic_form_matches_finite_differences(cubic_q8):
         assert abs(approx - exact) / exact < 0.01
 
 
-def test_quadrature_exactness():
-    # both node counts integrate the piecewise-polynomial products exactly,
-    # so any difference is float64 roundoff on entries of magnitude ~5e3
-    cfg = SplineConfig(degree=3, num_internal_knots=4)
-    low = build_basis(cfg, quadrature_nodes=3)
-    high = build_basis(cfg, quadrature_nodes=6)
-    scale = max(1.0, np.abs(high.roughness.omega).max())
-    assert np.abs(low.roughness.omega - high.roughness.omega).max() < 1e-12 * scale
-    assert np.abs(low.basis_means - high.basis_means).max() < 1e-12
+@pytest.mark.parametrize("degree, knots", [(3, 4), (2, 0), (1, 3), (5, 2)])
+def test_quadrature_exactness(degree, knots):
+    # the default d+1-node rule against 64 Gauss-Legendre nodes per knot
+    # interval, both exact for these piecewise polynomials: any difference is
+    # float64 roundoff on entries of magnitude up to ~1e4
+    basis = build_basis(SplineConfig(degree=degree, num_internal_knots=knots))
+    x, w = gauss_legendre_on_panels(np.unique(basis.full_knot_vector))
+    means = w @ basis.eval_raw(x)
+    d2 = basis.eval_second_derivative(x)
+    omega = (d2 * w[:, None]).T @ d2
+    scale = max(1.0, np.abs(omega).max())
+    assert np.abs(basis.roughness.omega - omega).max() < 1e-12 * scale
+    assert np.abs(basis.basis_means - means).max() < 1e-12
 
 
 def test_quantile_knot_placement():

@@ -462,6 +462,67 @@ def test_config_file_unknown_key(train_csv, tmp_path, capsys):
     assert "made_up" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("fit", {"lambda1": "abc"}),
+    ("fit", {"lambda1": True}),
+    ("fit", {"no_demean": "yes"}),
+    ("fit", {"seed": 2.5}),
+    ("fit", {"knots": 2.0}),
+    ("tune", {"criterion": "aic"}),
+    ("simulate", {"methods": ["tv-select"]}),
+], ids=["float-text", "float-bool", "flag-text", "int-fraction", "int-float", "choices",
+        "str-list"])
+def test_config_value_refused_like_its_flag(train_csv, tmp_path, capsys, command, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload), encoding="utf-8")
+    argv = [command, "--out", str(tmp_path / "o"), "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--subjects", "12", "--covariates", "6", "--s-vary", "1", "--s-const", "1",
+                 "--replications", "1", "--parallel", "1"]
+    else:
+        argv += ["--data", str(train_csv), "--knots", "2", "--no-demean"]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_values_read_like_flags(train_csv, tmp_path):
+    # a string is converted as its flag would; a number the flag reads back
+    # as itself is echoed as written
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda1": "0.5", "lambda2": 0, "no_demean": True}),
+                   encoding="utf-8")
+    assert main(["fit", "--data", str(train_csv), "--out", str(out), "--knots", "2",
+                 "--config", str(cfg)]) == 0
+    assert json.loads((out / "fit.json").read_text())["penalty"]["lambda1"] == 0.5
+    echo = (out / "config_echo.json").read_text()
+    assert '"lambda1": 0.5,' in echo and '"lambda2": 0,' in echo
+
+
+def write_subject_constant_csv(path, rng, N=60, n_i=5):
+    """Covariates fixed per subject (one covariate vector per subject)."""
+    rows = ["subject,time,y,x1,x2"]
+    for i in range(N):
+        x = rng.standard_normal(2)
+        for t in np.sort(rng.uniform(0.0, 1.0, n_i)):
+            y = x[0] + x[1] * np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal()
+            rows.append(",".join([f"s{i}", *(repr(float(v)) for v in (t, y, *x))]))
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--lambda1", "0.02", "--lambda2", "0.001"],
+    ["tune", "--criterion", "cv", "--cv-folds", "3"],
+])
+def test_covariates_constant_within_subject_refused_when_demeaning(tmp_path, capsys, command):
+    path = write_subject_constant_csv(tmp_path / "d.csv", np.random.default_rng(8))
+    rc = main([*command, "--data", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'x1'" in err and "--no-demean" in err
+
+
 def test_numeric_output_has_17_significant_digits(train_csv, tmp_path):
     out = tmp_path / "out"
     main(["fit", "--data", str(train_csv), "--out", str(out), "--knots", "2",

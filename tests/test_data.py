@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from tvselect.data import (
     demean_within_subject,
     from_arrays,
     load_long_csv,
+    split_subjects,
     standardize,
 )
 from tvselect.errors import DegenerateColumnError, DegenerateDesignError, ParseError
@@ -262,6 +264,83 @@ def test_demean_within_subject_means_vanish():
         assert np.abs(s.covariates.mean(axis=0)).max() < 1e-12
 
 
+def test_demean_refuses_covariates_constant_within_subject():
+    # one covariate vector per subject: de-meaning leaves only roundoff
+    rng = np.random.default_rng(12)
+    sids = np.repeat([f"s{i}" for i in range(40)], 5)
+    X = np.repeat(rng.standard_normal((40, 2)), 5, axis=0)
+    X[:, 0] += rng.standard_normal(200)
+    ds = standardize(from_arrays(sids, rng.uniform(0, 1, 200), rng.standard_normal(200), X))
+    with pytest.raises(DegenerateColumnError, match=r"'x2'.*--no-demean"):
+        demean_within_subject(ds)
+    # exact zeros after de-meaning are refused too
+    ones = from_arrays(sids, rng.uniform(0, 1, 200), rng.standard_normal(200),
+                       np.column_stack([X[:, 0], np.ones(200)]))
+    with pytest.raises(DegenerateColumnError, match="'x2'"):
+        demean_within_subject(ones)
+
+
+def test_demean_keeps_small_within_subject_variation():
+    rng = np.random.default_rng(13)
+    sids = np.repeat([f"s{i}" for i in range(40)], 5)
+    X = np.repeat(rng.standard_normal((40, 1)), 5, axis=0)
+    X += 1e-9 * rng.standard_normal((200, 1))
+    out = demean_within_subject(from_arrays(sids, rng.uniform(0, 1, 200),
+                                            rng.standard_normal(200), X))
+    assert np.abs(out.X).max() > 1e-10
+
+
+def _stack(records):
+    return (np.concatenate([r.responses for r in records]),
+            np.vstack([r.covariates for r in records]),
+            np.concatenate([r.times for r in records]))
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stacked_layout_matches_per_subject_operations():
+    # the per-subject record operations, written out, against the stacked code:
+    # bit-equal arrays on unbalanced, interleaved subjects with tied times
+    rng = np.random.default_rng(21)
+    for _ in range(25):
+        n_subj = int(rng.integers(3, 9))
+        ids = [f"s{i // 2}" + "\x00" * (i % 2) for i in range(n_subj)]
+        sizes = rng.integers(1, 13, n_subj)
+        sizes[rng.integers(n_subj)] = 12
+        rows = rng.permutation(np.repeat(np.arange(n_subj), sizes))
+        n = len(rows)
+        ds = from_arrays([ids[i] for i in rows], rng.integers(0, 4, n).astype(float),
+                         rng.standard_normal(n) * 10, rng.standard_normal((n, 3)) * [1, 5, 1e3])
+        records = ds.subjects
+        assert [r.subject_id for r in records] == list(ds.subject_ids)
+        _assert_same_bits(_stack(records), ds.stacked())
+
+        _, X, _ = _stack(records)
+        center, scale = X.mean(axis=0), X.std(axis=0)
+        records = [r._replace(covariates=(r.covariates - center) / scale) for r in records]
+        ds = standardize(ds)
+        _assert_same_bits(_stack(records), ds.stacked())
+
+        records = [r._replace(responses=r.responses - r.responses.mean(),
+                              covariates=r.covariates - r.covariates.mean(axis=0))
+                   for r in records]
+        ds = demean_within_subject(ds)
+        _assert_same_bits(_stack(records), ds.stacked())
+
+        held = {ids[i] for i in rng.choice(n_subj, size=int(rng.integers(1, n_subj)),
+                                           replace=False)}
+        rest, test = split_subjects(ds, held)
+        for part, want in ((rest, [r for r in records if r.subject_id not in held]),
+                           (test, [r for r in records if r.subject_id in held])):
+            assert part.subject_ids == tuple(r.subject_id for r in want)
+            _assert_same_bits(_stack(want), part.stacked())
+            _assert_same_bits(_stack(part.subjects), part.stacked())
+            assert part.preprocessing is ds.preprocessing
+
+
 def test_demeaned_noiseless_fit_gives_zero_intercept():
     # 3-subject toy with within-subject-varying covariates; after de-meaning,
     # a fit WITH intercept must estimate beta0 ~ 0 on noiseless data
@@ -272,7 +351,7 @@ def test_demeaned_noiseless_fit_gives_zero_intercept():
     y = 5.0 + X @ np.array([2.0, -1.0]) + np.repeat(rng.standard_normal(3), 6)
     ds = demean_within_subject(from_arrays(sids, t, y, X, rescale=False))
     basis = build_basis(SplineConfig(degree=3, num_internal_knots=0))
-    design = build_design(ds, basis, intercept=True)
+    design = replace(build_design(ds, basis), intercept_included=True)
     fit = fit_bcd(design, basis, PenaltyConfig(lambda1=1e3, lambda2=0.0),
                   SolverOptions(tol=1e-12, max_iter=2000))
     assert abs(fit.beta0) < 1e-8
@@ -378,7 +457,6 @@ def test_intercept_flag_follows_demeaning():
     basis = build_basis(SplineConfig(degree=3, num_internal_knots=0))
     assert build_design(ds, basis).intercept_included is True
     assert build_design(demean_within_subject(ds), basis).intercept_included is False
-    assert build_design(ds, basis, intercept=False).intercept_included is False
 
 
 def test_pipeline_deterministic(tmp_path):

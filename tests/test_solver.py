@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -266,7 +267,7 @@ def test_zero_response_gives_zero_fit():
 def test_bcd_matches_oracle_small_instance(intercept):
     rng = np.random.default_rng(9)
     ds, basis, _ = make_instance(rng, N=20, n_i=4, p=3, q=6)
-    design = build_design(ds, basis, intercept=intercept)
+    design = replace(build_design(ds, basis), intercept_included=intercept)
     l1max = lambda1_max(design)
     pen = PenaltyConfig(lambda1=0.3 * l1max, lambda2=0.2)
     fit = fit_bcd(design, basis, pen, TIGHT)
@@ -410,7 +411,7 @@ def test_group_lasso_at_zero_selects_generic():
 def test_screen_refit_empty_screen_is_constants_least_squares(intercept):
     rng = np.random.default_rng(18)
     ds, basis, _ = make_instance(rng)
-    design = build_design(ds, basis, intercept=intercept)
+    design = replace(build_design(ds, basis), intercept_included=intercept)
     l1max = lambda1_max(design)
     fit = fit_baseline(design, basis, METHOD_SCREEN_REFIT,
                        PenaltyConfig(1.5 * l1max, 0.0), TIGHT)

@@ -51,7 +51,7 @@ def test_threshold_validation():
 
 def test_classify_partitions(basis):
     fit = make_fit([0.5, 0.01, 0.0, -2.0], [1.0, 0, 0, 0], basis, n=500)
-    part = classify(fit, n=500, p=4)
+    part = classify(fit)
     assert part.s_vary == {0}
     assert part.s_const == {3}
     # |0.5| > tau would be const; tau = sqrt(log(4)/500) ~ 0.0527
@@ -63,7 +63,7 @@ def test_classify_partitions(basis):
 def test_boundary_is_strict(basis):
     tau = threshold(500, 4)
     fit = make_fit([tau, np.nextafter(tau, 1.0), 0.0, 0.0], [0, 0, 0, 0], basis, n=500)
-    part = classify(fit, n=500, p=4)
+    part = classify(fit)
     assert 0 in part.s_zero          # exactly tau -> zero
     assert 1 in part.s_const         # just above tau -> const
 
@@ -82,18 +82,12 @@ def test_vary_ignores_mu(basis):
 
 
 def test_p_equals_one_edge(basis):
-    fit = make_fit([1e-300], [0], basis)
-    part = classify(fit, n=100, p=1)
+    fit = make_fit([1e-300], [0], basis, n=100)
+    part = classify(fit)
     assert part.threshold_used == 0.0
     assert part.s_const == {0}       # any nonzero mu is const when tau = 0
-    fit0 = make_fit([0.0], [0], basis)
-    assert classify(fit0, n=100, p=1).s_zero == {0}
-
-
-def test_mismatched_p_rejected(basis):
-    fit = make_fit([0.0, 0.0], [0, 0], basis)
-    with pytest.raises(ConfigurationError):
-        classify(fit, n=100, p=5)
+    fit0 = make_fit([0.0], [0], basis, n=100)
+    assert classify(fit0).s_zero == {0}
 
 
 def test_labels_order(basis):
@@ -111,7 +105,7 @@ def test_partition_property(mus, active, n):
     mus, active = mus[:p], active[:p]
     basis = build_basis(SplineConfig(degree=3, num_internal_knots=0))
     fit = make_fit(mus, [1.0 if a else 0 for a in active], basis, n=n)
-    part = classify(fit, n=n, p=p)
+    part = classify(fit)
     assert len(part.s_vary) + len(part.s_const) + len(part.s_zero) == p
     assert part.s_vary == {k for k in range(p) if active[k]}
 
