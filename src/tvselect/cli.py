@@ -263,9 +263,9 @@ def cmd_predict(cfg) -> int:
     if prep and prep.get("center") is not None:
         X = (X - np.asarray(prep["center"])) / np.asarray(prep["scale"])
     pred = predict(fit, X, t01)
-    rows = [(i + 1, t, value) for i, (t, value) in enumerate(zip(t01, pred))]
+    rows = list(zip(ids, raw_times, t01, pred))
     _write_csv(os.path.join(out, "predictions.csv"),
-               ("row", "time01", "prediction"), rows)
+               ("subject", "time", "time01", "prediction"), rows)
     print(f"wrote {len(rows)} predictions")
     return 0
 
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     def add_data_opts(p):
-        p.add_argument("--data", required=False, default=None, help="long-format CSV")
+        p.add_argument("--data", default=None, help="long-format CSV")
         p.add_argument("--no-demean", action="store_true", dest="no_demean")
         p.add_argument("--no-standardize", action="store_true", dest="no_standardize")
         p.add_argument("--binary-cols", default="", dest="binary_cols",
@@ -381,12 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pred = sub.add_parser("predict", help="predict new rows from a fit artifact")
     add_common(p_pred)
-    p_pred.add_argument("--artifact", required=True)
-    p_pred.add_argument("--data", required=True)
+    p_pred.add_argument("--artifact", default=None)
+    p_pred.add_argument("--data", default=None, help="long-format CSV")
 
     p_cls = sub.add_parser("classify", help="structural partition from a fit artifact")
     add_common(p_cls)
-    p_cls.add_argument("--artifact", required=True)
+    p_cls.add_argument("--artifact", default=None)
     p_cls.add_argument("--threshold-multiplier", dest="threshold_multiplier",
                        type=float, default=1.0)
 
@@ -420,6 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options each command needs, from a flag or the config file
+REQUIRED = {
+    "fit": ("data",),
+    "tune": ("data",),
+    "predict": ("artifact", "data"),
+    "classify": ("artifact",),
+}
+
 COMMANDS = {
     "fit": cmd_fit,
     "tune": cmd_tune,
@@ -438,9 +446,10 @@ def main(argv=None) -> int:
     try:
         file_cfg = _load_config_file(args.config) if args.config else {}
         cfg = _merge_config(args, actions, file_cfg)
-        if args.command in ("fit", "tune") and not cfg.get("data"):
-            print("error: --data is required", file=sys.stderr)
-            return 2
+        for key in REQUIRED.get(args.command, ()):
+            if not cfg.get(key):
+                print(f"error: --{key} is required", file=sys.stderr)
+                return 2
         os.makedirs(cfg["out"], exist_ok=True)
         _echo_config(cfg["out"], args.command, cfg)
         return COMMANDS[args.command](cfg)

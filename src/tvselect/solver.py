@@ -24,21 +24,25 @@ Exact block minimization keeps the objective monotone and drives the iterate
 to the global minimum of the convex problem, which the reference solver
 `fit_oracle` certifies.
 
-The constants are updated in one covariance-form loop over C's columns, as
-in glmnet (Friedman, Hastie & Tibshirani 2010): with C'C formed once per fit
-and C'e once per sweep, each Gauss-Seidel step updates the vector C'e, and
-the residual absorbs the sweep's change of the constants in one product.
-The same Gram matrix gives the cold start and refuses a rank-deficient
-constant design, whose constants are not identified.
+The sweep runs in covariance form, as glmnet does (Friedman, Hastie &
+Tibshirani 2010, JSS, section 2.2), for the constants and the spline blocks
+alike.  `design_gram` forms G = A'A for A = [C Z_1 ... Z_p] once per design,
+in row chunks, and the sweep keeps g = A'e and e'e for the residual e in
+place of e itself.  A coordinate or block reads its correlation with its
+partial residual from g and G, and a step Delta on its columns moves g by
+G[its rows]' Delta and e'e by -2 Delta' g_k + Delta' G_kk Delta; no sweep
+touches the n design rows.  G[:m, :m] = C'C gives the cold start and refuses
+a rank-deficient constant design, whose constants are not identified; the
+diagonal blocks G_kk give the block factorizations.  One G serves every
+(lambda1, lambda2) of a grid, and cross-validation sums per-fold Grams of
+the full design into each training Gram (`tuning.tune_cv`).  g and e'e are
+recomputed from the rows at the start of each fit and every 50 sweeps, to
+cap floating-point drift.  Each block's norm and penalty value are cached
+between updates, so a sweep's objective is a sum of cached terms.
 
 `fit_oracle` and the screen-refit's joint least squares share one stacked
 system (`_stacked_system`): [C Z_k for the chosen blocks] and its Gram,
 with 2*lambda2*Omega on each block's diagonal.
-
-Partial residuals are maintained incrementally and refreshed from scratch
-every 50 sweeps to cap floating-point drift.  Each block's norm and penalty
-value and the residual's squared norm are cached between updates, so a
-sweep's objective is a sum of cached terms.
 """
 
 from __future__ import annotations
@@ -76,6 +80,10 @@ POLISH_MAX_ITER = 100
 POLISH_MAX_HALVINGS = 60
 # lambda_min <= this * lambda_max of the constant design's Gram: cond([1 X]) >= 1e6
 CONSTANT_GRAM_RCOND = 1e-12
+# rows of [C Z_1 ... Z_p] stacked at a time while forming the design Gram: an
+# eighth of the design (so the chunk adds at most an eighth to its memory),
+# within [128, 4096] rows (fewer rows per product run the BLAS slower)
+GRAM_CHUNK_ROWS = (128, 4096)
 
 
 @dataclass(frozen=True)
@@ -161,12 +169,55 @@ class BlockFactor:
         return self.v @ ((self.v.T @ z) * self._inv_w)
 
 
+def _block_slices(design: DesignBlocks) -> list[slice]:
+    """Columns of each spline block Z_k in A = [C Z_1 ... Z_p]."""
+    m, q = design.p + design.intercept_included, design.q
+    return [slice(m + k * q, m + (k + 1) * q) for k in range(design.p)]
+
+
+def design_gram(design: DesignBlocks, rows=None) -> np.ndarray:
+    """G = A'A for A = [C Z_1 ... Z_p], over the design rows or a boolean row mask.
+
+    A' is stacked a chunk of rows of A at a time (GRAM_CHUNK_ROWS) and never
+    whole, so forming G costs a fraction of the design's memory beyond G.
+    Stacking A' (contiguous rows per column) copies several times faster
+    than stacking A.
+    """
+    idx = None if rows is None else np.flatnonzero(rows)
+    count = design.n if idx is None else len(idx)
+    m = design.p + design.intercept_included
+    width = m + design.p * design.q
+    chunk = int(np.clip(design.n // 8, *GRAM_CHUNK_ROWS))
+    gram = np.zeros((width, width))
+    buf = np.empty((width, min(chunk, count)))
+    buf[0] = 1.0                    # the intercept row, when C has one
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        sel = slice(start, stop) if idx is None else idx[start:stop]
+        At = buf[:, :stop - start]
+        At[m - design.p:m] = design.X.T[:, sel]
+        for Zk, cols in zip(design.Z, _block_slices(design)):
+            At[cols] = Zk.T[:, sel]
+        gram += At @ At.T
+    return gram
+
+
+def _design_rmatvec(design: DesignBlocks, v: np.ndarray, constants_only: bool = False):
+    """A'v for A = [C Z_1 ... Z_p] (C'v alone with `constants_only`), block by block."""
+    parts = [np.array([v.sum()])] if design.intercept_included else []
+    parts.append(design.X.T @ v)
+    if not constants_only:
+        parts.extend(Zk.T @ v for Zk in design.Z)
+    return np.concatenate(parts)
+
+
 def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
-                             lambda2: float) -> list[BlockFactor]:
-    """One factorization of Z_k'Z_k/n + 2*lambda2*Omega per block."""
-    n = design.n
-    omega = basis.roughness.omega
-    return [BlockFactor(Zk.T @ Zk / n + 2.0 * lambda2 * omega) for Zk in design.Z]
+                             lambda2: float, gram: np.ndarray | None = None) -> list[BlockFactor]:
+    """One factorization of G_kk/n + 2*lambda2*Omega per block, G the design Gram."""
+    if gram is None:
+        gram = design_gram(design)
+    omega2 = 2.0 * lambda2 * basis.roughness.omega
+    return [BlockFactor(gram[cols, cols] / design.n + omega2) for cols in _block_slices(design)]
 
 
 def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
@@ -271,7 +322,7 @@ def _block_penalty(th: np.ndarray, nrm: float, lam1: float, lam2: float,
                    omega: np.ndarray) -> float:
     """lambda1 ||th|| + lambda2 th' Omega th given nrm = ||th||, exactly 0.0 for a zero block."""
     if nrm > 0.0:
-        return lam1 * nrm + lam2 * float(th @ omega @ th)
+        return lam1 * nrm + lam2 * float(th.dot(omega).dot(th))
     return 0.0
 
 
@@ -311,33 +362,46 @@ def residuals(design: DesignBlocks, fit: ModelFit) -> np.ndarray:
 def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyConfig,
             options: SolverOptions = SolverOptions(), init: ModelFit | None = None,
             method: str = METHOD_TV_SELECT,
-            factors: list[BlockFactor] | None = None) -> ModelFit:
+            factors: list[BlockFactor] | None = None,
+            gram: np.ndarray | None = None) -> ModelFit:
     """Cyclic block coordinate descent to the global minimum of the objective.
 
-    Each sweep is one covariance-form Gauss-Seidel loop over the columns of
-    the constant design C = [1 X] (intercept = column 0; X alone without an
-    intercept), then one exact solve per spline block.  `init` warm-starts
-    the parameters (e.g. along a lambda1 path); the default start is
-    theta = 0 with the constants from solve(C'C, C'y).  Non-convergence
-    within max_iter is reported via `converged`, not raised.  Raises
-    `DegenerateDesignError` when C has condition number 1e6 or more, so the
-    constants are not identified.
+    Each sweep is one Gauss-Seidel loop over the columns of the constant
+    design C = [1 X] (intercept = column 0; X alone without an intercept),
+    then one exact solve per spline block, all in covariance form: the sweep
+    reads and updates g = A'e and e'e through the Gram G = A'A of
+    A = [C Z_1 ... Z_p] (`design_gram`; pass `gram` to share one across fits)
+    and never the design rows.  Block k solves with u_k = g_k + G_kk theta_k,
+    then a step Delta moves e'e by -2 Delta' g_k + Delta' G_kk Delta and g by
+    G[block k rows]' Delta.  g and e'e are recomputed from the rows at the
+    start and every RESIDUAL_REFRESH_EVERY sweeps.  `init` warm-starts the
+    parameters (e.g. along a lambda1 path); the default start is theta = 0
+    with the constants from solve(C'C, C'y).  Non-convergence within max_iter
+    is reported via `converged`, not raised.  Raises `DegenerateDesignError`
+    when C has condition number 1e6 or more, so the constants are not
+    identified.
     """
-    y, Z = design.y, design.Z
+    y = design.y
     n, p = design.n, design.p
     if basis.q != design.q:
         raise DimensionError(f"basis has q={basis.q}, design has q={design.q}")
     omega = basis.roughness.omega
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
-    C = _constant_design(design)
-    m = C.shape[1]
-    gram = C.T @ C
-    c_sq = gram.diagonal()
+    if gram is None:
+        gram = design_gram(design)
+    m = p + design.intercept_included
+    width = m + p * design.q
+    if gram.shape != (width, width):
+        raise DimensionError(f"Gram matrix has shape {gram.shape}, the design needs "
+                             f"{(width, width)}")
+    blocks = _block_slices(design)
+    ctc = gram[:m, :m]
+    c_sq = ctc.diagonal()
     if (c_sq == 0.0).any():
         k_bad = int(np.argmin(c_sq)) - (m - p)
         raise DegenerateColumnError(f"covariate column {k_bad} has zero norm")
-    eig = np.linalg.eigvalsh(gram)
+    eig = np.linalg.eigvalsh(ctc)
     if eig[0] <= CONSTANT_GRAM_RCOND * eig[-1]:
         design_name = "[1 X]" if design.intercept_included else "X"
         raise DegenerateDesignError(
@@ -345,23 +409,30 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             f"(eigenvalue ratio {max(eig[0], 0.0) / eig[-1]:.1e} of its Gram matrix): "
             f"the constant effects are not identified")
     if factors is None:
-        factors = precompute_block_factors(design, basis, lam2)
+        factors = precompute_block_factors(design, basis, lam2, gram)
+    # each block's diagonal block G_kk and its rows of G
+    g_kk = [np.ascontiguousarray(gram[cols, cols]) for cols in blocks]
+    g_rows = [gram[cols] for cols in blocks]
 
     if init is not None:
         # (beta0, mu), or mu alone when C has no intercept column
         c = np.append(float(init.beta0), init.mu)[-m:]
         theta = [np.array(th, dtype=float) for th in init.theta]
     else:
-        c = np.linalg.solve(gram, C.T @ y)
+        c = np.linalg.solve(ctc, _design_rmatvec(design, y, constants_only=True))
         theta = [np.zeros(basis.q) for _ in range(p)]
 
     # per-block caches: norm (0.0 for a zero block, the block solve's warm
-    # start) and penalty, updated with every accepted block; ee = e'e
+    # start) and penalty, updated with every accepted block
     norms = [math.sqrt(th @ th) for th in theta]
     pen = [_block_penalty(th, nrm, lam1, lam2, omega) for th, nrm in zip(theta, norms)]
 
-    e = y - _predictor(design, *_split_constants(c, p), theta)
-    ee = float(e @ e)
+    def from_rows():
+        """g = A'e and e'e from the residual on the design rows."""
+        e = y - _predictor(design, *_split_constants(c, p), theta)
+        return _design_rmatvec(design, e), float(e @ e)
+
+    g, ee = from_rows()
 
     def current_objective():
         # summed in block order from 0.0 (not sum()), the same float as _penalty_value
@@ -376,50 +447,54 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     for sweep in range(1, options.max_iter + 1):
         sweeps = sweep
         if sweep % RESIDUAL_REFRESH_EVERY == 0:
-            e = y - _predictor(design, *_split_constants(c, p), theta)
+            g, ee = from_rows()
 
         # Gauss-Seidel on the constants with cte = C'e kept current: c_j moves
         # by c_j'e / c_j'c_j, which changes C'e by that step times column j of C'C
         c_old = c.copy()
-        cte = C.T @ e
+        cte = g[:m].copy()
         for j in range(m):
             delta = cte[j] / c_sq[j]
             c[j] += delta
-            cte -= delta * gram[j]
-        e = e - C @ (c - c_old)
-        ee = float(e @ e)
+            cte -= delta * ctc[j]
+        dc = c - c_old
+        ee += float(dc.dot(ctc).dot(dc)) - 2.0 * float(dc.dot(g[:m]))
+        g -= dc.dot(gram[:m])
 
+        # ndarray.dot, not @: on vectors this short it costs half as much
         for k in range(p):
             th_old = theta[k]
             nrm_old = norms[k]
-            r = e + Z[k] @ th_old if nrm_old > 0.0 else e
-            z = Z[k].T @ r / n
-            th_new = _solve_block_subproblem(factors[k], z, lam1, nrm_old)
-            nrm_new = math.sqrt(th_new @ th_new)
+            gk, gkk = g[blocks[k]], g_kk[k]
+            # Z_k' r_k for the partial residual r_k = e + Z_k theta_k
+            u = gk + gkk.dot(th_old) if nrm_old > 0.0 else gk
+            th_new = _solve_block_subproblem(factors[k], u / n, lam1, nrm_old)
+            nrm_new = math.sqrt(th_new.dot(th_new))
             if nrm_old == 0.0 and nrm_new == 0.0:
                 continue
-            e_new = r - Z[k] @ th_new if nrm_new > 0.0 else r
+            step = th_new - th_old
             pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
-            ee_new = float(e_new @ e_new)
+            ee_new = ee + float(step.dot(gkk).dot(step)) - 2.0 * float(step.dot(gk))
             # exact block minimization cannot increase the objective; this
-            # guards against floating-point drift in the running residual
+            # guards against floating-point drift in the running g and e'e
             base = 0.5 / n * ee + pen[k]
             cand = 0.5 / n * ee_new + pen_new
             tries = 0
             while cand > base and tries < 20:
                 th_new = th_old + 0.5 * (th_new - th_old)
-                nrm_new = math.sqrt(th_new @ th_new)
-                e_new = r - Z[k] @ th_new
+                nrm_new = math.sqrt(th_new.dot(th_new))
+                step = th_new - th_old
                 pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
-                ee_new = float(e_new @ e_new)
+                ee_new = ee + float(step.dot(gkk).dot(step)) - 2.0 * float(step.dot(gk))
                 cand = 0.5 / n * ee_new + pen_new
                 tries += 1
             if cand > base:
-                continue  # revert: keep th_old and the current residual
+                continue  # revert: keep th_old, g and e'e
             theta[k] = th_new
             norms[k] = nrm_new
             pen[k] = pen_new
-            e, ee = e_new, ee_new
+            ee = ee_new
+            g -= step.dot(g_rows[k])
 
         q_new = current_objective()
         trace.append(q_new)
@@ -455,7 +530,8 @@ def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
 def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
                  penalty: PenaltyConfig, options: SolverOptions = SolverOptions(),
                  init: ModelFit | None = None,
-                 factors: list[BlockFactor] | None = None) -> ModelFit:
+                 factors: list[BlockFactor] | None = None,
+                 gram: np.ndarray | None = None) -> ModelFit:
     """The three comparison estimators.
 
     vc-ridge     : curvature penalty only (lambda1 forced to 0, no block zeros).
@@ -463,17 +539,21 @@ def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
     screen-refit : group-lasso screening of the varying set, then a joint
                    refit of all constant effects and the selected blocks with
                    a mild curvature ridge (lambda2 = 1e-4) for stability.
+
+    `factors` and `gram` are passed on to `fit_bcd`.
     """
     if method == METHOD_VC_RIDGE:
         pen = PenaltyConfig(0.0, penalty.lambda2)
-        return fit_bcd(design, basis, pen, options, init=init, method=method, factors=factors)
+        return fit_bcd(design, basis, pen, options, init=init, method=method,
+                       factors=factors, gram=gram)
     if method == METHOD_GROUP_LASSO:
         pen = PenaltyConfig(penalty.lambda1, 0.0)
-        return fit_bcd(design, basis, pen, options, init=init, method=method, factors=factors)
+        return fit_bcd(design, basis, pen, options, init=init, method=method,
+                       factors=factors, gram=gram)
     if method == METHOD_SCREEN_REFIT:
         pen = PenaltyConfig(penalty.lambda1, 0.0)
         screen = fit_bcd(design, basis, pen, options, init=init,
-                         method=METHOD_GROUP_LASSO, factors=factors)
+                         method=METHOD_GROUP_LASSO, factors=factors, gram=gram)
         selected = [k for k, th in enumerate(screen.theta) if np.any(th)]
         c, theta = _joint_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
         beta0, mu = _split_constants(c, design.p)

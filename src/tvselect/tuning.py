@@ -28,6 +28,7 @@ from .solver import (
     SolverOptions,
     _constant_design,
     _constants_init,
+    design_gram,
     fit_baseline,
     fit_bcd,
     precompute_block_factors,
@@ -148,21 +149,28 @@ def _check_grid(grid: TuningGrid, method: str) -> None:
         raise ConfigurationError("vc-ridge tunes lambda2 only; use lambda1_values=(0,)")
 
 
-def _fit_grid(design, basis, grid, options, method):
-    """All grid fits, warm-started down the lambda1 path at fixed lambda2."""
+def _fit_grid(design, basis, grid, options, method, gram=None):
+    """All grid fits, warm-started down the lambda1 path at fixed lambda2.
+
+    One design Gram (`gram`, or formed here) serves every fit and gives
+    each lambda2's block factorizations.
+    """
+    if gram is None:
+        gram = design_gram(design)
     fits = {}
     failures = {}
     for j, lam2 in enumerate(grid.lambda2_values):
-        factors = precompute_block_factors(design, basis, lam2)
+        factors = precompute_block_factors(design, basis, lam2, gram)
         warm = None
         for i, lam1 in enumerate(grid.lambda1_values):
             pen = PenaltyConfig(lambda1=lam1, lambda2=lam2)
             try:
                 if method == METHOD_TV_SELECT:
-                    fit = fit_bcd(design, basis, pen, options, init=warm, factors=factors)
+                    fit = fit_bcd(design, basis, pen, options, init=warm, factors=factors,
+                                  gram=gram)
                 else:
                     fit = fit_baseline(design, basis, method, pen, options,
-                                       init=warm, factors=factors)
+                                       init=warm, factors=factors, gram=gram)
                 fits[(i, j)] = fit
                 warm = fit
             except DegenerateDesignError:
@@ -205,6 +213,13 @@ def subject_folds(subject_ids, n_folds: int, seed) -> list[list[str]]:
     return [[ids[i] for i in chunk] for chunk in np.array_split(perm, n_folds)]
 
 
+def _fold_grams(dataset: LongitudinalDataset, design: DesignBlocks, folds) -> list:
+    """`design_gram` of `design` (built from `dataset`) over each fold's rows."""
+    fold_of = {sid: f for f, held_out in enumerate(folds) for sid in held_out}
+    row_fold = np.repeat([fold_of[sid] for sid in dataset.subject_ids], np.diff(dataset.bounds))
+    return [design_gram(design, rows=row_fold == f) for f in range(len(folds))]
+
+
 def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: TuningGrid,
             n_folds: int = 5, seed: int = 0,
             options: SolverOptions = SolverOptions(),
@@ -214,30 +229,36 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     The dataset is used exactly as preprocessed by the caller; whole subjects
     are held out, the criterion pools squared errors over held-out rows, and
     the winning pair is refit on the full data.  A grid point whose fit
-    failed in any fold is NaN in the surface.
+    failed in any fold is NaN in the surface.  One pass over the full
+    design forms a Gram per fold; fold f trains on the sum of the other
+    folds' Grams and the refit on the sum of all of them.
     """
     _check_grid(grid, method)
     folds = subject_folds(dataset.subject_ids, n_folds, seed)
+    full_design = build_design(dataset, basis)
+    fold_grams = _fold_grams(dataset, full_design, folds)
     shape = (len(grid.lambda1_values), len(grid.lambda2_values))
     sq_err = np.zeros(shape)
     counts = np.zeros(shape)
     folds_ok = np.zeros(shape, dtype=int)
-    for held_out in folds:
+    for f, held_out in enumerate(folds):
         d_train, d_test = (build_design(part, basis) for part in split_subjects(dataset, held_out))
-        fits = _fit_grid(d_train, basis, grid, options, method)
+        train_gram = sum(G for g, G in enumerate(fold_grams) if g != f)
+        fits = _fit_grid(d_train, basis, grid, options, method, gram=train_gram)
         for (i, j), fit in fits.items():
             sq_err[i, j] += float(np.sum(residuals(d_test, fit) ** 2))
             counts[i, j] += d_test.n
             folds_ok[i, j] += 1
+        del d_train, d_test, fits      # before the next fold's designs are built
     with np.errstate(invalid="ignore", divide="ignore"):
         surface = np.where(folds_ok == len(folds), sq_err / counts, np.nan)
     i, j = _argmin_with_tiebreak(surface)
-    full_design = build_design(dataset, basis)
     pen = PenaltyConfig(lambda1=grid.lambda1_values[i], lambda2=grid.lambda2_values[j])
+    full_gram = sum(fold_grams)
     if method == METHOD_TV_SELECT:
-        best_fit = fit_bcd(full_design, basis, pen, options)
+        best_fit = fit_bcd(full_design, basis, pen, options, gram=full_gram)
     else:
-        best_fit = fit_baseline(full_design, basis, method, pen, options)
+        best_fit = fit_baseline(full_design, basis, method, pen, options, gram=full_gram)
     surface.setflags(write=False)
     return TuningResult(
         best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],

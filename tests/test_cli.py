@@ -168,7 +168,8 @@ def test_fit_then_predict_roundtrip(train_csv, tmp_path):
     rc = main(["predict", "--artifact", str(out_fit / "fit.json"),
                "--data", str(train_csv), "--out", str(out_pred)])
     assert rc == 0
-    preds = np.loadtxt(out_pred / "predictions.csv", delimiter=",", skiprows=1)
+    preds = np.loadtxt(out_pred / "predictions.csv", delimiter=",", skiprows=1,
+                       usecols=(1, 2, 3))
 
     # reproduce in-sample fitted values independently
     from tvselect.data import standardize
@@ -201,9 +202,66 @@ def test_predictors_agree(train_csv, tmp_path):
     _, X_raw, t_raw = raw.stacked()
     assert np.array_equal(predict_dataset(fit, raw, center, scale),
                           predict(fit, (X_raw - center) / scale, t_raw))
-    rows = np.loadtxt(out_pred / "predictions.csv", delimiter=",", skiprows=1)
+    rows = np.loadtxt(out_pred / "predictions.csv", delimiter=",", skiprows=1,
+                      usecols=(1, 2, 3))
     _, X_new, _ = load_long_csv(train_csv, rescale=False).stacked()
     assert np.array_equal(rows[:, 2], predict(fit, (X_new - center) / scale, rows[:, 1]))
+
+
+def test_predictions_name_their_input_rows(train_csv, tmp_path):
+    # rows given out of subject and time order are matched back by (subject, time)
+    out_fit, out_pred = tmp_path / "fit_out", tmp_path / "pred_out"
+    assert main(["fit", "--data", str(train_csv), "--out", str(out_fit),
+                 "--lambda1", "0.02", "--lambda2", "1e-5", "--knots", "2", "--no-demean"]) == 0
+    header, *lines = train_csv.read_text(encoding="utf-8").splitlines()
+    order = np.random.default_rng(4).permutation(len(lines))
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header] + [lines[i] for i in order]) + "\n",
+                        encoding="utf-8")
+    assert main(["predict", "--artifact", str(out_fit / "fit.json"),
+                 "--data", str(shuffled), "--out", str(out_pred)]) == 0
+
+    fit, prep = artifact.load_fit(out_fit / "fit.json")
+    lo, hi = prep["time_domain"]
+    center, scale = np.asarray(prep["center"]), np.asarray(prep["scale"])
+    expected = {}
+    for line in lines:
+        sid, t, _, *x = line.split(",")
+        x = (np.array(x, dtype=float) - center) / scale
+        expected[(sid, float(t))] = predict(fit, x, (float(t) - lo) / (hi - lo))
+    with open(out_pred / "predictions.csv", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["subject", "time", "time01", "prediction"]
+        got = {(sid, float(t)): float(value) for sid, t, _, value in reader}
+    assert got.keys() == expected.keys()
+    assert max(abs(got[key] - expected[key]) for key in got) <= 1e-12
+
+
+def test_predict_and_classify_take_artifact_and_data_from_config(train_csv, tmp_path):
+    out_fit = tmp_path / "fit_out"
+    assert main(["fit", "--data", str(train_csv), "--out", str(out_fit),
+                 "--lambda1", "0.02", "--lambda2", "1e-5", "--knots", "2", "--no-demean"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"artifact": str(out_fit / "fit.json"), "data": str(train_csv)}),
+                   encoding="utf-8")
+    assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "pred")]) == 0
+    assert (tmp_path / "pred" / "predictions.csv").exists()
+    cfg.write_text(json.dumps({"artifact": str(out_fit / "fit.json")}), encoding="utf-8")
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "cls")]) == 0
+    assert (tmp_path / "cls" / "partition.json").exists()
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["predict"], "artifact"),
+    (["predict", "--artifact", "fit.json"], "data"),
+    (["classify"], "artifact"),
+    (["fit"], "data"),
+])
+def test_required_value_missing_from_flags_and_config(tmp_path, capsys, argv, missing):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}), encoding="utf-8")
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: --{missing} is required" in capsys.readouterr().err
 
 
 def test_missing_input_exit_code_2(tmp_path, capsys):

@@ -18,6 +18,7 @@ from tvselect.errors import (
     SingularBlockError,
 )
 from tvselect.simulate import generate, make_scenario
+from tvselect import solver
 from tvselect.solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
@@ -27,9 +28,14 @@ from tvselect.solver import (
     ModelFit,
     PenaltyConfig,
     SolverOptions,
+    _block_penalty,
+    _constant_design,
     _constants_init,
     _oracle_kkt_residual,
+    _predictor,
     _solve_block_subproblem,
+    _split_constants,
+    design_gram,
     fit_baseline,
     fit_bcd,
     fit_oracle,
@@ -374,6 +380,149 @@ def test_fit_bcd_refuses_collinear_design_without_intercept():
     collinear = type(design)(y=design.y, X=X, Z=design.Z, intercept_included=False)
     with pytest.raises(DegenerateDesignError, match="rank-deficient"):
         fit_bcd(collinear, basis, PenaltyConfig(0.1, 0.01))
+
+
+# ------------------------------------------------------------ Gram form
+
+
+def stacked_design(design):
+    """A = [C Z_1 ... Z_p] written out whole."""
+    return np.hstack([_constant_design(design), *design.Z])
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+@pytest.mark.parametrize("masked", [False, True])
+def test_design_gram_matches_stacked_product(monkeypatch, intercept, masked):
+    # 7-row chunks: several full chunks and a partial last one
+    monkeypatch.setattr(solver, "GRAM_CHUNK_ROWS", (7, 7))
+    rng = np.random.default_rng(40)
+    _, basis, design = make_instance(rng, N=13, n_i=4, p=3, q=6)
+    design = replace(design, intercept_included=intercept)
+    rows = rng.random(design.n) < 0.6 if masked else np.ones(design.n, dtype=bool)
+    A = stacked_design(design)[rows]
+    want = A.T @ A
+    got = design_gram(design, rows=rows if masked else None)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(got, got.T)
+
+
+def test_design_gram_of_no_rows_is_zero():
+    rng = np.random.default_rng(41)
+    _, _, design = make_instance(rng)
+    assert not design_gram(design, rows=np.zeros(design.n, dtype=bool)).any()
+
+
+def test_fit_bcd_rejects_gram_of_another_shape():
+    rng = np.random.default_rng(42)
+    _, basis, design = make_instance(rng)
+    gram = design_gram(replace(design, intercept_included=False))
+    with pytest.raises(DimensionError, match="Gram"):
+        fit_bcd(design, basis, PenaltyConfig(0.1, 0.01), gram=gram)
+
+
+def row_form_bcd(design, basis, penalty, options):
+    """Reference BCD that keeps the residual e itself on the design rows.
+
+    The same sweep as `fit_bcd` (constants in covariance form, then exact
+    block solves with the halving guard and a refresh every
+    RESIDUAL_REFRESH_EVERY sweeps), but each block update passes over the
+    rows: r = e + Z_k theta_k, Z_k' r, r - Z_k theta_new and its norm.
+    """
+    y, Z, n, p = design.y, design.Z, design.n, design.p
+    omega = basis.roughness.omega
+    lam1, lam2 = penalty.lambda1, penalty.lambda2
+    C = _constant_design(design)
+    m = C.shape[1]
+    ctc = C.T @ C
+    c_sq = ctc.diagonal()
+    factors = [BlockFactor(Zk.T @ Zk / n + 2.0 * lam2 * omega) for Zk in Z]
+    c = np.linalg.solve(ctc, C.T @ y)
+    theta = [np.zeros(basis.q) for _ in range(p)]
+    norms = [0.0] * p
+    pen = [0.0] * p
+    e = y - _predictor(design, *_split_constants(c, p), theta)
+    ee = float(e @ e)
+
+    def current_objective():
+        val = 0.0
+        for pen_k in pen:
+            val += pen_k
+        return 0.5 / n * ee + val
+
+    trace = [current_objective()]
+    sweeps = 0
+    for sweep in range(1, options.max_iter + 1):
+        sweeps = sweep
+        if sweep % RESIDUAL_REFRESH_EVERY == 0:
+            e = y - _predictor(design, *_split_constants(c, p), theta)
+        c_old = c.copy()
+        cte = C.T @ e
+        for j in range(m):
+            delta = cte[j] / c_sq[j]
+            c[j] += delta
+            cte -= delta * ctc[j]
+        e = e - C @ (c - c_old)
+        ee = float(e @ e)
+        for k in range(p):
+            th_old, nrm_old = theta[k], norms[k]
+            r = e + Z[k] @ th_old
+            th_new = _solve_block_subproblem(factors[k], Z[k].T @ r / n, lam1, nrm_old)
+            nrm_new = math.sqrt(th_new @ th_new)
+            if nrm_old == 0.0 and nrm_new == 0.0:
+                continue
+            e_new = r - Z[k] @ th_new
+            pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
+            ee_new = float(e_new @ e_new)
+            base = 0.5 / n * ee + pen[k]
+            cand = 0.5 / n * ee_new + pen_new
+            tries = 0
+            while cand > base and tries < 20:
+                th_new = th_old + 0.5 * (th_new - th_old)
+                nrm_new = math.sqrt(th_new @ th_new)
+                e_new = r - Z[k] @ th_new
+                pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
+                ee_new = float(e_new @ e_new)
+                cand = 0.5 / n * ee_new + pen_new
+                tries += 1
+            if cand > base:
+                continue
+            theta[k], norms[k], pen[k] = th_new, nrm_new, pen_new
+            e, ee = e_new, ee_new
+        trace.append(current_objective())
+        if abs(trace[-1] - trace[-2]) / (1.0 + trace[-2]) < options.tol:
+            break
+    return c, theta, sweeps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gram_form_sweeps_follow_the_row_form(seed):
+    rng = np.random.default_rng(50 + seed)
+    _, basis, design = make_instance(rng, N=15, n_i=4, p=3, q=6)
+    if seed % 2:
+        design = replace(design, intercept_included=False)
+    pen = PenaltyConfig(rng.uniform(0.05, 0.6) * lambda1_max(design), rng.choice([0.0, 0.01]))
+    c, theta, sweeps = row_form_bcd(design, basis, pen, SolverOptions())
+    fit = fit_bcd(design, basis, pen, SolverOptions())
+    assert fit.iterations == sweeps
+    assert np.abs(np.append(fit.beta0, fit.mu)[-len(c):] - c).max() <= 1e-10
+    assert np.abs(np.array(fit.theta) - np.array(theta)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("seed, lam2", [(53, 0.0), (54, 0.01), (56, 0.0)])
+def test_gram_form_sweeps_follow_the_row_form_past_the_refresh(seed, lam2):
+    # saturated (p q = 48 > n = 40): 57-87 sweeps, past the refresh at sweep 50
+    rng = np.random.default_rng(seed)
+    _, basis, design = make_instance(rng, N=10, n_i=4, p=6, q=8)
+    if seed % 2:
+        design = replace(design, intercept_included=False)
+    pen = PenaltyConfig(0.05 * lambda1_max(design), lam2)
+    options = SolverOptions(tol=1e-9, max_iter=300)
+    c, theta, sweeps = row_form_bcd(design, basis, pen, options)
+    fit = fit_bcd(design, basis, pen, options)
+    assert fit.iterations == sweeps > RESIDUAL_REFRESH_EVERY
+    assert np.abs(np.append(fit.beta0, fit.mu)[-len(c):] - c).max() <= 1e-10
+    assert np.abs(np.array(fit.theta) - np.array(theta)).max() <= 1e-10
 
 
 # ---------------------------------------------------------------- baselines

@@ -46,6 +46,24 @@ def test_every_span_target_resolves():
     assert missing == []
 
 
+def test_span_install_wraps_every_binding_and_restores_it():
+    # install must find each target where it is defined and where a module
+    # imported it by name; uninstall must leave the package as it was
+    spans = load_spans()
+    from tvselect import cli, solver, tuning
+    originals = (solver.fit_bcd, tuning.fit_bcd, tuning.precompute_block_factors,
+                 cli.fit_bcd, cli.main)
+    installed = spans.install(spans.Tracer())
+    try:
+        wrapped = (solver.fit_bcd, tuning.fit_bcd, tuning.precompute_block_factors,
+                   cli.fit_bcd, cli.main)
+        assert all(w is not o and w.__wrapped__ is o for w, o in zip(wrapped, originals))
+    finally:
+        installed.uninstall()
+    assert (solver.fit_bcd, tuning.fit_bcd, tuning.precompute_block_factors,
+            cli.fit_bcd, cli.main) == originals
+
+
 def test_import_leaves_scipy_unloaded():
     # multiprocessing is loaded only by `simulate --parallel` > 1
     env = dict(os.environ)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from tvselect.basis import SplineConfig, build_basis
-from tvselect.data import build_design, from_arrays, standardize
+from tvselect.data import (
+    build_design,
+    demean_within_subject,
+    from_arrays,
+    split_subjects,
+    standardize,
+)
 from tvselect import tuning
 from tvselect.errors import ConfigurationError, SingularBlockError
 from tvselect.solver import (
@@ -14,12 +20,15 @@ from tvselect.solver import (
     ModelFit,
     PenaltyConfig,
     SolverOptions,
+    design_gram,
     fit_bcd,
 )
 from tvselect.structure import select_vary
 from tvselect.tuning import (
     TuningGrid,
     _argmin_with_tiebreak,
+    _fit_grid,
+    _fold_grams,
     default_grid,
     ebic,
     lambda1_max,
@@ -292,6 +301,53 @@ def test_tune_cv_deterministic():
     b = tune_cv(ds, basis, grid, n_folds=5, seed=42)
     assert np.array_equal(a.criterion_surface, b.criterion_surface)
     assert (a.best_lambda1, a.best_lambda2) == (b.best_lambda1, b.best_lambda2)
+
+
+@pytest.mark.parametrize("demean", [False, True], ids=["intercept", "demeaned"])
+def test_fold_grams_sum_to_each_training_gram(demean):
+    # unbalanced subjects whose rows arrive interleaved and out of time order
+    rng = np.random.default_rng(21)
+    sizes = rng.integers(1, 7, 23)
+    sids = np.repeat([f"s{i}" for i in range(len(sizes))], sizes)
+    order = rng.permutation(len(sids))
+    X = rng.standard_normal((len(sids), 3))
+    ds = standardize(from_arrays(sids[order], rng.uniform(0, 1, len(sids)),
+                                 rng.standard_normal(len(sids)), X))
+    if demean:
+        ds = demean_within_subject(ds)
+    basis = build_basis(SplineConfig.from_q(6))
+    folds = subject_folds(ds.subject_ids, 4, seed=5)
+    fold_grams = _fold_grams(ds, build_design(ds, basis), folds)
+    for f, held_out in enumerate(folds):
+        d_train = build_design(split_subjects(ds, held_out)[0], basis)
+        want = design_gram(d_train)
+        got = sum(G for g, G in enumerate(fold_grams) if g != f)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("method, grid", [
+    ("tv-select", TuningGrid((0.3, 0.1, 0.02), (0.1, 0.001))),
+    ("group-lasso", TuningGrid((0.3, 0.1, 0.02), (0.0,))),
+])
+def test_tune_cv_surface_matches_fits_on_training_grams(method, grid):
+    # fold Grams summed from the full design give the CV surface and refit
+    # that each training design's own Gram gives
+    rng = np.random.default_rng(22)
+    ds, basis, design = make_dataset(rng, N=16, n_i=4, p=3, q=6)
+    res = tune_cv(ds, basis, grid, n_folds=4, seed=7, method=method)
+    sq_err = np.zeros(res.criterion_surface.shape)
+    count = 0
+    for held_out in subject_folds(ds.subject_ids, 4, 7):
+        d_train, d_test = (build_design(part, basis) for part in split_subjects(ds, held_out))
+        for (i, j), fit in _fit_grid(d_train, basis, grid, SolverOptions(), method).items():
+            sq_err[i, j] += float(np.sum(tuning.residuals(d_test, fit) ** 2))
+        count += d_test.n
+    np.testing.assert_allclose(res.criterion_surface, sq_err / count, rtol=1e-10)
+    ref = _fit_grid(design, basis, TuningGrid((res.best_lambda1,), (res.best_lambda2,)),
+                    SolverOptions(), method)[(0, 0)]
+    np.testing.assert_allclose(res.best_fit.mu, ref.mu, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(np.array(res.best_fit.theta), np.array(ref.theta),
+                               rtol=1e-10, atol=1e-12)
 
 
 def test_tune_cv_too_many_folds():
