@@ -26,23 +26,24 @@ to the global minimum of the convex problem, which the reference solver
 
 The sweep runs in covariance form, as glmnet does (Friedman, Hastie &
 Tibshirani 2010, JSS, section 2.2), for the constants and the spline blocks
-alike.  `design_gram` forms G = A'A for A = [C Z_1 ... Z_p] once per design,
-in row chunks, and the sweep keeps g = A'e and e'e for the residual e in
-place of e itself.  A coordinate or block reads its correlation with its
-partial residual from g and G, and a step Delta on its columns moves g by
-G[its rows]' Delta and e'e by -2 Delta' g_k + Delta' G_kk Delta; no sweep
-touches the n design rows.  G[:m, :m] = C'C gives the cold start and refuses
-a rank-deficient constant design, whose constants are not identified; the
-diagonal blocks G_kk give the block factorizations.  One G serves every
-(lambda1, lambda2) of a grid, and cross-validation sums per-fold Grams of
-the full design into each training Gram (`tuning.tune_cv`).  g and e'e are
-recomputed from the rows at the start of each fit and every 50 sweeps, to
-cap floating-point drift.  Each block's norm and penalty value are cached
+alike.  `design_gram` forms the Gram of [A y] for A = [C Z_1 ... Z_p] (G =
+A'A, A'y and y'y) once per design, in row chunks; it is the only input a fit
+reads.  The sweep keeps g = A'e and e'e for the residual e in place of e
+itself.  A coordinate or block reads its correlation with its partial
+residual from g and G, and a step Delta on its columns moves g by G[its
+rows]' Delta and e'e by -2 Delta' g_k + Delta' G_kk Delta.  G[:m, :m] = C'C
+gives the cold start and refuses a rank-deficient constant design, whose
+constants are not identified; the diagonal blocks G_kk give the block
+factorizations.  One Gram serves every (lambda1, lambda2) of a grid, and
+cross-validation sums per-fold Grams of the full design into each training
+Gram (`tuning.tune_cv`).  g = A'y - G x and e'e = y'y - x'A'y - x'g are
+recomputed at the start of each fit and every 50 sweeps, to cap
+floating-point drift.  Each block's norm and penalty value are cached
 between updates, so a sweep's objective is a sum of cached terms.
 
-`fit_oracle` and the screen-refit's joint least squares share one stacked
-system (`_stacked_system`): [C Z_k for the chosen blocks] and its Gram,
-with 2*lambda2*Omega on each block's diagonal.
+The screen-refit's joint least squares on [C Z_k for the chosen blocks]
+reads the same Gram.  `fit_oracle`, the independent reference, stacks the
+design rows itself.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class BlockFactor:
         self.v = v
 
     def solve(self, z: np.ndarray) -> np.ndarray:
-        return self.v @ ((self.v.T @ z) * self._inv_w)
+        return self.v.dot(self.v.T.dot(z) * self._inv_w)
 
 
 def _block_slices(design: DesignBlocks) -> list[slice]:
@@ -176,20 +177,21 @@ def _block_slices(design: DesignBlocks) -> list[slice]:
 
 
 def design_gram(design: DesignBlocks, rows=None) -> np.ndarray:
-    """G = A'A for A = [C Z_1 ... Z_p], over the design rows or a boolean row mask.
+    """The Gram of [A y] for A = [C Z_1 ... Z_p], over the design rows or a boolean row mask.
 
-    A' is stacked a chunk of rows of A at a time (GRAM_CHUNK_ROWS) and never
-    whole, so forming G costs a fraction of the design's memory beyond G.
-    Stacking A' (contiguous rows per column) copies several times faster
-    than stacking A.
+    For A of width w: the (w+1) x (w+1) matrix [[G, A'y], [y'A, y'y]], G = A'A.
+    [A y]' is stacked a chunk of rows at a time (GRAM_CHUNK_ROWS) and never
+    whole, so forming it costs a fraction of the design's memory.  Stacking
+    [A y]' (contiguous rows per column) copies several times faster than
+    stacking [A y].
     """
     idx = None if rows is None else np.flatnonzero(rows)
     count = design.n if idx is None else len(idx)
     m = design.p + design.intercept_included
     width = m + design.p * design.q
     chunk = int(np.clip(design.n // 8, *GRAM_CHUNK_ROWS))
-    gram = np.zeros((width, width))
-    buf = np.empty((width, min(chunk, count)))
+    gram = np.zeros((width + 1, width + 1))
+    buf = np.empty((width + 1, min(chunk, count)))
     buf[0] = 1.0                    # the intercept row, when C has one
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
@@ -198,24 +200,14 @@ def design_gram(design: DesignBlocks, rows=None) -> np.ndarray:
         At[m - design.p:m] = design.X.T[:, sel]
         for Zk, cols in zip(design.Z, _block_slices(design)):
             At[cols] = Zk.T[:, sel]
+        At[width] = design.y[sel]
         gram += At @ At.T
     return gram
 
 
-def _design_rmatvec(design: DesignBlocks, v: np.ndarray, constants_only: bool = False):
-    """A'v for A = [C Z_1 ... Z_p] (C'v alone with `constants_only`), block by block."""
-    parts = [np.array([v.sum()])] if design.intercept_included else []
-    parts.append(design.X.T @ v)
-    if not constants_only:
-        parts.extend(Zk.T @ v for Zk in design.Z)
-    return np.concatenate(parts)
-
-
 def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
-                             lambda2: float, gram: np.ndarray | None = None) -> list[BlockFactor]:
-    """One factorization of G_kk/n + 2*lambda2*Omega per block, G the design Gram."""
-    if gram is None:
-        gram = design_gram(design)
+                             lambda2: float, gram: np.ndarray) -> list[BlockFactor]:
+    """One factorization of G_kk/n + 2*lambda2*Omega per block, from `design_gram`."""
     omega2 = 2.0 * lambda2 * basis.roughness.omega
     return [BlockFactor(gram[cols, cols] / design.n + omega2) for cols in _block_slices(design)]
 
@@ -239,12 +231,12 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
     """
     if lambda1 <= 0.0:
         return factor.solve(z)
-    norm_z = math.sqrt(z @ z)
+    norm_z = math.sqrt(z.dot(z))
     # relative slack keeps boundary roundoff (lambda1 == lambda1_max) at zero
     if norm_z <= lambda1 * (1.0 + 1e-12):
         return np.zeros_like(z)
     w, v = factor.w, factor.v
-    zt = v.T @ z
+    zt = v.T.dot(z)
     a = zt * zt
     aw = a * w
     lo, hi = 0.0, (norm_z - lambda1) / factor.w_pos_min
@@ -253,7 +245,7 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
     for _ in range(SECULAR_MAX_ITER):
         r = 1.0 / (w * s + lambda1)
         r2 = r * r
-        h = float(a @ r2)
+        h = float(a.dot(r2))
         if h > 1.0:
             lo = s
             if s == hi:
@@ -262,13 +254,13 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
             if s == 0.0:
                 return np.zeros_like(z)
             hi, hi_checked = s, True
-        slope = float(aw @ (r2 * r))      # g'(s) = h^(-3/2) * slope
+        slope = float(aw.dot(r2 * r))     # g'(s) = h^(-3/2) * slope
         if slope <= 0.0:
             break
         step = h * (math.sqrt(h) - 1.0) / slope
         if (abs(step) <= SECULAR_ULPS * _EPS * s
                 or hi_checked and hi - lo <= SECULAR_ULPS * _EPS * hi):
-            return v @ (zt / (w + lambda1 / s))
+            return v.dot(zt / (w + lambda1 / s))
         s_next = s + step
         if s_next >= hi and not hi_checked:
             s = hi
@@ -302,20 +294,6 @@ def _constants_init(y, C):
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.solve(gram + 1e-10 * np.eye(C.shape[1]), rhs)
-
-
-def _stacked_system(design: DesignBlocks, basis: CenteredSplineBasis, blocks,
-                    lambda2: float) -> tuple:
-    """A = [C Z_k for k in blocks], its Gram A'A/n plus 2*lambda2*Omega on each
-    block's diagonal, and the column offset of the first block."""
-    C = _constant_design(design)
-    A = np.hstack([C] + [design.Z[k] for k in blocks])
-    gram = A.T @ A / design.n
-    off, q = C.shape[1], basis.q
-    for j in range(len(blocks)):
-        sl = slice(off + j * q, off + (j + 1) * q)
-        gram[sl, sl] += 2.0 * lambda2 * basis.roughness.omega
-    return A, gram, off
 
 
 def _block_penalty(th: np.ndarray, nrm: float, lam1: float, lam2: float,
@@ -368,20 +346,19 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
 
     Each sweep is one Gauss-Seidel loop over the columns of the constant
     design C = [1 X] (intercept = column 0; X alone without an intercept),
-    then one exact solve per spline block, all in covariance form: the sweep
-    reads and updates g = A'e and e'e through the Gram G = A'A of
-    A = [C Z_1 ... Z_p] (`design_gram`; pass `gram` to share one across fits)
-    and never the design rows.  Block k solves with u_k = g_k + G_kk theta_k,
-    then a step Delta moves e'e by -2 Delta' g_k + Delta' G_kk Delta and g by
-    G[block k rows]' Delta.  g and e'e are recomputed from the rows at the
-    start and every RESIDUAL_REFRESH_EVERY sweeps.  `init` warm-starts the
-    parameters (e.g. along a lambda1 path); the default start is theta = 0
-    with the constants from solve(C'C, C'y).  Non-convergence within max_iter
-    is reported via `converged`, not raised.  Raises `DegenerateDesignError`
-    when C has condition number 1e6 or more, so the constants are not
-    identified.
+    then one exact solve per spline block, all in covariance form: the fit
+    reads only the Gram of [A y] for A = [C Z_1 ... Z_p] (`design_gram`; pass
+    `gram` to share one across fits) and keeps g = A'e and e'e.  Block k
+    solves with u_k = g_k + G_kk theta_k, then a step Delta moves e'e by
+    -2 Delta' g_k + Delta' G_kk Delta and g by G[block k rows]' Delta.  g =
+    A'y - G x and e'e = y'y - x'A'y - x'g are recomputed for the parameters
+    x at the start and every RESIDUAL_REFRESH_EVERY sweeps.  `init`
+    warm-starts the parameters (e.g. along a lambda1 path); the default
+    start is theta = 0 with the constants from solve(C'C, (A'y)[:m]).
+    Non-convergence within max_iter is reported via `converged`, not raised.
+    Raises `DegenerateDesignError` when C has condition number 1e6 or more,
+    so the constants are not identified.
     """
-    y = design.y
     n, p = design.n, design.p
     if basis.q != design.q:
         raise DimensionError(f"basis has q={basis.q}, design has q={design.q}")
@@ -392,11 +369,12 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
         gram = design_gram(design)
     m = p + design.intercept_included
     width = m + p * design.q
-    if gram.shape != (width, width):
+    if gram.shape != (width + 1, width + 1):
         raise DimensionError(f"Gram matrix has shape {gram.shape}, the design needs "
-                             f"{(width, width)}")
+                             f"{(width + 1, width + 1)}")
+    G, aty, yty = gram[:width, :width], gram[:width, width], float(gram[width, width])
     blocks = _block_slices(design)
-    ctc = gram[:m, :m]
+    ctc = G[:m, :m]
     c_sq = ctc.diagonal()
     if (c_sq == 0.0).any():
         k_bad = int(np.argmin(c_sq)) - (m - p)
@@ -411,15 +389,15 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     if factors is None:
         factors = precompute_block_factors(design, basis, lam2, gram)
     # each block's diagonal block G_kk and its rows of G
-    g_kk = [np.ascontiguousarray(gram[cols, cols]) for cols in blocks]
-    g_rows = [gram[cols] for cols in blocks]
+    g_kk = [np.ascontiguousarray(G[cols, cols]) for cols in blocks]
+    g_rows = [G[cols] for cols in blocks]
 
     if init is not None:
         # (beta0, mu), or mu alone when C has no intercept column
         c = np.append(float(init.beta0), init.mu)[-m:]
         theta = [np.array(th, dtype=float) for th in init.theta]
     else:
-        c = np.linalg.solve(ctc, _design_rmatvec(design, y, constants_only=True))
+        c = np.linalg.solve(ctc, aty[:m])
         theta = [np.zeros(basis.q) for _ in range(p)]
 
     # per-block caches: norm (0.0 for a zero block, the block solve's warm
@@ -427,12 +405,13 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     norms = [math.sqrt(th @ th) for th in theta]
     pen = [_block_penalty(th, nrm, lam1, lam2, omega) for th, nrm in zip(theta, norms)]
 
-    def from_rows():
-        """g = A'e and e'e from the residual on the design rows."""
-        e = y - _predictor(design, *_split_constants(c, p), theta)
-        return _design_rmatvec(design, e), float(e @ e)
+    def refresh():
+        """g = A'e = A'y - G x and e'e = y'y - x'A'y - x'g for the parameters x."""
+        x = np.concatenate([c, *theta])
+        g = aty - G.dot(x)
+        return g, yty - float(x.dot(aty)) - float(x.dot(g))
 
-    g, ee = from_rows()
+    g, ee = refresh()
 
     def current_objective():
         # summed in block order from 0.0 (not sum()), the same float as _penalty_value
@@ -447,7 +426,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     for sweep in range(1, options.max_iter + 1):
         sweeps = sweep
         if sweep % RESIDUAL_REFRESH_EVERY == 0:
-            g, ee = from_rows()
+            g, ee = refresh()
 
         # Gauss-Seidel on the constants with cte = C'e kept current: c_j moves
         # by c_j'e / c_j'c_j, which changes C'e by that step times column j of C'C
@@ -459,7 +438,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             cte -= delta * ctc[j]
         dc = c - c_old
         ee += float(dc.dot(ctc).dot(dc)) - 2.0 * float(dc.dot(g[:m]))
-        g -= dc.dot(gram[:m])
+        g -= dc.dot(G[:m])
 
         # ndarray.dot, not @: on vectors this short it costs half as much
         for k in range(p):
@@ -511,20 +490,36 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     )
 
 
-def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
-                 lambda2_refit: float) -> tuple:
-    """Joint least squares for the constants and theta_S with a mild curvature ridge."""
+def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, gram: np.ndarray,
+                 selected, lambda2_refit: float) -> tuple:
+    """Joint least squares for the constants and theta_S with a mild curvature ridge.
+
+    Reads only `gram`, the Gram of [A y] (`design_gram`).  Over the columns
+    S of C and the selected blocks, the normal equations are G_SS/n, plus
+    2*lambda2*Omega on each block, and b_S/n for b = A'y.  Returns the
+    constants, every theta_k (zero off S) and the residual sum of squares
+    y'y - 2 x_S'b_S + x_S'G_SS x_S.
+    """
     selected = sorted(selected)
-    A, gram, off = _stacked_system(design, basis, selected, lambda2_refit)
-    rhs = A.T @ design.y / design.n
+    n, q, width = design.n, basis.q, gram.shape[0] - 1
+    m = design.p + design.intercept_included
+    blocks = _block_slices(design)
+    idx = np.arange(width)
+    cols = np.concatenate([idx[:m]] + [idx[blocks[k]] for k in selected])
+    g_ss = gram[np.ix_(cols, cols)]
+    b_s = gram[cols, width]
+    hess = g_ss / n
+    for j in range(len(selected)):
+        sl = slice(m + j * q, m + (j + 1) * q)
+        hess[sl, sl] += 2.0 * lambda2_refit * basis.roughness.omega
     # each selected block contributes the structural ones-nullvector, so the
     # system is consistent but singular; take the minimum-norm solution
-    coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    q = basis.q
+    coef, *_ = np.linalg.lstsq(hess, b_s / n, rcond=None)
+    rss = float(gram[width, width]) - 2.0 * float(coef.dot(b_s)) + float(coef.dot(g_ss).dot(coef))
     theta = [np.zeros(q) for _ in range(design.p)]
     for j, k in enumerate(selected):
-        theta[k] = coef[off + j * q: off + (j + 1) * q]
-    return coef[:off], theta
+        theta[k] = coef[m + j * q: m + (j + 1) * q]
+    return coef[:m], theta, rss
 
 
 def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
@@ -540,33 +535,32 @@ def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
                    refit of all constant effects and the selected blocks with
                    a mild curvature ridge (lambda2 = 1e-4) for stability.
 
-    `factors` and `gram` are passed on to `fit_bcd`.
+    `factors` and `gram` are passed on to `fit_bcd`; the Gram of [A y] is
+    formed once here when not given, and the refit reads it too.
     """
+    if method not in (METHOD_VC_RIDGE, METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT):
+        raise ConfigurationError(f"unknown baseline method '{method}', expected one of "
+                                 f"{(METHOD_VC_RIDGE, METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT)}")
+    if gram is None:
+        gram = design_gram(design)
     if method == METHOD_VC_RIDGE:
         pen = PenaltyConfig(0.0, penalty.lambda2)
         return fit_bcd(design, basis, pen, options, init=init, method=method,
                        factors=factors, gram=gram)
+    pen = PenaltyConfig(penalty.lambda1, 0.0)
+    screen = fit_bcd(design, basis, pen, options, init=init,
+                     method=METHOD_GROUP_LASSO, factors=factors, gram=gram)
     if method == METHOD_GROUP_LASSO:
-        pen = PenaltyConfig(penalty.lambda1, 0.0)
-        return fit_bcd(design, basis, pen, options, init=init, method=method,
-                       factors=factors, gram=gram)
-    if method == METHOD_SCREEN_REFIT:
-        pen = PenaltyConfig(penalty.lambda1, 0.0)
-        screen = fit_bcd(design, basis, pen, options, init=init,
-                         method=METHOD_GROUP_LASSO, factors=factors, gram=gram)
-        selected = [k for k, th in enumerate(screen.theta) if np.any(th)]
-        c, theta = _joint_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
-        beta0, mu = _split_constants(c, design.p)
-        e = design.y - _predictor(design, beta0, mu, theta)
-        loss = 0.5 / design.n * float(e @ e)
-        return ModelFit(
-            beta0=beta0, mu=mu, theta=tuple(theta),
-            objective_trace=np.array([loss]), iterations=screen.iterations,
-            converged=screen.converged, method=method, penalty=pen,
-            basis=basis, intercept=design.intercept_included, n_train=design.n,
-        )
-    raise ConfigurationError(f"unknown baseline method '{method}', expected one of "
-                             f"{(METHOD_VC_RIDGE, METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT)}")
+        return screen
+    selected = [k for k, th in enumerate(screen.theta) if np.any(th)]
+    c, theta, rss = _joint_refit(design, basis, gram, selected, SCREEN_REFIT_LAMBDA2)
+    beta0, mu = _split_constants(c, design.p)
+    return ModelFit(
+        beta0=beta0, mu=mu, theta=tuple(theta),
+        objective_trace=np.array([0.5 / design.n * rss]), iterations=screen.iterations,
+        converged=screen.converged, method=method, penalty=pen,
+        basis=basis, intercept=design.intercept_included, n_train=design.n,
+    )
 
 
 def _oracle_kkt_residual(g, theta, off, lam1):
@@ -692,7 +686,12 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
     omega = basis.roughness.omega
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
-    A, hess, off = _stacked_system(design, basis, range(p), lam2)   # hess: exact Hessian
+    C = _constant_design(design)
+    A = np.hstack([C, *design.Z])
+    off = C.shape[1]
+    hess = A.T @ A / n                  # the exact Hessian of the smooth part
+    for sl in _block_slices(design):
+        hess[sl, sl] += 2.0 * lam2 * omega
 
     def theta_of(c):
         return c[off:].reshape(p, q)
@@ -729,7 +728,7 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
         return out
 
     x = np.zeros(off + p * q)
-    x[:off] = _constants_init(y, _constant_design(design))
+    x[:off] = _constants_init(y, C)
 
     momentum = x.copy()
     t_acc = 1.0

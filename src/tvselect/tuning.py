@@ -152,8 +152,8 @@ def _check_grid(grid: TuningGrid, method: str) -> None:
 def _fit_grid(design, basis, grid, options, method, gram=None):
     """All grid fits, warm-started down the lambda1 path at fixed lambda2.
 
-    One design Gram (`gram`, or formed here) serves every fit and gives
-    each lambda2's block factorizations.
+    One Gram of [A y] (`gram`, or formed here by `design_gram`) is all that
+    every fit reads, and it gives each lambda2's block factorizations.
     """
     if gram is None:
         gram = design_gram(design)
@@ -214,7 +214,11 @@ def subject_folds(subject_ids, n_folds: int, seed) -> list[list[str]]:
 
 
 def _fold_grams(dataset: LongitudinalDataset, design: DesignBlocks, folds) -> list:
-    """`design_gram` of `design` (built from `dataset`) over each fold's rows."""
+    """`design_gram` of `design` (built from `dataset`) over each fold's rows.
+
+    Each is the Gram of [A y] on that fold's rows, so sums of fold Grams
+    carry A'y and y'y along with G.
+    """
     fold_of = {sid: f for f, held_out in enumerate(folds) for sid in held_out}
     row_fold = np.repeat([fold_of[sid] for sid in dataset.subject_ids], np.diff(dataset.bounds))
     return [design_gram(design, rows=row_fold == f) for f in range(len(folds))]
@@ -222,18 +226,18 @@ def _fold_grams(dataset: LongitudinalDataset, design: DesignBlocks, folds) -> li
 
 def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: TuningGrid,
             n_folds: int = 5, seed: int = 0,
-            options: SolverOptions = SolverOptions(),
-            method: str = METHOD_TV_SELECT) -> TuningResult:
-    """Subject-wise K-fold cross-validation on mean squared prediction error.
+            options: SolverOptions = SolverOptions()) -> TuningResult:
+    """Subject-wise K-fold cross-validation of tv-select on mean squared prediction error.
 
     The dataset is used exactly as preprocessed by the caller; whole subjects
     are held out, the criterion pools squared errors over held-out rows, and
     the winning pair is refit on the full data.  A grid point whose fit
     failed in any fold is NaN in the surface.  One pass over the full
-    design forms a Gram per fold; fold f trains on the sum of the other
-    folds' Grams and the refit on the sum of all of them.
+    design forms the Gram of [A y] per fold (G, A'y and y'y); fold f trains
+    on the sum of the other folds' Grams and the refit on the sum of all of
+    them.  The fits read only those sums: a training design supplies just
+    its shape, and the held-out error is summed over the held-out rows.
     """
-    _check_grid(grid, method)
     folds = subject_folds(dataset.subject_ids, n_folds, seed)
     full_design = build_design(dataset, basis)
     fold_grams = _fold_grams(dataset, full_design, folds)
@@ -244,7 +248,7 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     for f, held_out in enumerate(folds):
         d_train, d_test = (build_design(part, basis) for part in split_subjects(dataset, held_out))
         train_gram = sum(G for g, G in enumerate(fold_grams) if g != f)
-        fits = _fit_grid(d_train, basis, grid, options, method, gram=train_gram)
+        fits = _fit_grid(d_train, basis, grid, options, METHOD_TV_SELECT, gram=train_gram)
         for (i, j), fit in fits.items():
             sq_err[i, j] += float(np.sum(residuals(d_test, fit) ** 2))
             counts[i, j] += d_test.n
@@ -254,11 +258,7 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
         surface = np.where(folds_ok == len(folds), sq_err / counts, np.nan)
     i, j = _argmin_with_tiebreak(surface)
     pen = PenaltyConfig(lambda1=grid.lambda1_values[i], lambda2=grid.lambda2_values[j])
-    full_gram = sum(fold_grams)
-    if method == METHOD_TV_SELECT:
-        best_fit = fit_bcd(full_design, basis, pen, options, gram=full_gram)
-    else:
-        best_fit = fit_baseline(full_design, basis, method, pen, options, gram=full_gram)
+    best_fit = fit_bcd(full_design, basis, pen, options, gram=sum(fold_grams))
     surface.setflags(write=False)
     return TuningResult(
         best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],

@@ -22,8 +22,10 @@ from tvselect import solver
 from tvselect.solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
+    METHOD_TV_SELECT,
     METHOD_VC_RIDGE,
     RESIDUAL_REFRESH_EVERY,
+    SCREEN_REFIT_LAMBDA2,
     BlockFactor,
     ModelFit,
     PenaltyConfig,
@@ -31,6 +33,7 @@ from tvselect.solver import (
     _block_penalty,
     _constant_design,
     _constants_init,
+    _joint_refit,
     _oracle_kkt_residual,
     _predictor,
     _solve_block_subproblem,
@@ -122,7 +125,7 @@ def test_update_mu_k_zero_column():
 def test_ridge_smooth_zero_residual():
     rng = np.random.default_rng(4)
     _, basis, design = make_instance(rng)
-    factor = precompute_block_factors(design, basis, 0.1)[0]
+    factor = precompute_block_factors(design, basis, 0.1, design_gram(design))[0]
     assert np.allclose(_solve_block_subproblem(factor, np.zeros(basis.q), 0.0), 0.0)
 
 
@@ -144,7 +147,7 @@ def test_ridge_smooth_solves_linear_system():
     rng = np.random.default_rng(6)
     _, basis, design = make_instance(rng)
     lam2 = 0.3
-    factor = precompute_block_factors(design, basis, lam2)[1]
+    factor = precompute_block_factors(design, basis, lam2, design_gram(design))[1]
     r = rng.standard_normal(design.n)
     rhs = design.Z[1].T @ r / design.n
     theta = _solve_block_subproblem(factor, rhs, 0.0)
@@ -386,8 +389,8 @@ def test_fit_bcd_refuses_collinear_design_without_intercept():
 
 
 def stacked_design(design):
-    """A = [C Z_1 ... Z_p] written out whole."""
-    return np.hstack([_constant_design(design), *design.Z])
+    """[A y] for A = [C Z_1 ... Z_p], written out whole."""
+    return np.column_stack([_constant_design(design), *design.Z, design.y])
 
 
 @pytest.mark.parametrize("intercept", [True, False])
@@ -399,8 +402,8 @@ def test_design_gram_matches_stacked_product(monkeypatch, intercept, masked):
     _, basis, design = make_instance(rng, N=13, n_i=4, p=3, q=6)
     design = replace(design, intercept_included=intercept)
     rows = rng.random(design.n) < 0.6 if masked else np.ones(design.n, dtype=bool)
-    A = stacked_design(design)[rows]
-    want = A.T @ A
+    Ay = stacked_design(design)[rows]
+    want = Ay.T @ Ay
     got = design_gram(design, rows=rows if masked else None)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -525,6 +528,34 @@ def test_gram_form_sweeps_follow_the_row_form_past_the_refresh(seed, lam2):
     assert np.abs(np.array(fit.theta) - np.array(theta)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("intercept", [True, False])
+@pytest.mark.parametrize("method", [METHOD_TV_SELECT, METHOD_VC_RIDGE, METHOD_GROUP_LASSO,
+                                    METHOD_SCREEN_REFIT])
+def test_fits_read_no_design_row(method, intercept):
+    # given the Gram of [A y], a fit on a design whose rows are all NaN is
+    # bit-identical to the fit on the real rows
+    rng = np.random.default_rng(60)
+    _, basis, design = make_instance(rng, theta_scale=2.0)
+    design = replace(design, intercept_included=intercept)
+    gram = design_gram(design)
+    blank = replace(design, y=np.full_like(design.y, np.nan),
+                    X=np.full_like(design.X, np.nan),
+                    Z=tuple(np.full_like(Zk, np.nan) for Zk in design.Z))
+    pen = PenaltyConfig(0.2 * lambda1_max(design), 0.01)
+
+    def fit(d):
+        if method == METHOD_TV_SELECT:
+            return fit_bcd(d, basis, pen, gram=gram)
+        return fit_baseline(d, basis, method, pen, gram=gram)
+
+    want, got = fit(design), fit(blank)
+    assert any(np.any(th) for th in want.theta)
+    assert got.beta0 == want.beta0 and np.array_equal(got.mu, want.mu)
+    assert np.array_equal(np.array(got.theta), np.array(want.theta))
+    assert np.array_equal(got.objective_trace, want.objective_trace)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
 # ---------------------------------------------------------------- baselines
 
 
@@ -589,6 +620,44 @@ def test_screen_refit_records_the_penalty_it_fits():
     fit = fit_baseline(design, basis, METHOD_SCREEN_REFIT, PenaltyConfig(lam1, 0.5),
                        SolverOptions())
     assert fit.penalty == PenaltyConfig(lam1, 0.0)
+
+
+def stacked_refit(design, basis, selected, lambda2):
+    """Ridge least squares on the rows of [C Z_S], stacked with sqrt(2 n lambda2)
+    Omega^(1/2) rows per block, by lstsq; and its residual sum of squares.
+
+    Each block's ones component, on which the loss and Omega are flat, is
+    removed: that is the minimum-norm solution.
+    """
+    A = np.hstack([_constant_design(design)] + [design.Z[k] for k in selected])
+    w, v = np.linalg.eigh(basis.roughness.omega)
+    root = math.sqrt(2.0 * design.n * lambda2) * (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    m, q = A.shape[1] - len(selected) * basis.q, basis.q
+    ridge = np.zeros((len(selected) * q, A.shape[1]))
+    for j in range(len(selected)):
+        ridge[j * q:(j + 1) * q, m + j * q:m + (j + 1) * q] = root
+    coef, *_ = np.linalg.lstsq(np.vstack([A, ridge]),
+                               np.append(design.y, np.zeros(len(ridge))), rcond=None)
+    e = design.y - A @ coef
+    blocks = coef[m:].reshape(len(selected), q)
+    coef[m:] = (blocks - blocks.mean(axis=1, keepdims=True)).ravel()
+    return coef, float(e @ e)
+
+
+@pytest.mark.parametrize("intercept, selected", [
+    (True, [0, 2]), (False, [1]), (True, []), (False, []),
+])
+def test_joint_refit_matches_stacked_least_squares(intercept, selected):
+    rng = np.random.default_rng(61)
+    _, basis, design = make_instance(rng, theta_scale=2.0)
+    design = replace(design, intercept_included=intercept)
+    want, want_rss = stacked_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
+    c, theta, rss = _joint_refit(design, basis, design_gram(design), selected,
+                                 SCREEN_REFIT_LAMBDA2)
+    got = np.concatenate([c] + [theta[k] for k in selected])
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert all(not np.any(th) for k, th in enumerate(theta) if k not in selected)
+    assert abs(rss - want_rss) <= 1e-10 * want_rss
 
 
 def test_unknown_method_rejected():

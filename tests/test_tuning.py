@@ -196,14 +196,6 @@ def test_method_grid_guards():
                   method=METHOD_VC_RIDGE)
 
 
-def test_tune_cv_rejects_group_lasso_with_lambda2():
-    rng = np.random.default_rng(10)
-    ds, basis, _ = make_dataset(rng)
-    with pytest.raises(ConfigurationError):
-        tune_cv(ds, basis, TuningGrid((0.1,), (1.0,)), n_folds=5, seed=0,
-                method=METHOD_GROUP_LASSO)
-
-
 def test_tune_ebic_rejects_screen_refit_with_lambda2():
     rng = np.random.default_rng(10)
     _, basis, design = make_dataset(rng)
@@ -327,14 +319,13 @@ def test_fold_grams_sum_to_each_training_gram(demean):
 
 @pytest.mark.parametrize("method, grid", [
     ("tv-select", TuningGrid((0.3, 0.1, 0.02), (0.1, 0.001))),
-    ("group-lasso", TuningGrid((0.3, 0.1, 0.02), (0.0,))),
 ])
 def test_tune_cv_surface_matches_fits_on_training_grams(method, grid):
     # fold Grams summed from the full design give the CV surface and refit
     # that each training design's own Gram gives
     rng = np.random.default_rng(22)
     ds, basis, design = make_dataset(rng, N=16, n_i=4, p=3, q=6)
-    res = tune_cv(ds, basis, grid, n_folds=4, seed=7, method=method)
+    res = tune_cv(ds, basis, grid, n_folds=4, seed=7)
     sq_err = np.zeros(res.criterion_surface.shape)
     count = 0
     for held_out in subject_folds(ds.subject_ids, 4, 7):
