@@ -1,4 +1,4 @@
-"""Longitudinal data container, preprocessing, and stacked design assembly.
+"""Longitudinal data container, preprocessing, and stacked design and its Gram.
 
 Expected file format: long CSV with header ``subject,time,y,<covariate...>``.
 Rows may arrive in any order; a dataset stores them once, stacked by subject
@@ -21,15 +21,21 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NoReturn
 
 import numpy as np
 
 from .basis import CenteredSplineBasis
-from .errors import DegenerateColumnError, DegenerateDesignError, ParseError
+from .errors import DegenerateColumnError, DegenerateDesignError, DimensionError, ParseError
 
 
 SubjectRecord = namedtuple("SubjectRecord", "subject_id times responses covariates")
+
+# rows of [C Z_1 ... Z_p] stacked at a time while forming the design Gram: an
+# eighth of the design (so the chunk adds at most an eighth to its memory),
+# within [128, 4096] rows (fewer rows per product run the BLAS slower)
+GRAM_CHUNK_ROWS = (128, 4096)
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,11 @@ class LongitudinalDataset:
 
 @dataclass(frozen=True)
 class DesignBlocks:
-    """Stacked response, constant-effect design, and per-covariate spline blocks."""
+    """Stacked response, constant-effect design, and per-covariate spline blocks.
+
+    `gram`, the Gram of [A y] for A = [C Z_1 ... Z_p] that fits read, is formed
+    on first read and cached; a `replace` copy forms its own, `with_gram` sets one.
+    """
 
     y: np.ndarray
     X: np.ndarray                    # (n, p)
@@ -105,6 +115,56 @@ class DesignBlocks:
     @property
     def q(self) -> int:
         return self.Z[0].shape[1] if self.Z else 0
+
+    @property
+    def block_slices(self) -> list[slice]:
+        """Columns of each spline block Z_k in A = [C Z_1 ... Z_p]."""
+        m, q = self.p + self.intercept_included, self.q
+        return [slice(m + k * q, m + (k + 1) * q) for k in range(self.p)]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return design_gram(self)
+
+    def with_gram(self, gram: np.ndarray) -> DesignBlocks:
+        """A copy whose `gram` is the given Gram of [A y], such as a sum of fold Grams."""
+        width = self.p + self.intercept_included + self.p * self.q + 1
+        if gram.shape != (width, width):
+            raise DimensionError(f"Gram of shape {gram.shape}, the design needs {(width, width)}")
+        design = replace(self)
+        object.__setattr__(design, "gram", gram.view())
+        design.gram.setflags(write=False)
+        return design
+
+
+def design_gram(design: DesignBlocks, rows=None) -> np.ndarray:
+    """The Gram of [A y] for A = [C Z_1 ... Z_p], over the design rows or a boolean row mask.
+
+    For A of width w: the (w+1) x (w+1) matrix [[G, A'y], [y'A, y'y]], G = A'A.
+    [A y]' is stacked a chunk of rows at a time (GRAM_CHUNK_ROWS) and never
+    whole, so forming it costs a fraction of the design's memory.  Stacking
+    [A y]' (contiguous rows per column) copies several times faster than
+    stacking [A y].  The result is read-only.
+    """
+    idx = None if rows is None else np.flatnonzero(rows)
+    count = design.n if idx is None else len(idx)
+    m = design.p + design.intercept_included
+    width = m + design.p * design.q
+    chunk = int(np.clip(design.n // 8, *GRAM_CHUNK_ROWS))
+    gram = np.zeros((width + 1, width + 1))
+    buf = np.empty((width + 1, min(chunk, count)))
+    buf[0] = 1.0                    # the intercept row, when C has one
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        sel = slice(start, stop) if idx is None else idx[start:stop]
+        At = buf[:, :stop - start]
+        At[m - design.p:m] = design.X.T[:, sel]
+        for Zk, cols in zip(design.Z, design.block_slices):
+            At[cols] = Zk.T[:, sel]
+        At[width] = design.y[sel]
+        gram += At @ At.T
+    gram.setflags(write=False)
+    return gram
 
 
 def from_arrays(subject_ids, times, y, X, covariate_names=None,

@@ -26,20 +26,20 @@ to the global minimum of the convex problem, which the reference solver
 
 The sweep runs in covariance form, as glmnet does (Friedman, Hastie &
 Tibshirani 2010, JSS, section 2.2), for the constants and the spline blocks
-alike.  `design_gram` forms the Gram of [A y] for A = [C Z_1 ... Z_p] (G =
-A'A, A'y and y'y) once per design, in row chunks; it is the only input a fit
-reads.  The sweep keeps g = A'e and e'e for the residual e in place of e
-itself.  A coordinate or block reads its correlation with its partial
-residual from g and G, and a step Delta on its columns moves g by G[its
-rows]' Delta and e'e by -2 Delta' g_k + Delta' G_kk Delta.  G[:m, :m] = C'C
-gives the cold start and refuses a rank-deficient constant design, whose
-constants are not identified; the diagonal blocks G_kk give the block
-factorizations.  One Gram serves every (lambda1, lambda2) of a grid, and
-cross-validation sums per-fold Grams of the full design into each training
-Gram (`tuning.tune_cv`).  g = A'y - G x and e'e = y'y - x'A'y - x'g are
-recomputed at the start of each fit and every 50 sweeps, to cap
-floating-point drift.  Each block's norm and penalty value are cached
-between updates, so a sweep's objective is a sum of cached terms.
+alike.  A fit reads only `design.gram`, the Gram of [A y] for A = [C Z_1
+... Z_p] (G = A'A, A'y and y'y), formed once per design in row chunks, and
+keeps g = A'e and e'e for the residual e in place of e itself.  A
+coordinate or block reads its correlation with its partial residual from g
+and G, and a step Delta on its columns moves g by G[its rows]' Delta and
+e'e by -2 Delta' g_k + Delta' G_kk Delta.  G[:m, :m] = C'C gives the cold
+start and `lambda1_max`, and refuses a rank-deficient constant design,
+whose constants are not identified; the diagonal blocks G_kk give the
+block factorizations.  Cross-validation sums per-fold Grams of the full
+design into each training Gram (`tuning.tune_cv`).  g = A'y - G x and
+e'e = y'y - x'A'y - x'g are recomputed at the start of each fit and every
+50 sweeps, to cap floating-point drift.  Each block's norm and penalty
+value are cached between updates, so a sweep's objective is a sum of
+cached terms.
 
 The screen-refit's joint least squares on [C Z_k for the chosen blocks]
 reads the same Gram.  `fit_oracle`, the independent reference, stacks the
@@ -81,10 +81,6 @@ POLISH_MAX_ITER = 100
 POLISH_MAX_HALVINGS = 60
 # lambda_min <= this * lambda_max of the constant design's Gram: cond([1 X]) >= 1e6
 CONSTANT_GRAM_RCOND = 1e-12
-# rows of [C Z_1 ... Z_p] stacked at a time while forming the design Gram: an
-# eighth of the design (so the chunk adds at most an eighth to its memory),
-# within [128, 4096] rows (fewer rows per product run the BLAS slower)
-GRAM_CHUNK_ROWS = (128, 4096)
 
 
 @dataclass(frozen=True)
@@ -170,46 +166,11 @@ class BlockFactor:
         return self.v.dot(self.v.T.dot(z) * self._inv_w)
 
 
-def _block_slices(design: DesignBlocks) -> list[slice]:
-    """Columns of each spline block Z_k in A = [C Z_1 ... Z_p]."""
-    m, q = design.p + design.intercept_included, design.q
-    return [slice(m + k * q, m + (k + 1) * q) for k in range(design.p)]
-
-
-def design_gram(design: DesignBlocks, rows=None) -> np.ndarray:
-    """The Gram of [A y] for A = [C Z_1 ... Z_p], over the design rows or a boolean row mask.
-
-    For A of width w: the (w+1) x (w+1) matrix [[G, A'y], [y'A, y'y]], G = A'A.
-    [A y]' is stacked a chunk of rows at a time (GRAM_CHUNK_ROWS) and never
-    whole, so forming it costs a fraction of the design's memory.  Stacking
-    [A y]' (contiguous rows per column) copies several times faster than
-    stacking [A y].
-    """
-    idx = None if rows is None else np.flatnonzero(rows)
-    count = design.n if idx is None else len(idx)
-    m = design.p + design.intercept_included
-    width = m + design.p * design.q
-    chunk = int(np.clip(design.n // 8, *GRAM_CHUNK_ROWS))
-    gram = np.zeros((width + 1, width + 1))
-    buf = np.empty((width + 1, min(chunk, count)))
-    buf[0] = 1.0                    # the intercept row, when C has one
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        sel = slice(start, stop) if idx is None else idx[start:stop]
-        At = buf[:, :stop - start]
-        At[m - design.p:m] = design.X.T[:, sel]
-        for Zk, cols in zip(design.Z, _block_slices(design)):
-            At[cols] = Zk.T[:, sel]
-        At[width] = design.y[sel]
-        gram += At @ At.T
-    return gram
-
-
 def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
-                             lambda2: float, gram: np.ndarray) -> list[BlockFactor]:
-    """One factorization of G_kk/n + 2*lambda2*Omega per block, from `design_gram`."""
-    omega2 = 2.0 * lambda2 * basis.roughness.omega
-    return [BlockFactor(gram[cols, cols] / design.n + omega2) for cols in _block_slices(design)]
+                             lambda2: float) -> list[BlockFactor]:
+    """One factorization of G_kk/n + 2*lambda2*Omega per block, from `design.gram`."""
+    omega2, gram = 2.0 * lambda2 * basis.roughness.omega, design.gram
+    return [BlockFactor(gram[cols, cols] / design.n + omega2) for cols in design.block_slices]
 
 
 def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
@@ -296,6 +257,31 @@ def _constants_init(y, C):
         return np.linalg.solve(gram + 1e-10 * np.eye(C.shape[1]), rhs)
 
 
+def _identified_constants(design: DesignBlocks) -> np.ndarray:
+    """solve(C'C, C'y) from `design.gram`, refusing a zero column or cond(C) >= 1e6."""
+    m = design.p + design.intercept_included
+    ctc = design.gram[:m, :m]
+    c_sq = ctc.diagonal()
+    if (c_sq == 0.0).any():
+        k_bad = int(np.argmin(c_sq)) - design.intercept_included
+        raise DegenerateColumnError(f"covariate column {k_bad} has zero norm")
+    eig = np.linalg.eigvalsh(ctc)
+    if eig[0] <= CONSTANT_GRAM_RCOND * eig[-1]:
+        design_name = "[1 X]" if design.intercept_included else "X"
+        raise DegenerateDesignError(
+            f"the constant design {design_name} is rank-deficient or nearly so "
+            f"(eigenvalue ratio {max(eig[0], 0.0) / eig[-1]:.1e} of its Gram matrix): "
+            f"the constant effects are not identified")
+    return np.linalg.solve(ctc, design.gram[:m, -1])
+
+
+def lambda1_max(design: DesignBlocks) -> float:
+    """The least lambda1 zeroing all blocks from zero: max_k ||(A'y - G[:, :m] c)_k|| / n."""
+    c, gram = _identified_constants(design), design.gram
+    g = gram[:-1, -1] - gram[:-1, :len(c)].dot(c)
+    return max(float(np.linalg.norm(g[cols])) for cols in design.block_slices) / design.n
+
+
 def _block_penalty(th: np.ndarray, nrm: float, lam1: float, lam2: float,
                    omega: np.ndarray) -> float:
     """lambda1 ||th|| + lambda2 th' Omega th given nrm = ||th||, exactly 0.0 for a zero block."""
@@ -340,15 +326,14 @@ def residuals(design: DesignBlocks, fit: ModelFit) -> np.ndarray:
 def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyConfig,
             options: SolverOptions = SolverOptions(), init: ModelFit | None = None,
             method: str = METHOD_TV_SELECT,
-            factors: list[BlockFactor] | None = None,
-            gram: np.ndarray | None = None) -> ModelFit:
+            factors: list[BlockFactor] | None = None) -> ModelFit:
     """Cyclic block coordinate descent to the global minimum of the objective.
 
     Each sweep is one Gauss-Seidel loop over the columns of the constant
     design C = [1 X] (intercept = column 0; X alone without an intercept),
     then one exact solve per spline block, all in covariance form: the fit
-    reads only the Gram of [A y] for A = [C Z_1 ... Z_p] (`design_gram`; pass
-    `gram` to share one across fits) and keeps g = A'e and e'e.  Block k
+    reads only `design.gram`, the Gram of [A y] for A = [C Z_1 ... Z_p],
+    which every fit on the design shares, and keeps g = A'e and e'e.  Block k
     solves with u_k = g_k + G_kk theta_k, then a step Delta moves e'e by
     -2 Delta' g_k + Delta' G_kk Delta and g by G[block k rows]' Delta.  g =
     A'y - G x and e'e = y'y - x'A'y - x'g are recomputed for the parameters
@@ -365,29 +350,13 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     omega = basis.roughness.omega
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
-    if gram is None:
-        gram = design_gram(design)
-    m = p + design.intercept_included
-    width = m + p * design.q
-    if gram.shape != (width + 1, width + 1):
-        raise DimensionError(f"Gram matrix has shape {gram.shape}, the design needs "
-                             f"{(width + 1, width + 1)}")
-    G, aty, yty = gram[:width, :width], gram[:width, width], float(gram[width, width])
-    blocks = _block_slices(design)
+    c, gram = _identified_constants(design), design.gram
+    G, aty, yty = gram[:-1, :-1], gram[:-1, -1], float(gram[-1, -1])
+    m, blocks = len(c), design.block_slices
     ctc = G[:m, :m]
     c_sq = ctc.diagonal()
-    if (c_sq == 0.0).any():
-        k_bad = int(np.argmin(c_sq)) - (m - p)
-        raise DegenerateColumnError(f"covariate column {k_bad} has zero norm")
-    eig = np.linalg.eigvalsh(ctc)
-    if eig[0] <= CONSTANT_GRAM_RCOND * eig[-1]:
-        design_name = "[1 X]" if design.intercept_included else "X"
-        raise DegenerateDesignError(
-            f"the constant design {design_name} is rank-deficient or nearly so "
-            f"(eigenvalue ratio {max(eig[0], 0.0) / eig[-1]:.1e} of its Gram matrix): "
-            f"the constant effects are not identified")
     if factors is None:
-        factors = precompute_block_factors(design, basis, lam2, gram)
+        factors = precompute_block_factors(design, basis, lam2)
     # each block's diagonal block G_kk and its rows of G
     g_kk = [np.ascontiguousarray(G[cols, cols]) for cols in blocks]
     g_rows = [G[cols] for cols in blocks]
@@ -397,7 +366,6 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
         c = np.append(float(init.beta0), init.mu)[-m:]
         theta = [np.array(th, dtype=float) for th in init.theta]
     else:
-        c = np.linalg.solve(ctc, aty[:m])
         theta = [np.zeros(basis.q) for _ in range(p)]
 
     # per-block caches: norm (0.0 for a zero block, the block solve's warm
@@ -451,23 +419,19 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             nrm_new = math.sqrt(th_new.dot(th_new))
             if nrm_old == 0.0 and nrm_new == 0.0:
                 continue
-            step = th_new - th_old
-            pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
-            ee_new = ee + float(step.dot(gkk).dot(step)) - 2.0 * float(step.dot(gk))
             # exact block minimization cannot increase the objective; this
-            # guards against floating-point drift in the running g and e'e
+            # guards against floating-point drift in the running g and e'e:
+            # a step that raises it is halved, at most 20 times, then reverted
             base = 0.5 / n * ee + pen[k]
-            cand = 0.5 / n * ee_new + pen_new
-            tries = 0
-            while cand > base and tries < 20:
-                th_new = th_old + 0.5 * (th_new - th_old)
-                nrm_new = math.sqrt(th_new.dot(th_new))
+            for _ in range(21):
                 step = th_new - th_old
                 pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
                 ee_new = ee + float(step.dot(gkk).dot(step)) - 2.0 * float(step.dot(gk))
-                cand = 0.5 / n * ee_new + pen_new
-                tries += 1
-            if cand > base:
+                if 0.5 / n * ee_new + pen_new <= base:
+                    break
+                th_new = th_old + 0.5 * step
+                nrm_new = math.sqrt(th_new.dot(th_new))
+            else:
                 continue  # revert: keep th_old, g and e'e
             theta[k] = th_new
             norms[k] = nrm_new
@@ -490,20 +454,20 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     )
 
 
-def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, gram: np.ndarray,
-                 selected, lambda2_refit: float) -> tuple:
+def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
+                 lambda2_refit: float) -> tuple:
     """Joint least squares for the constants and theta_S with a mild curvature ridge.
 
-    Reads only `gram`, the Gram of [A y] (`design_gram`).  Over the columns
+    Reads only `design.gram`, the Gram of [A y].  Over the columns
     S of C and the selected blocks, the normal equations are G_SS/n, plus
     2*lambda2*Omega on each block, and b_S/n for b = A'y.  Returns the
     constants, every theta_k (zero off S) and the residual sum of squares
     y'y - 2 x_S'b_S + x_S'G_SS x_S.
     """
     selected = sorted(selected)
+    gram, blocks = design.gram, design.block_slices
     n, q, width = design.n, basis.q, gram.shape[0] - 1
     m = design.p + design.intercept_included
-    blocks = _block_slices(design)
     idx = np.arange(width)
     cols = np.concatenate([idx[:m]] + [idx[blocks[k]] for k in selected])
     g_ss = gram[np.ix_(cols, cols)]
@@ -525,8 +489,7 @@ def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, gram: np.ndar
 def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
                  penalty: PenaltyConfig, options: SolverOptions = SolverOptions(),
                  init: ModelFit | None = None,
-                 factors: list[BlockFactor] | None = None,
-                 gram: np.ndarray | None = None) -> ModelFit:
+                 factors: list[BlockFactor] | None = None) -> ModelFit:
     """The three comparison estimators.
 
     vc-ridge     : curvature penalty only (lambda1 forced to 0, no block zeros).
@@ -535,25 +498,22 @@ def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
                    refit of all constant effects and the selected blocks with
                    a mild curvature ridge (lambda2 = 1e-4) for stability.
 
-    `factors` and `gram` are passed on to `fit_bcd`; the Gram of [A y] is
-    formed once here when not given, and the refit reads it too.
+    `factors` are passed on to `fit_bcd`; the refit reads `design.gram` too.
     """
     if method not in (METHOD_VC_RIDGE, METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT):
         raise ConfigurationError(f"unknown baseline method '{method}', expected one of "
                                  f"{(METHOD_VC_RIDGE, METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT)}")
-    if gram is None:
-        gram = design_gram(design)
     if method == METHOD_VC_RIDGE:
         pen = PenaltyConfig(0.0, penalty.lambda2)
         return fit_bcd(design, basis, pen, options, init=init, method=method,
-                       factors=factors, gram=gram)
+                       factors=factors)
     pen = PenaltyConfig(penalty.lambda1, 0.0)
     screen = fit_bcd(design, basis, pen, options, init=init,
-                     method=METHOD_GROUP_LASSO, factors=factors, gram=gram)
+                     method=METHOD_GROUP_LASSO, factors=factors)
     if method == METHOD_GROUP_LASSO:
         return screen
     selected = [k for k, th in enumerate(screen.theta) if np.any(th)]
-    c, theta, rss = _joint_refit(design, basis, gram, selected, SCREEN_REFIT_LAMBDA2)
+    c, theta, rss = _joint_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
     beta0, mu = _split_constants(c, design.p)
     return ModelFit(
         beta0=beta0, mu=mu, theta=tuple(theta),
@@ -690,7 +650,7 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
     A = np.hstack([C, *design.Z])
     off = C.shape[1]
     hess = A.T @ A / n                  # the exact Hessian of the smooth part
-    for sl in _block_slices(design):
+    for sl in design.block_slices:
         hess[sl, sl] += 2.0 * lam2 * omega
 
     def theta_of(c):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CenteredSplineBasis
-from .data import DesignBlocks, LongitudinalDataset, build_design, split_subjects
+from .data import DesignBlocks, LongitudinalDataset, build_design, design_gram, split_subjects
 from .errors import ConfigurationError, DegenerateDesignError, TuningError, TVSelectError
 from .solver import (
     METHOD_GROUP_LASSO,
@@ -26,11 +26,9 @@ from .solver import (
     ModelFit,
     PenaltyConfig,
     SolverOptions,
-    _constant_design,
-    _constants_init,
-    design_gram,
     fit_baseline,
     fit_bcd,
+    lambda1_max,
     precompute_block_factors,
     residuals,
 )
@@ -78,17 +76,6 @@ class TuningResult:
         for i, l1 in enumerate(self.grid.lambda1_values):
             for j, l2 in enumerate(self.grid.lambda2_values):
                 yield l1, l2, self.criterion_surface[i, j]
-
-
-def lambda1_max(design: DesignBlocks) -> float:
-    """max_k ||Z_k' y0 / n||_2 with y0 the constants-only residual.
-
-    At or above this level a zero-started sweep zeroes every block.
-    """
-    C = _constant_design(design)
-    y0 = design.y - C @ _constants_init(design.y, C)
-    n = design.n
-    return max(float(np.linalg.norm(Zk.T @ y0 / n)) for Zk in design.Z)
 
 
 def default_grid(design: DesignBlocks, gamma: float = 0.5,
@@ -149,28 +136,21 @@ def _check_grid(grid: TuningGrid, method: str) -> None:
         raise ConfigurationError("vc-ridge tunes lambda2 only; use lambda1_values=(0,)")
 
 
-def _fit_grid(design, basis, grid, options, method, gram=None):
-    """All grid fits, warm-started down the lambda1 path at fixed lambda2.
-
-    One Gram of [A y] (`gram`, or formed here by `design_gram`) is all that
-    every fit reads, and it gives each lambda2's block factorizations.
-    """
-    if gram is None:
-        gram = design_gram(design)
+def _fit_grid(design, basis, grid, options, method):
+    """All grid fits, warm-started down the lambda1 path at fixed lambda2, on one Gram."""
     fits = {}
     failures = {}
     for j, lam2 in enumerate(grid.lambda2_values):
-        factors = precompute_block_factors(design, basis, lam2, gram)
+        factors = precompute_block_factors(design, basis, lam2)
         warm = None
         for i, lam1 in enumerate(grid.lambda1_values):
             pen = PenaltyConfig(lambda1=lam1, lambda2=lam2)
             try:
                 if method == METHOD_TV_SELECT:
-                    fit = fit_bcd(design, basis, pen, options, init=warm, factors=factors,
-                                  gram=gram)
+                    fit = fit_bcd(design, basis, pen, options, init=warm, factors=factors)
                 else:
                     fit = fit_baseline(design, basis, method, pen, options,
-                                       init=warm, factors=factors, gram=gram)
+                                       init=warm, factors=factors)
                 fits[(i, j)] = fit
                 warm = fit
             except DegenerateDesignError:
@@ -214,11 +194,7 @@ def subject_folds(subject_ids, n_folds: int, seed) -> list[list[str]]:
 
 
 def _fold_grams(dataset: LongitudinalDataset, design: DesignBlocks, folds) -> list:
-    """`design_gram` of `design` (built from `dataset`) over each fold's rows.
-
-    Each is the Gram of [A y] on that fold's rows, so sums of fold Grams
-    carry A'y and y'y along with G.
-    """
+    """`design_gram` of `design` (built from `dataset`) over each fold's rows."""
     fold_of = {sid: f for f, held_out in enumerate(folds) for sid in held_out}
     row_fold = np.repeat([fold_of[sid] for sid in dataset.subject_ids], np.diff(dataset.bounds))
     return [design_gram(design, rows=row_fold == f) for f in range(len(folds))]
@@ -234,9 +210,9 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     the winning pair is refit on the full data.  A grid point whose fit
     failed in any fold is NaN in the surface.  One pass over the full
     design forms the Gram of [A y] per fold (G, A'y and y'y); fold f trains
-    on the sum of the other folds' Grams and the refit on the sum of all of
-    them.  The fits read only those sums: a training design supplies just
-    its shape, and the held-out error is summed over the held-out rows.
+    on a design carrying the sum of the other folds' Grams (`with_gram`), the
+    refit on the sum of all of them.  No fit reads a training design's rows;
+    the held-out error is summed over the held-out rows.
     """
     folds = subject_folds(dataset.subject_ids, n_folds, seed)
     full_design = build_design(dataset, basis)
@@ -247,8 +223,10 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     folds_ok = np.zeros(shape, dtype=int)
     for f, held_out in enumerate(folds):
         d_train, d_test = (build_design(part, basis) for part in split_subjects(dataset, held_out))
+        # train_gram outlives the del below: freed with the designs, it lets malloc
+        # trim the heap, and the next fold's designs fault it back in (2x the faults)
         train_gram = sum(G for g, G in enumerate(fold_grams) if g != f)
-        fits = _fit_grid(d_train, basis, grid, options, METHOD_TV_SELECT, gram=train_gram)
+        fits = _fit_grid(d_train.with_gram(train_gram), basis, grid, options, METHOD_TV_SELECT)
         for (i, j), fit in fits.items():
             sq_err[i, j] += float(np.sum(residuals(d_test, fit) ** 2))
             counts[i, j] += d_test.n
@@ -258,7 +236,7 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
         surface = np.where(folds_ok == len(folds), sq_err / counts, np.nan)
     i, j = _argmin_with_tiebreak(surface)
     pen = PenaltyConfig(lambda1=grid.lambda1_values[i], lambda2=grid.lambda2_values[j])
-    best_fit = fit_bcd(full_design, basis, pen, options, gram=sum(fold_grams))
+    best_fit = fit_bcd(full_design.with_gram(sum(fold_grams)), basis, pen, options)
     surface.setflags(write=False)
     return TuningResult(
         best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],

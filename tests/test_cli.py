@@ -270,8 +270,12 @@ def test_missing_input_exit_code_2(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["fit", "tune"])
-def test_rank_deficient_constant_design_exit_code_2(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, penalty", [
+    ("fit", ["--lambda1", "0.05"]),
+    ("tune", ["--lambda1-grid", "0.05"]),
+    ("tune", []),                   # the default grid: lambda1_max refuses the design
+], ids=["fit", "tune", "tune-default-grid"])
+def test_rank_deficient_constant_design_exit_code_2(tmp_path, capsys, command, penalty):
     # scenario A's baseline covariates give [1 X] 21 columns of rank 20
     # with 20 subjects and p = 20
     ds = generate(make_scenario("A", N=20, n_i=5, p=20), seed=3)
@@ -283,8 +287,7 @@ def test_rank_deficient_constant_design_exit_code_2(tmp_path, capsys, command):
     path = tmp_path / "rank.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     argv = [command, "--data", str(path), "--out", str(tmp_path / "out"), "--no-demean"]
-    argv += ["--lambda1", "0.05"] if command == "fit" else ["--lambda1-grid", "0.05"]
-    assert main(argv) == 2
+    assert main(argv + penalty) == 2
     err = capsys.readouterr().err
     assert "rank-deficient" in err and "Traceback" not in err
 

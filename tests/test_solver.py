@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tvselect.basis import SplineConfig, build_basis
-from tvselect.data import build_design, from_arrays, standardize
+from tvselect import data
+from tvselect.data import build_design, design_gram, from_arrays, standardize
 from tvselect.errors import (
     ConfigurationError,
     DegenerateColumnError,
@@ -17,8 +18,7 @@ from tvselect.errors import (
     OracleNonconvergenceError,
     SingularBlockError,
 )
-from tvselect.simulate import generate, make_scenario
-from tvselect import solver
+from tvselect.simulate import StudyOptions, fit_study_methods, generate, make_scenario
 from tvselect.solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
@@ -38,7 +38,6 @@ from tvselect.solver import (
     _predictor,
     _solve_block_subproblem,
     _split_constants,
-    design_gram,
     fit_baseline,
     fit_bcd,
     fit_oracle,
@@ -125,7 +124,7 @@ def test_update_mu_k_zero_column():
 def test_ridge_smooth_zero_residual():
     rng = np.random.default_rng(4)
     _, basis, design = make_instance(rng)
-    factor = precompute_block_factors(design, basis, 0.1, design_gram(design))[0]
+    factor = precompute_block_factors(design, basis, 0.1)[0]
     assert np.allclose(_solve_block_subproblem(factor, np.zeros(basis.q), 0.0), 0.0)
 
 
@@ -147,7 +146,7 @@ def test_ridge_smooth_solves_linear_system():
     rng = np.random.default_rng(6)
     _, basis, design = make_instance(rng)
     lam2 = 0.3
-    factor = precompute_block_factors(design, basis, lam2, design_gram(design))[1]
+    factor = precompute_block_factors(design, basis, lam2)[1]
     r = rng.standard_normal(design.n)
     rhs = design.Z[1].T @ r / design.n
     theta = _solve_block_subproblem(factor, rhs, 0.0)
@@ -397,7 +396,7 @@ def stacked_design(design):
 @pytest.mark.parametrize("masked", [False, True])
 def test_design_gram_matches_stacked_product(monkeypatch, intercept, masked):
     # 7-row chunks: several full chunks and a partial last one
-    monkeypatch.setattr(solver, "GRAM_CHUNK_ROWS", (7, 7))
+    monkeypatch.setattr(data, "GRAM_CHUNK_ROWS", (7, 7))
     rng = np.random.default_rng(40)
     _, basis, design = make_instance(rng, N=13, n_i=4, p=3, q=6)
     design = replace(design, intercept_included=intercept)
@@ -416,12 +415,42 @@ def test_design_gram_of_no_rows_is_zero():
     assert not design_gram(design, rows=np.zeros(design.n, dtype=bool)).any()
 
 
-def test_fit_bcd_rejects_gram_of_another_shape():
+def test_with_gram_rejects_gram_of_another_shape():
     rng = np.random.default_rng(42)
-    _, basis, design = make_instance(rng)
+    _, _, design = make_instance(rng)
     gram = design_gram(replace(design, intercept_included=False))
     with pytest.raises(DimensionError, match="Gram"):
-        fit_bcd(design, basis, PenaltyConfig(0.1, 0.01), gram=gram)
+        design.with_gram(gram)
+
+
+def test_design_gram_is_formed_once_per_design(monkeypatch):
+    # every method of a study replication reads the one Gram of its design
+    calls = []
+
+    def counted(design, rows=None):
+        calls.append(rows)
+        return real(design, rows)
+
+    real = data.design_gram
+    monkeypatch.setattr(data, "design_gram", counted)
+    spec = make_scenario("A", N=30, n_i=4, p=6, s_v=1, s_c=1, q=6, rho=0.0)
+    basis = build_basis(SplineConfig.from_q(spec.q))
+    design = build_design(standardize(generate(spec, seed=5)), basis)
+    opts = StudyOptions(lambda1_count=3, lambda2_values=(1e-2, 1e-4), n_test=50)
+    fits = fit_study_methods(design, basis, opts)
+    assert sorted(fits) == sorted(opts.methods)
+    assert calls == [None]
+    with pytest.raises(ValueError):
+        design.gram[0, 0] = 1.0
+
+
+def test_replaced_design_forms_its_own_gram():
+    rng = np.random.default_rng(43)
+    _, _, design = make_instance(rng)
+    assert design.gram.shape == (design.p + 1 + design.p * design.q + 1,) * 2
+    copy = replace(design, intercept_included=False)
+    assert np.array_equal(copy.gram, design_gram(copy))
+    assert copy.gram.shape[0] == design.gram.shape[0] - 1
 
 
 def row_form_bcd(design, basis, penalty, options):
@@ -537,16 +566,15 @@ def test_fits_read_no_design_row(method, intercept):
     rng = np.random.default_rng(60)
     _, basis, design = make_instance(rng, theta_scale=2.0)
     design = replace(design, intercept_included=intercept)
-    gram = design_gram(design)
     blank = replace(design, y=np.full_like(design.y, np.nan),
                     X=np.full_like(design.X, np.nan),
-                    Z=tuple(np.full_like(Zk, np.nan) for Zk in design.Z))
+                    Z=tuple(np.full_like(Zk, np.nan) for Zk in design.Z)).with_gram(design.gram)
     pen = PenaltyConfig(0.2 * lambda1_max(design), 0.01)
 
     def fit(d):
         if method == METHOD_TV_SELECT:
-            return fit_bcd(d, basis, pen, gram=gram)
-        return fit_baseline(d, basis, method, pen, gram=gram)
+            return fit_bcd(d, basis, pen)
+        return fit_baseline(d, basis, method, pen)
 
     want, got = fit(design), fit(blank)
     assert any(np.any(th) for th in want.theta)
@@ -652,8 +680,7 @@ def test_joint_refit_matches_stacked_least_squares(intercept, selected):
     _, basis, design = make_instance(rng, theta_scale=2.0)
     design = replace(design, intercept_included=intercept)
     want, want_rss = stacked_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
-    c, theta, rss = _joint_refit(design, basis, design_gram(design), selected,
-                                 SCREEN_REFIT_LAMBDA2)
+    c, theta, rss = _joint_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
     got = np.concatenate([c] + [theta[k] for k in selected])
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     assert all(not np.any(th) for k, th in enumerate(theta) if k not in selected)

@@ -6,7 +6,8 @@ The benchmark's span targets must name functions that exist in the package:
 The package's imports must match its declared runtime dependencies, and
 importing it must not pull in scipy, whose import would dominate start-up, nor
 the process pool, which only `simulate --parallel` uses.  A private helper
-that nothing else in the package calls is dead code.
+that nothing else in the package calls is dead code, and one that another
+package module imports is not private.
 """
 
 import ast
@@ -116,3 +117,14 @@ def test_every_private_helper_is_used():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert [d for d in defined if d.split(":")[1] not in used] == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imported = []
+    for name, tree in module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "tvselect"
+                                                     or node.module.startswith("tvselect.")):
+                imported.extend(f"{name}: {node.module}.{alias.name}" for alias in node.names
+                                if alias.name.startswith("_"))
+    assert imported == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from tvselect.basis import SplineConfig, build_basis
 from tvselect.data import (
     build_design,
     demean_within_subject,
+    design_gram,
     from_arrays,
     split_subjects,
     standardize,
@@ -20,7 +22,6 @@ from tvselect.solver import (
     ModelFit,
     PenaltyConfig,
     SolverOptions,
-    design_gram,
     fit_bcd,
 )
 from tvselect.structure import select_vary
@@ -77,13 +78,20 @@ def test_lambda1_max_zero_when_orthogonal():
 
 
 def test_fit_above_lambda1_max_is_all_zero():
+    # lambda1_max is the exact zero threshold: at it every block stays zero,
+    # just below it one enters
     rng = np.random.default_rng(1)
     _, basis, design = make_dataset(rng)
-    top = lambda1_max(design)
-    fit = fit_bcd(design, basis, PenaltyConfig(1.01 * top, 0.0), SolverOptions())
-    assert select_vary(fit) == frozenset()
-    # and the first sweep already zeroed everything
-    assert fit.iterations <= 2
+    for intercept in (True, False):
+        d = replace(design, intercept_included=intercept)
+        top = lambda1_max(d)
+        for factor in (1.0, 1.01):
+            fit = fit_bcd(d, basis, PenaltyConfig(factor * top, 0.0), SolverOptions())
+            assert select_vary(fit) == frozenset()
+            # and the first sweep already zeroed everything
+            assert fit.iterations <= 2
+        below = fit_bcd(d, basis, PenaltyConfig((1.0 - 1e-6) * top, 0.0), SolverOptions())
+        assert select_vary(below) != frozenset()
 
 
 def test_fit_at_zero_selects_something():
