@@ -184,8 +184,8 @@ def _write_partition_report(path, part, names):
 def _write_fit_outputs(cfg, fit, dataset):
     """fit.json, partition.json and curves.csv of a fitted model; returns its partition."""
     out, names = cfg["out"], dataset.covariate_names
-    artifact.save_fit(fit, os.path.join(out, "fit.json"), dataset)
     part = classify(fit, threshold_multiplier=cfg["threshold_multiplier"])
+    artifact.save_fit(fit, os.path.join(out, "fit.json"), dataset)
     _write_partition_report(os.path.join(out, "partition.json"), part, names)
     tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
     curves = fit.coefficient_curves(tgrid)

@@ -36,6 +36,8 @@ SubjectRecord = namedtuple("SubjectRecord", "subject_id times responses covariat
 # eighth of the design (so the chunk adds at most an eighth to its memory),
 # within [128, 4096] rows (fewer rows per product run the BLAS slower)
 GRAM_CHUNK_ROWS = (128, 4096)
+# lambda_min <= this * lambda_max of the constant design's Gram: cond([1 X]) >= 1e6
+CONSTANT_GRAM_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,14 +97,17 @@ class LongitudinalDataset:
 class DesignBlocks:
     """Stacked response, constant-effect design, and per-covariate spline blocks.
 
-    `gram`, the Gram of [A y] for A = [C Z_1 ... Z_p] that fits read, is formed
-    on first read and cached; a `replace` copy forms its own, `with_gram` sets one.
+    What the design alone determines is formed on first use and shared by its
+    fits: `gram` (the Gram of [A y], A = [C Z_1 ... Z_p]), `cold_constants` and
+    `block_factors`.  A `replace` copy forms its own; `with_gram` sets the Gram.
     """
 
     y: np.ndarray
     X: np.ndarray                    # (n, p)
     Z: tuple                         # p matrices, each (n, q)
     intercept_included: bool
+    # (lambda2, Omega bytes) -> the block factorizations, filled by `solver.fit_bcd`
+    block_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -125,6 +130,26 @@ class DesignBlocks:
     @cached_property
     def gram(self) -> np.ndarray:
         return design_gram(self)
+
+    @cached_property
+    def cold_constants(self) -> np.ndarray:
+        """solve(C'C, C'y) from `gram`, refusing a zero column or cond(C) >= 1e6."""
+        m, gram = self.p + self.intercept_included, self.gram
+        ctc = gram[:m, :m]
+        c_sq = ctc.diagonal()
+        if (c_sq == 0.0).any():
+            k_bad = int(np.argmin(c_sq)) - self.intercept_included
+            raise DegenerateColumnError(f"covariate column {k_bad} has zero norm")
+        eig = np.linalg.eigvalsh(ctc)
+        if eig[0] <= CONSTANT_GRAM_RCOND * eig[-1]:
+            design_name = "[1 X]" if self.intercept_included else "X"
+            raise DegenerateDesignError(
+                f"the constant design {design_name} is rank-deficient or nearly so "
+                f"(eigenvalue ratio {max(eig[0], 0.0) / eig[-1]:.1e} of its Gram matrix): "
+                f"the constant effects are not identified")
+        c = np.linalg.solve(ctc, gram[:m, -1])
+        c.setflags(write=False)
+        return c
 
     def with_gram(self, gram: np.ndarray) -> DesignBlocks:
         """A copy whose `gram` is the given Gram of [A y], such as a sum of fold Grams."""

@@ -106,6 +106,9 @@ class ScenarioSpec:
             raise ConfigurationError(f"unknown covariate_design '{self.covariate_design}'")
         if self.error_model not in ERROR_MODELS:
             raise ConfigurationError(f"unknown error_model '{self.error_model}'")
+        for name in ("sigma", "sigma_x2", "amplitude", "t_df"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.sigma <= 0:
             raise ConfigurationError("sigma must be positive")
         if not -1 < self.rho < 1 or not -1 < self.alpha < 1:
@@ -373,6 +376,8 @@ class StudyOptions:
     def __post_init__(self):
         if self.n_test < 1:
             raise ConfigurationError("n_test must be >= 1")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ConfigurationError("gamma must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,12 @@ alike.  A fit reads only `design.gram`, the Gram of [A y] for A = [C Z_1
 keeps g = A'e and e'e for the residual e in place of e itself.  A
 coordinate or block reads its correlation with its partial residual from g
 and G, and a step Delta on its columns moves g by G[its rows]' Delta and
-e'e by -2 Delta' g_k + Delta' G_kk Delta.  G[:m, :m] = C'C gives the cold
-start and `lambda1_max`, and refuses a rank-deficient constant design,
-whose constants are not identified; the diagonal blocks G_kk give the
-block factorizations.  Cross-validation sums per-fold Grams of the full
-design into each training Gram (`tuning.tune_cv`).  g = A'y - G x and
+e'e by -2 Delta' g_k + Delta' G_kk Delta.  The design keeps what it alone
+determines: the cold start from G[:m, :m] = C'C (`cold_constants`, which
+`lambda1_max` reads too and which refuses unidentified constants) and the
+block factorizations of each (lambda2, Omega) from the G_kk (`block_factors`).
+Cross-validation sums per-fold Grams of the full design into each training
+Gram (`tuning.tune_cv`).  g = A'y - G x and
 e'e = y'y - x'A'y - x'g are recomputed at the start of each fit and every
 50 sweeps, to cap floating-point drift.  Each block's norm and penalty
 value are cached between updates, so a sweep's objective is a sum of
@@ -49,7 +50,7 @@ design rows itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,8 +58,6 @@ from .basis import CenteredSplineBasis
 from .data import DesignBlocks
 from .errors import (
     ConfigurationError,
-    DegenerateColumnError,
-    DegenerateDesignError,
     DimensionError,
     DomainError,
     OracleNonconvergenceError,
@@ -79,8 +78,6 @@ SCREEN_REFIT_LAMBDA2 = 1e-4
 ORACLE_KKT_TOL = 1e-8
 POLISH_MAX_ITER = 100
 POLISH_MAX_HALVINGS = 60
-# lambda_min <= this * lambda_max of the constant design's Gram: cond([1 X]) >= 1e6
-CONSTANT_GRAM_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,8 +88,8 @@ class PenaltyConfig:
     lambda2: float = 0.0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigurationError("penalty levels must be non-negative")
+        if not (0.0 <= self.lambda1 < math.inf and 0.0 <= self.lambda2 < math.inf):
+            raise ConfigurationError("penalty levels must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,8 @@ class SolverOptions:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigurationError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigurationError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
 
@@ -168,7 +165,7 @@ class BlockFactor:
 
 def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
                              lambda2: float) -> list[BlockFactor]:
-    """One factorization of G_kk/n + 2*lambda2*Omega per block, from `design.gram`."""
+    """One factorization of G_kk/n + 2*lambda2*Omega per block; `fit_bcd` keeps them."""
     omega2, gram = 2.0 * lambda2 * basis.roughness.omega, design.gram
     return [BlockFactor(gram[cols, cols] / design.n + omega2) for cols in design.block_slices]
 
@@ -257,27 +254,9 @@ def _constants_init(y, C):
         return np.linalg.solve(gram + 1e-10 * np.eye(C.shape[1]), rhs)
 
 
-def _identified_constants(design: DesignBlocks) -> np.ndarray:
-    """solve(C'C, C'y) from `design.gram`, refusing a zero column or cond(C) >= 1e6."""
-    m = design.p + design.intercept_included
-    ctc = design.gram[:m, :m]
-    c_sq = ctc.diagonal()
-    if (c_sq == 0.0).any():
-        k_bad = int(np.argmin(c_sq)) - design.intercept_included
-        raise DegenerateColumnError(f"covariate column {k_bad} has zero norm")
-    eig = np.linalg.eigvalsh(ctc)
-    if eig[0] <= CONSTANT_GRAM_RCOND * eig[-1]:
-        design_name = "[1 X]" if design.intercept_included else "X"
-        raise DegenerateDesignError(
-            f"the constant design {design_name} is rank-deficient or nearly so "
-            f"(eigenvalue ratio {max(eig[0], 0.0) / eig[-1]:.1e} of its Gram matrix): "
-            f"the constant effects are not identified")
-    return np.linalg.solve(ctc, design.gram[:m, -1])
-
-
 def lambda1_max(design: DesignBlocks) -> float:
     """The least lambda1 zeroing all blocks from zero: max_k ||(A'y - G[:, :m] c)_k|| / n."""
-    c, gram = _identified_constants(design), design.gram
+    c, gram = design.cold_constants, design.gram
     g = gram[:-1, -1] - gram[:-1, :len(c)].dot(c)
     return max(float(np.linalg.norm(g[cols])) for cols in design.block_slices) / design.n
 
@@ -324,22 +303,21 @@ def residuals(design: DesignBlocks, fit: ModelFit) -> np.ndarray:
 
 
 def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyConfig,
-            options: SolverOptions = SolverOptions(), init: ModelFit | None = None,
-            method: str = METHOD_TV_SELECT,
-            factors: list[BlockFactor] | None = None) -> ModelFit:
+            options: SolverOptions = SolverOptions(), init: ModelFit | None = None) -> ModelFit:
     """Cyclic block coordinate descent to the global minimum of the objective.
 
     Each sweep is one Gauss-Seidel loop over the columns of the constant
     design C = [1 X] (intercept = column 0; X alone without an intercept),
     then one exact solve per spline block, all in covariance form: the fit
-    reads only `design.gram`, the Gram of [A y] for A = [C Z_1 ... Z_p],
-    which every fit on the design shares, and keeps g = A'e and e'e.  Block k
+    reads only `design.gram`, the Gram of [A y] for A = [C Z_1 ... Z_p], and
+    the factorizations that every fit on the design shares (`block_factors`),
+    and keeps g = A'e and e'e.  Block k
     solves with u_k = g_k + G_kk theta_k, then a step Delta moves e'e by
     -2 Delta' g_k + Delta' G_kk Delta and g by G[block k rows]' Delta.  g =
     A'y - G x and e'e = y'y - x'A'y - x'g are recomputed for the parameters
     x at the start and every RESIDUAL_REFRESH_EVERY sweeps.  `init`
     warm-starts the parameters (e.g. along a lambda1 path); the default
-    start is theta = 0 with the constants from solve(C'C, (A'y)[:m]).
+    start is theta = 0 with `design.cold_constants` = solve(C'C, (A'y)[:m]).
     Non-convergence within max_iter is reported via `converged`, not raised.
     Raises `DegenerateDesignError` when C has condition number 1e6 or more,
     so the constants are not identified.
@@ -350,13 +328,15 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     omega = basis.roughness.omega
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
-    c, gram = _identified_constants(design), design.gram
+    c, gram = design.cold_constants.copy(), design.gram
     G, aty, yty = gram[:-1, :-1], gram[:-1, -1], float(gram[-1, -1])
     m, blocks = len(c), design.block_slices
     ctc = G[:m, :m]
     c_sq = ctc.diagonal()
-    if factors is None:
-        factors = precompute_block_factors(design, basis, lam2)
+    key = (lam2, omega.tobytes())
+    if key not in design.block_factors:
+        design.block_factors[key] = precompute_block_factors(design, basis, lam2)
+    factors = design.block_factors[key]
     # each block's diagonal block G_kk and its rows of G
     g_kk = [np.ascontiguousarray(G[cols, cols]) for cols in blocks]
     g_rows = [G[cols] for cols in blocks]
@@ -449,7 +429,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     return ModelFit(
         beta0=beta0, mu=mu, theta=tuple(theta),
         objective_trace=np.array(trace), iterations=sweeps, converged=converged,
-        method=method, penalty=penalty, basis=basis,
+        method=METHOD_TV_SELECT, penalty=penalty, basis=basis,
         intercept=design.intercept_included, n_train=n,
     )
 
@@ -488,8 +468,7 @@ def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
 
 def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
                  penalty: PenaltyConfig, options: SolverOptions = SolverOptions(),
-                 init: ModelFit | None = None,
-                 factors: list[BlockFactor] | None = None) -> ModelFit:
+                 init: ModelFit | None = None) -> ModelFit:
     """The three comparison estimators.
 
     vc-ridge     : curvature penalty only (lambda1 forced to 0, no block zeros).
@@ -498,20 +477,18 @@ def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
                    refit of all constant effects and the selected blocks with
                    a mild curvature ridge (lambda2 = 1e-4) for stability.
 
-    `factors` are passed on to `fit_bcd`; the refit reads `design.gram` too.
+    Each relabels a `fit_bcd` fit on the design; the refit reads `design.gram` too.
     """
     if method not in (METHOD_VC_RIDGE, METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT):
         raise ConfigurationError(f"unknown baseline method '{method}', expected one of "
                                  f"{(METHOD_VC_RIDGE, METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT)}")
     if method == METHOD_VC_RIDGE:
         pen = PenaltyConfig(0.0, penalty.lambda2)
-        return fit_bcd(design, basis, pen, options, init=init, method=method,
-                       factors=factors)
+        return replace(fit_bcd(design, basis, pen, options, init=init), method=method)
     pen = PenaltyConfig(penalty.lambda1, 0.0)
-    screen = fit_bcd(design, basis, pen, options, init=init,
-                     method=METHOD_GROUP_LASSO, factors=factors)
+    screen = fit_bcd(design, basis, pen, options, init=init)
     if method == METHOD_GROUP_LASSO:
-        return screen
+        return replace(screen, method=method)
     selected = [k for k, th in enumerate(screen.theta) if np.any(th)]
     c, theta, rss = _joint_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
     beta0, mu = _split_constants(c, design.p)

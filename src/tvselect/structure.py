@@ -53,11 +53,13 @@ def select_vary(fit: ModelFit) -> frozenset:
 
 
 def threshold(n: int, p: int, multiplier: float = 1.0) -> float:
-    """c * sqrt(log(p) / n); zero when p = 1."""
+    """c * sqrt(log(p) / n) for a finite c >= 0; zero when p = 1."""
     if n < 2:
         raise ConfigurationError(f"need n >= 2 observations, got {n}")
     if p < 1:
         raise ConfigurationError(f"need p >= 1 covariates, got {p}")
+    if not 0.0 <= multiplier < math.inf:
+        raise ConfigurationError(f"threshold multiplier must be finite and >= 0, got {multiplier}")
     return multiplier * math.sqrt(math.log(p) / n)
 
 

@@ -29,7 +29,6 @@ from .solver import (
     fit_baseline,
     fit_bcd,
     lambda1_max,
-    precompute_block_factors,
     residuals,
 )
 from .structure import select_vary
@@ -54,8 +53,8 @@ class TuningGrid:
             arr = np.asarray(vals, dtype=float)
             if arr.size == 0:
                 raise ConfigurationError(f"{name} must be non-empty")
-            if np.any(arr < 0):
-                raise ConfigurationError(f"{name} must be non-negative")
+            if not np.all((arr >= 0) & (arr < np.inf)):
+                raise ConfigurationError(f"{name} must be finite and non-negative")
             if np.any(np.diff(arr) > 0):
                 raise ConfigurationError(f"{name} must be sorted descending")
         if not 0.0 <= self.gamma <= 1.0:
@@ -125,9 +124,9 @@ def _argmin_with_tiebreak(surface: np.ndarray) -> tuple[int, int]:
 def _check_grid(grid: TuningGrid, method: str) -> None:
     """Reject a grid level the method would silently replace by its forced zero.
 
-    group-lasso and screen-refit fit with lambda2 = 0, and `_fit_grid`
-    factors the blocks for the grid's lambda2, so any other level would
-    minimize a different objective.  vc-ridge forces lambda1 = 0.
+    group-lasso and screen-refit fit with lambda2 = 0 and vc-ridge with
+    lambda1 = 0, whatever the grid says, so any other level would fill its
+    cells with copies of the forced level's fits.
     """
     if (method in (METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT)
             and any(v != 0.0 for v in grid.lambda2_values)):
@@ -137,20 +136,18 @@ def _check_grid(grid: TuningGrid, method: str) -> None:
 
 
 def _fit_grid(design, basis, grid, options, method):
-    """All grid fits, warm-started down the lambda1 path at fixed lambda2, on one Gram."""
+    """All grid fits on one design, warm-started down the lambda1 path at fixed lambda2."""
     fits = {}
     failures = {}
     for j, lam2 in enumerate(grid.lambda2_values):
-        factors = precompute_block_factors(design, basis, lam2)
         warm = None
         for i, lam1 in enumerate(grid.lambda1_values):
             pen = PenaltyConfig(lambda1=lam1, lambda2=lam2)
             try:
                 if method == METHOD_TV_SELECT:
-                    fit = fit_bcd(design, basis, pen, options, init=warm, factors=factors)
+                    fit = fit_bcd(design, basis, pen, options, init=warm)
                 else:
-                    fit = fit_baseline(design, basis, method, pen, options,
-                                       init=warm, factors=factors)
+                    fit = fit_baseline(design, basis, method, pen, options, init=warm)
                 fits[(i, j)] = fit
                 warm = fit
             except DegenerateDesignError:

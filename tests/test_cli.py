@@ -531,8 +531,9 @@ def test_config_file_unknown_key(train_csv, tmp_path, capsys):
     ("fit", {"knots": 2.0}),
     ("tune", {"criterion": "aic"}),
     ("simulate", {"methods": ["tv-select"]}),
+    ("fit", {"lambda2": float("inf")}),
 ], ids=["float-text", "float-bool", "flag-text", "int-fraction", "int-float", "choices",
-        "str-list"])
+        "str-list", "float-inf"])
 def test_config_value_refused_like_its_flag(train_csv, tmp_path, capsys, command, payload):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload), encoding="utf-8")
@@ -544,6 +545,52 @@ def test_config_value_refused_like_its_flag(train_csv, tmp_path, capsys, command
         argv += ["--data", str(train_csv), "--knots", "2", "--no-demean"]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lambda1", "nan"],
+    ["--lambda1", "inf"],
+    ["--lambda2", "inf"],
+    ["--lambda2", "nan"],
+    ["--tol", "nan"],
+    ["--threshold-multiplier", "-1"],
+], ids=["lambda1-nan", "lambda1-inf", "lambda2-inf", "lambda2-nan", "tol-nan",
+        "threshold-negative"])
+def test_fit_refuses_non_finite_or_negative_values_exit_code_2(train_csv, tmp_path, capsys,
+                                                                argv):
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(train_csv), "--out", str(out), "--knots", "2",
+                 *argv]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (out / "fit.json").exists()
+
+
+def test_classify_refuses_nan_threshold_multiplier_exit_code_2(train_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(train_csv), "--out", str(out), "--knots", "2"]) == 0
+    assert main(["classify", "--artifact", str(out / "fit.json"), "--out", str(out / "cls"),
+                 "--threshold-multiplier", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sigma", "nan"],
+    ["--sigma-x2", "nan"],
+    ["--amplitude", "nan"],
+    ["--t-df", "nan", "--error-model", "student-t"],
+    ["--gamma", "nan"],
+], ids=["sigma", "sigma-x2", "amplitude", "t-df", "gamma"])
+def test_simulate_refuses_bad_inputs_before_any_replication(tmp_path, capsys, argv):
+    rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
+               "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "6",
+               "--replications", "1", "--out", str(tmp_path / "sim"), "--parallel", "1",
+               "--methods", "tv-select", *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert "replications in" not in err and "ParseError" not in err
 
 
 def test_config_values_read_like_flags(train_csv, tmp_path):

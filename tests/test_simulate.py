@@ -67,6 +67,14 @@ def test_scenario_validation():
         make_scenario("D", N=50, n_i=4, p=20, t_df=2.0)
     with pytest.raises(ConfigurationError):
         make_scenario("G", N=50, n_i=4, p=20)
+    # NaN passes every comparison-only check
+    for name in ("sigma", "sigma_x2", "amplitude", "t_df"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match=name):
+                make_scenario("D", N=50, n_i=4, p=20, **{name: value})
+    for gamma in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ConfigurationError, match="gamma"):
+            StudyOptions(gamma=gamma)
 
 
 # -------------------------------------------------------------------- truth

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvselect.basis import SplineConfig, build_basis
-from tvselect import data
+from tvselect.basis import TIME_QUANTILES, SplineConfig, build_basis
+from tvselect import data, solver
 from tvselect.data import build_design, design_gram, from_arrays, standardize
 from tvselect.errors import (
     ConfigurationError,
@@ -72,6 +72,18 @@ TIGHT = SolverOptions(tol=1e-13, max_iter=4000)
 
 
 # ---------------------------------------------------------------- objective
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: PenaltyConfig(lambda1=v),
+    lambda v: PenaltyConfig(lambda2=v),
+    lambda v: SolverOptions(tol=v),
+], ids=["lambda1", "lambda2", "tol"])
+def test_settings_refuse_non_finite_values(make):
+    # NaN passes a comparison-only check; inf lambda2 breaks the block factorization
+    for value in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ConfigurationError):
+            make(value)
 
 
 def test_objective_zero_parameters():
@@ -424,33 +436,93 @@ def test_with_gram_rejects_gram_of_another_shape():
 
 
 def test_design_gram_is_formed_once_per_design(monkeypatch):
-    # every method of a study replication reads the one Gram of its design
-    calls = []
+    # every method of a study replication reads the one Gram of its design,
+    # its one cold start (one eigen check of C'C) and one factor set per
+    # lambda2: the tv-select grid's, which vc-ridge reuses, and lambda2 = 0,
+    # shared by group-lasso and screen-refit
+    calls, factors, eigen_checks = [], [], []
 
     def counted(design, rows=None):
         calls.append(rows)
         return real(design, rows)
 
-    real = data.design_gram
-    monkeypatch.setattr(data, "design_gram", counted)
+    class CountedFactor(BlockFactor):
+        def __init__(self, mat):
+            factors.append(mat.shape)
+            super().__init__(mat)
+
+    def counted_eigvalsh(mat):
+        eigen_checks.append(mat.shape)
+        return real_eigvalsh(mat)
+
     spec = make_scenario("A", N=30, n_i=4, p=6, s_v=1, s_c=1, q=6, rho=0.0)
     basis = build_basis(SplineConfig.from_q(spec.q))
     design = build_design(standardize(generate(spec, seed=5)), basis)
+    real, real_eigvalsh = data.design_gram, np.linalg.eigvalsh
+    monkeypatch.setattr(data, "design_gram", counted)
+    monkeypatch.setattr(solver, "BlockFactor", CountedFactor)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     opts = StudyOptions(lambda1_count=3, lambda2_values=(1e-2, 1e-4), n_test=50)
     fits = fit_study_methods(design, basis, opts)
     assert sorted(fits) == sorted(opts.methods)
+    assert all(fit.method == method for method, fit in fits.items())
     assert calls == [None]
+    assert len(factors) == (len(opts.lambda2_values) + 1) * design.p
+    assert sorted(lam2 for lam2, _ in design.block_factors) == [0.0, 1e-4, 1e-2]
+    assert eigen_checks == [(design.p + 1, design.p + 1)]
     with pytest.raises(ValueError):
         design.gram[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        design.cold_constants[0] = 1.0
 
 
 def test_replaced_design_forms_its_own_gram():
+    # a copy forms its own Gram, cold start and factors, never its source's
     rng = np.random.default_rng(43)
-    _, _, design = make_instance(rng)
+    _, basis, design = make_instance(rng)
+    pen = PenaltyConfig(0.1, 0.01)
+    fit_bcd(design, basis, pen)
     assert design.gram.shape == (design.p + 1 + design.p * design.q + 1,) * 2
-    copy = replace(design, intercept_included=False)
-    assert np.array_equal(copy.gram, design_gram(copy))
-    assert copy.gram.shape[0] == design.gram.shape[0] - 1
+    no_intercept = replace(design, intercept_included=False)
+    scaled = design.with_gram(2.0 * design.gram)
+    for copy in (no_intercept, scaled):
+        assert copy.block_factors == {} and "cold_constants" not in vars(copy)
+        fit_bcd(copy, basis, pen)
+        assert len(copy.cold_constants) == design.p + copy.intercept_included
+        (key, mine), = copy.block_factors.items()
+        assert all(a is not b for a, b in zip(mine, design.block_factors[key]))
+    assert np.array_equal(no_intercept.gram, design_gram(no_intercept))
+    assert no_intercept.gram.shape[0] == design.gram.shape[0] - 1
+    assert np.array_equal(scaled.cold_constants, np.linalg.solve(
+        scaled.gram[:design.p + 1, :design.p + 1], scaled.gram[:design.p + 1, -1]))
+
+
+@pytest.mark.parametrize("method", [METHOD_TV_SELECT, METHOD_VC_RIDGE, METHOD_GROUP_LASSO,
+                                    METHOD_SCREEN_REFIT])
+def test_fits_from_the_design_cache_match_fits_on_a_fresh_design(method):
+    # a basis of the same q with other knots has its own Omega, so it never
+    # reuses the factors of another basis at the same lambda2
+    rng = np.random.default_rng(44)
+    ds, basis, design = make_instance(rng, theta_scale=2.0)
+    other = build_basis(SplineConfig(num_internal_knots=basis.q - 4,
+                                     knot_placement=TIME_QUANTILES), observed_times=ds.times)
+    assert other.q == basis.q
+    assert not np.array_equal(other.roughness.omega, basis.roughness.omega)
+    pen = PenaltyConfig(0.2 * lambda1_max(design), 0.01)
+
+    def fit(d, b):
+        if method == METHOD_TV_SELECT:
+            return fit_bcd(d, b, pen)
+        return fit_baseline(d, b, method, pen)
+
+    for b in (basis, other, basis, other):
+        got, want = fit(design, b), fit(replace(design), b)
+        assert got.method == want.method == method
+        assert got.beta0 == want.beta0 and np.array_equal(got.mu, want.mu)
+        assert np.array_equal(np.array(got.theta), np.array(want.theta))
+        assert np.array_equal(got.objective_trace, want.objective_trace)
+    omegas = {omega for _, omega in design.block_factors}
+    assert omegas == {basis.roughness.omega.tobytes(), other.roughness.omega.tobytes()}
 
 
 def row_form_bcd(design, basis, penalty, options):

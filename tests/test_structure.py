@@ -47,6 +47,10 @@ def test_threshold_validation():
         threshold(1, 10)
     with pytest.raises(ConfigurationError):
         threshold(100, 0)
+    for multiplier in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            threshold(100, 10, multiplier)
+    assert threshold(100, 10, 0.0) == 0.0
 
 
 def test_classify_partitions(basis):

@@ -52,16 +52,16 @@ def test_span_install_wraps_every_binding_and_restores_it():
     # imported it by name; uninstall must leave the package as it was
     spans = load_spans()
     from tvselect import cli, solver, tuning
-    originals = (solver.fit_bcd, tuning.fit_bcd, tuning.precompute_block_factors,
+    originals = (solver.fit_bcd, tuning.fit_bcd, tuning.fit_baseline,
                  cli.fit_bcd, cli.main)
     installed = spans.install(spans.Tracer())
     try:
-        wrapped = (solver.fit_bcd, tuning.fit_bcd, tuning.precompute_block_factors,
+        wrapped = (solver.fit_bcd, tuning.fit_bcd, tuning.fit_baseline,
                    cli.fit_bcd, cli.main)
         assert all(w is not o and w.__wrapped__ is o for w, o in zip(wrapped, originals))
     finally:
         installed.uninstall()
-    assert (solver.fit_bcd, tuning.fit_bcd, tuning.precompute_block_factors,
+    assert (solver.fit_bcd, tuning.fit_bcd, tuning.fit_baseline,
             cli.fit_bcd, cli.main) == originals
 
 

@@ -61,6 +61,9 @@ def test_grid_validation():
         TuningGrid((0.1, 0.5), (1.0,))         # ascending
     with pytest.raises(ConfigurationError):
         TuningGrid((0.5, -0.1), (1.0,))        # negative
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            TuningGrid((0.5,), (bad,))         # non-finite
     with pytest.raises(ConfigurationError):
         TuningGrid((0.5,), (1.0,), gamma=1.5)
     grid = TuningGrid((0.5, 0.1), (1.0, 0.0), gamma=0.5)
