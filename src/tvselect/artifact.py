@@ -81,8 +81,9 @@ def save_fit(fit: ModelFit, path, dataset: LongitudinalDataset | None = None) ->
 def fit_from_dict(payload: dict) -> tuple[ModelFit, dict | None]:
     """Rebuild (fit, preprocessing payload) from a parsed artifact.
 
-    A missing or ill-typed field raises `ParseError`.  Artifacts written by
-    earlier versions carry `penalty.epsilon_prox`; it is ignored.
+    A missing or ill-typed field, or a non-finite coefficient, raises
+    `ParseError`.  Artifacts written by earlier versions carry
+    `penalty.epsilon_prox`; it is ignored.
     """
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise ParseError(f"not a {FORMAT_NAME} artifact")
@@ -91,13 +92,16 @@ def fit_from_dict(payload: dict) -> tuple[ModelFit, dict | None]:
     try:
         basis = _rebuild_basis(payload["basis"])
         coef = payload["coefficients"]
+        beta0 = float(coef["beta0"])
         mu = np.asarray(coef["mu"], dtype=float)
         theta = np.asarray(coef["theta"], dtype=float)
         if mu.ndim != 1 or theta.shape != (mu.size, basis.q):
             raise ParseError("coefficient shapes inconsistent with the stored basis")
+        if not (np.isfinite(beta0) and np.isfinite(mu).all() and np.isfinite(theta).all()):
+            raise ParseError("coefficients beta0, mu and theta must be finite")
         pen = payload["penalty"]
         fit = ModelFit(
-            beta0=float(coef["beta0"]), mu=mu, theta=tuple(theta),
+            beta0=beta0, mu=mu, theta=tuple(theta),
             objective_trace=np.asarray(payload["objective_trace"], dtype=float),
             iterations=int(payload["iterations"]), converged=bool(payload["converged"]),
             method=str(payload["method"]),
@@ -118,14 +122,20 @@ def _check_preprocessing(prep, p: int) -> None:
     if not isinstance(prep, dict):
         raise ParseError("preprocessing must be an object or null")
 
-    def shape(key, default=None):
+    def array(key, default=None):
         value = prep.get(key, default)
-        return None if value is None else np.asarray(value, dtype=float).shape
+        return None if value is None else np.asarray(value, dtype=float)
 
-    if shape("center") != shape("scale") or shape("center") not in (None, (p,)):
+    center, scale, domain = array("center"), array("scale"), array("time_domain", (0.0, 1.0))
+    shapes = {None if arr is None else arr.shape for arr in (center, scale)}
+    if shapes not in ({None}, {(p,)}):
         raise ParseError(f"preprocessing center and scale must both be null or hold {p} numbers")
-    if shape("time_domain", (0.0, 1.0)) != (2,):
-        raise ParseError("preprocessing time_domain must hold 2 numbers")
+    if center is not None and not (np.isfinite(center).all() and np.isfinite(scale).all()
+                                   and (scale > 0.0).all()):
+        raise ParseError("preprocessing center must be finite, and scale finite and > 0")
+    if domain is None or domain.shape != (2,) or not (np.isfinite(domain).all()
+                                                      and domain[0] < domain[1]):
+        raise ParseError("preprocessing time_domain must hold 2 finite numbers lo < hi")
     names = prep.get("covariate_names")
     if names is not None and (not isinstance(names, list) or len(names) != p
                               or not all(isinstance(v, str) for v in names)):

@@ -51,7 +51,7 @@ from .solver import (
     fit_bcd,
     predict,
 )
-from .structure import classify
+from .structure import classify, threshold
 from .tuning import DEFAULT_LAMBDA2_GRID, TuningGrid, default_grid, tune_cv, tune_ebic
 
 USAGE_ERRORS = (ParseError, ConfigurationError, ArtifactMismatchError,
@@ -181,6 +181,11 @@ def _write_partition_report(path, part, names):
         fh.write("\n")
 
 
+def _check_threshold_multiplier(cfg) -> None:
+    """Refuse a --threshold-multiplier that `classify` would refuse, before any fit runs."""
+    threshold(2, 1, cfg["threshold_multiplier"])   # the check needs no real n or p
+
+
 def _write_fit_outputs(cfg, fit, dataset):
     """fit.json, partition.json and curves.csv of a fitted model; returns its partition."""
     out, names = cfg["out"], dataset.covariate_names
@@ -198,6 +203,7 @@ def _write_fit_outputs(cfg, fit, dataset):
 
 
 def cmd_fit(cfg) -> int:
+    _check_threshold_multiplier(cfg)
     dataset = _prepare_dataset(cfg)
     basis = _basis_for(cfg, dataset)
     design = build_design(dataset, basis)
@@ -216,6 +222,7 @@ def cmd_fit(cfg) -> int:
 
 
 def cmd_tune(cfg) -> int:
+    _check_threshold_multiplier(cfg)
     dataset = _prepare_dataset(cfg)
     basis = _basis_for(cfg, dataset)
     design = build_design(dataset, basis)
@@ -245,9 +252,9 @@ def cmd_predict(cfg) -> int:
     artifact.check_compatible(fit, prep, dataset)
 
     _, X, raw_times = dataset.stacked()
-    # new times are mapped through the ARTIFACT's fitted time domain
+    # new times are mapped through the ARTIFACT's fitted time domain (`load_fit` checked lo < hi)
     lo, hi = (prep or {}).get("time_domain", [0.0, 1.0])
-    t01 = (raw_times - lo) / (hi - lo) if hi > lo else raw_times
+    t01 = (raw_times - lo) / (hi - lo)
 
     # rows are regrouped by subject and time, so name them by subject and time
     ids = dataset.row_subject_ids()
@@ -313,7 +320,7 @@ def cmd_simulate(cfg) -> int:
     start = time.perf_counter()
     reports = run_study(spec, R=cfg["replications"], seed=cfg["seed"],
                         parallelism=cfg["parallel"], options=options)
-    workers = cfg["parallel"]
+    workers = min(cfg["parallel"], cfg["replications"])
     print(f"{cfg['replications']} replications in {time.perf_counter() - start:.0f}s "
           f"({workers} worker{'s' if workers > 1 else ''})", file=sys.stderr)
     rows = []

@@ -1,4 +1,4 @@
-"""Longitudinal data container, preprocessing, and stacked design and its Gram.
+"""Longitudinal data container, preprocessing, and the design [y X Btilde(t)] and its Gram.
 
 Expected file format: long CSV with header ``subject,time,y,<covariate...>``.
 Rows may arrive in any order; a dataset stores them once, stacked by subject
@@ -95,7 +95,7 @@ class LongitudinalDataset:
 
 @dataclass(frozen=True)
 class DesignBlocks:
-    """Stacked response, constant-effect design, and per-covariate spline blocks.
+    """Stacked y, X and B = Btilde(t) at each row; no spline block Z_k = diag(x_k) B is stored.
 
     What the design alone determines is formed on first use and shared by its
     fits: `gram` (the Gram of [A y], A = [C Z_1 ... Z_p]), `cold_constants` and
@@ -104,7 +104,7 @@ class DesignBlocks:
 
     y: np.ndarray
     X: np.ndarray                    # (n, p)
-    Z: tuple                         # p matrices, each (n, q)
+    B: np.ndarray                    # (n, q): Btilde(t) at each row
     intercept_included: bool
     # (lambda2, Omega bytes) -> the block factorizations, filled by `solver.fit_bcd`
     block_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -119,7 +119,12 @@ class DesignBlocks:
 
     @property
     def q(self) -> int:
-        return self.Z[0].shape[1] if self.Z else 0
+        return self.B.shape[1]
+
+    @property
+    def Z(self) -> tuple:
+        """The p spline blocks Z_k = diag(x_k) B, each (n, q), formed anew at each read."""
+        return tuple(self.X[:, k:k + 1] * self.B for k in range(self.p))
 
     @property
     def block_slices(self) -> list[slice]:
@@ -167,9 +172,9 @@ def design_gram(design: DesignBlocks, rows=None) -> np.ndarray:
 
     For A of width w: the (w+1) x (w+1) matrix [[G, A'y], [y'A, y'y]], G = A'A.
     [A y]' is stacked a chunk of rows at a time (GRAM_CHUNK_ROWS) and never
-    whole, so forming it costs a fraction of the design's memory.  Stacking
-    [A y]' (contiguous rows per column) copies several times faster than
-    stacking [A y].  The result is read-only.
+    whole, block k's rows as B[chunk]' * x_k[chunk], so forming it costs a
+    fraction of the design's memory.  Stacking [A y]' (contiguous rows per
+    column) copies several times faster than stacking [A y].  Read-only.
     """
     idx = None if rows is None else np.flatnonzero(rows)
     count = design.n if idx is None else len(idx)
@@ -184,8 +189,8 @@ def design_gram(design: DesignBlocks, rows=None) -> np.ndarray:
         sel = slice(start, stop) if idx is None else idx[start:stop]
         At = buf[:, :stop - start]
         At[m - design.p:m] = design.X.T[:, sel]
-        for Zk, cols in zip(design.Z, design.block_slices):
-            At[cols] = Zk.T[:, sel]
+        for xk, cols in zip(At[m - design.p:m], design.block_slices):
+            np.multiply(design.B.T[:, sel], xk, out=At[cols])
         At[width] = design.y[sel]
         gram += At @ At.T
     gram.setflags(write=False)
@@ -379,13 +384,11 @@ def split_subjects(dataset: LongitudinalDataset, held_out) -> tuple:
 
 
 def build_design(dataset: LongitudinalDataset, basis: CenteredSplineBasis) -> DesignBlocks:
-    """Assemble y, X, and the spline blocks Z_k with rows x_ijk * Btilde(t_ij)'.
+    """Assemble y, X and B = Btilde(t) at each row; block Z_k has rows x_ijk * Btilde(t_ij)'.
 
     The intercept is included unless the data were de-meaned.
     """
     y, X, t = dataset.stacked()
-    Btil = basis.eval_centered(t)                  # (n, q)
-    Z = tuple(X[:, k:k + 1] * Btil for k in range(dataset.p))
-    for arr in (y, X, *Z):
-        arr.setflags(write=False)
-    return DesignBlocks(y=y, X=X, Z=Z, intercept_included=not dataset.preprocessing.demeaned)
+    B = basis.eval_centered(t)                     # (n, q); y and X are read-only already
+    B.setflags(write=False)
+    return DesignBlocks(y=y, X=X, B=B, intercept_included=not dataset.preprocessing.demeaned)

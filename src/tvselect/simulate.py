@@ -457,18 +457,22 @@ def run_study(specs, R: int, seed: int = 0, parallelism: int = 1,
 
     Individual replication failures are tolerated up to
     MAX_FAILURE_FRACTION per scenario, then the study errors out.
-    Aggregation is deterministic and independent of `parallelism`.
+    Replications run in min(parallelism, R) processes, serially when that is
+    1.  Aggregation is deterministic and independent of `parallelism`.
     """
     if R < 1:
         raise ConfigurationError("R must be >= 1")
+    if parallelism < 1:
+        raise ConfigurationError(f"parallelism must be >= 1, got {parallelism}")
+    workers = min(parallelism, R)
     if isinstance(specs, ScenarioSpec):
         specs = [specs]
     reports = []
     for spec in specs:
         payloads = [(spec, r, seed, options) for r in range(R)]
-        if parallelism > 1:
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
-            with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 raw = list(pool.map(_run_replication_safe, payloads))
         else:
             raw = [_run_replication_safe(pl) for pl in payloads]

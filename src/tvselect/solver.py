@@ -44,7 +44,7 @@ cached terms.
 
 The screen-refit's joint least squares on [C Z_k for the chosen blocks]
 reads the same Gram.  `fit_oracle`, the independent reference, stacks the
-design rows itself.
+design rows itself, its blocks from `design.Z`.
 """
 
 from __future__ import annotations
@@ -276,12 +276,12 @@ def _penalty_value(theta, penalty: PenaltyConfig, omega: np.ndarray) -> float:
     return val
 
 
-def _predictor(design: DesignBlocks, beta0: float, mu: np.ndarray, theta) -> np.ndarray:
-    """beta0 + X mu + sum_k Z_k theta_k on the design rows, skipping zero blocks."""
-    pred = beta0 + design.X @ mu
-    for Zk, th in zip(design.Z, theta):
+def _predictor(X: np.ndarray, B: np.ndarray, beta0: float, mu: np.ndarray, theta) -> np.ndarray:
+    """beta0 + X mu + sum_k x_k * (B theta_k), B = Btilde(t) at each row, skipping zero blocks."""
+    pred = beta0 + X @ mu
+    for xk, th in zip(X.T, theta):
         if np.any(th):
-            pred = pred + Zk @ th
+            pred = pred + xk * (B @ th)
     return pred
 
 
@@ -295,7 +295,7 @@ def objective(design: DesignBlocks, fit: ModelFit) -> float:
 
 
 def fitted_values(design: DesignBlocks, fit: ModelFit) -> np.ndarray:
-    return _predictor(design, fit.beta0, fit.mu, fit.theta)
+    return _predictor(design.X, design.B, fit.beta0, fit.mu, fit.theta)
 
 
 def residuals(design: DesignBlocks, fit: ModelFit) -> np.ndarray:
@@ -751,9 +751,6 @@ def predict(fit: ModelFit, x, t):
                              f"{X.shape[0]}, got shape {t_arr.shape}")
     if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
         raise DomainError("prediction times must be finite and lie in [0,1] on the model scale")
-    Bt = fit.basis.eval_centered(np.atleast_1d(t_arr))      # (m, q) or (1, q)
-    out = fit.beta0 + X @ fit.mu
-    for k, th in enumerate(fit.theta):
-        if np.any(th):
-            out = out + X[:, k] * (Bt @ th)
+    B = fit.basis.eval_centered(np.atleast_1d(t_arr))       # (m, q) or (1, q)
+    out = _predictor(X, B, fit.beta0, fit.mu, fit.theta)
     return float(out[0]) if scalar else out

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from tvselect import artifact
+from tvselect import artifact, cli, tuning
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.cli import main
 from tvselect.data import build_design, from_arrays, load_long_csv, standardize
@@ -20,6 +20,10 @@ from tvselect.solver import (
     predict,
 )
 from tvselect.tuning import lambda1_max
+
+
+def refuse_to_fit(*args, **kwargs):
+    raise AssertionError("a fit ran before the command refused its options")
 
 
 def make_training_csv(path, rng, N=20, n_i=4, p=3, time_range=(0.0, 10.0)):
@@ -150,6 +154,40 @@ def test_malformed_artifact_exit_code_2(train_csv, tmp_path, capsys, command):
     assert "malformed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("coefficients", "beta0"), float("inf")),
+    (("coefficients", "mu", 0), float("nan")),
+    (("coefficients", "theta", 1, 2), float("nan")),
+    (("preprocessing", "center", 0), float("nan")),
+    (("preprocessing", "scale", 0), 0.0),
+    (("preprocessing", "scale", 1), -1.0),
+    (("preprocessing", "scale", 2), float("inf")),
+    (("preprocessing", "time_domain"), [1.0, 0.0]),
+    (("preprocessing", "time_domain"), [2.0, 2.0]),
+    (("preprocessing", "time_domain"), [0.0, float("nan")]),
+], ids=["beta0-inf", "mu-nan", "theta-nan", "center-nan", "scale-zero", "scale-negative",
+        "scale-inf", "time-domain-reversed", "time-domain-empty", "time-domain-nan"])
+def test_predict_refuses_bad_artifact_values_exit_code_2(train_csv, tmp_path, capsys,
+                                                         path, value):
+    # a hand-edited copy of a valid fit.json: predictions from it would be
+    # non-finite or taken at unscaled times
+    _, payload = fitted_payload(train_csv)
+    *outer, key = path
+    owner = payload
+    for part in outer:
+        owner = owner[part]
+    owner[key] = value
+    bad, out = tmp_path / "fit.json", tmp_path / "pred"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ParseError):
+        artifact.fit_from_dict(json.loads(bad.read_text(encoding="utf-8")))
+    assert main(["predict", "--artifact", str(bad), "--data", str(train_csv),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (out / "predictions.csv").exists()
+
+
 # ----------------------------------------------------------------- commands
 
 
@@ -194,8 +232,7 @@ def test_predictors_agree(train_csv, tmp_path):
     ds = standardize(load_long_csv(train_csv))
     _, X, t = ds.stacked()
     pred = predict(fit, X, t)
-    gap = np.abs(fitted_values(build_design(ds, fit.basis), fit) - pred).max()
-    assert gap <= 1e-12 * np.abs(pred).max()
+    assert np.array_equal(fitted_values(build_design(ds, fit.basis), fit), pred)
 
     # simulate.predict_dataset and tvselect predict call predict itself
     raw = load_long_csv(train_csv)
@@ -557,13 +594,27 @@ def test_config_value_refused_like_its_flag(train_csv, tmp_path, capsys, command
 ], ids=["lambda1-nan", "lambda1-inf", "lambda2-inf", "lambda2-nan", "tol-nan",
         "threshold-negative"])
 def test_fit_refuses_non_finite_or_negative_values_exit_code_2(train_csv, tmp_path, capsys,
-                                                                argv):
+                                                                monkeypatch, argv):
+    monkeypatch.setattr(cli, "fit_bcd", refuse_to_fit)
     out = tmp_path / "out"
     assert main(["fit", "--data", str(train_csv), "--out", str(out), "--knots", "2",
                  *argv]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("criterion, value", [("ebic", "nan"), ("cv", "-1")])
+def test_tune_refuses_bad_threshold_multiplier_before_fitting(train_csv, tmp_path, capsys,
+                                                              monkeypatch, criterion, value):
+    monkeypatch.setattr(tuning, "fit_bcd", refuse_to_fit)
+    monkeypatch.setattr(tuning, "fit_baseline", refuse_to_fit)
+    out = tmp_path / "out"
+    assert main(["tune", "--data", str(train_csv), "--out", str(out), "--knots", "2",
+                 "--criterion", criterion, "--threshold-multiplier", value]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (out / "surface.csv").exists()
 
 
 def test_classify_refuses_nan_threshold_multiplier_exit_code_2(train_csv, tmp_path, capsys):
@@ -581,7 +632,10 @@ def test_classify_refuses_nan_threshold_multiplier_exit_code_2(train_csv, tmp_pa
     ["--amplitude", "nan"],
     ["--t-df", "nan", "--error-model", "student-t"],
     ["--gamma", "nan"],
-], ids=["sigma", "sigma-x2", "amplitude", "t-df", "gamma"])
+    ["--parallel", "0"],
+    ["--parallel", "-2"],
+], ids=["sigma", "sigma-x2", "amplitude", "t-df", "gamma", "parallel-zero",
+        "parallel-negative"])
 def test_simulate_refuses_bad_inputs_before_any_replication(tmp_path, capsys, argv):
     rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
                "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "6",

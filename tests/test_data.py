@@ -424,8 +424,18 @@ def small_design():
 
 def test_build_design_shapes(small_design):
     _, basis, design = small_design
+    assert design.B.shape == (6, 8) and design.q == 8
     assert len(design.Z) == 2
     assert all(Z.shape == (6, 8) for Z in design.Z)
+
+
+def test_design_stores_y_x_and_basis_rows_only(small_design):
+    # n * (1 + p + q) floats: no n x p x q block array is kept
+    _, _, design = small_design
+    stored = [v for v in vars(design).values() if isinstance(v, np.ndarray)]
+    assert sum(arr.nbytes for arr in stored) == 8 * design.n * (1 + design.p + design.q)
+    assert not any(isinstance(v, tuple) for v in vars(design).values())
+    assert not design.B.flags.writeable
 
 
 def test_zero_covariate_gives_zero_row(small_design):
@@ -438,7 +448,7 @@ def test_unit_covariate_rows_are_centered_basis(small_design):
     # x2 = 1 on subject b's rows: those Z rows equal Btilde(t), summing to 0
     assert np.abs(design.Z[1][3:].sum(axis=1)).max() < 1e-12
     _, _, t = ds.stacked()
-    assert np.allclose(design.Z[1][3:], basis.eval_centered(t[3:]))
+    assert np.array_equal(design.Z[1][3:], basis.eval_centered(t[3:]))
 
 
 def test_design_row_ordering_matches_stack(small_design):
@@ -446,8 +456,9 @@ def test_design_row_ordering_matches_stack(small_design):
     y, X, t = ds.stacked()
     assert np.array_equal(design.y, y)
     assert np.array_equal(design.X, X)
+    assert np.array_equal(design.B, basis.eval_centered(t))
     for k in range(2):
-        assert np.allclose(design.Z[k], X[:, k:k + 1] * basis.eval_centered(t))
+        assert np.array_equal(design.Z[k], X[:, k:k + 1] * basis.eval_centered(t))
 
 
 def test_intercept_flag_follows_demeaning():
@@ -466,9 +477,7 @@ def test_pipeline_deterministic(tmp_path):
         ds = demean_within_subject(standardize(load_long_csv(path)))
         basis = build_basis(SplineConfig(degree=3, num_internal_knots=2))
         design = build_design(ds, basis)
-        parts = [design.y.tobytes(), design.X.tobytes()]
-        parts += [Z.tobytes() for Z in design.Z]
-        return b"".join(parts)
+        return b"".join([design.y.tobytes(), design.X.tobytes(), design.B.tobytes()])
 
     assert digest() == digest()
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tvselect import simulate
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.data import build_design, demean_within_subject, standardize
 from tvselect.errors import ConfigurationError, StudyError
@@ -318,6 +319,44 @@ def test_run_study_deterministic():
         assert ra.method == rb.method
         for name in ra.means:
             assert ra.means[name] == rb.means[name]
+
+
+@pytest.mark.parametrize("parallelism, R, pools", [(8, 2, [2]), (2, 3, [2]), (4, 1, []),
+                                                   (1, 2, [])])
+def test_run_study_starts_at_most_one_worker_per_replication(monkeypatch, parallelism, R,
+                                                             pools):
+    # the fork start method forks every worker at the first submit, so the
+    # pool must not be wider than the study; a recording stand-in runs it here
+    import concurrent.futures
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    reports = run_study(SMALL, R=R, seed=9, options=FAST, parallelism=parallelism)
+    assert made == pools
+    assert all(rep.n_replications == R for rep in reports)
+
+
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_run_study_refuses_parallelism_below_one(monkeypatch, parallelism):
+    def refuse(payload):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(simulate, "_run_replication_safe", refuse)
+    with pytest.raises(ConfigurationError, match="parallelism"):
+        run_study(SMALL, R=2, seed=9, options=FAST, parallelism=parallelism)
 
 
 def test_run_study_parallel_matches_serial():

@@ -125,7 +125,7 @@ def test_update_mu_k_zero_column():
     _, basis, design = make_instance(rng)
     X = design.X.copy()
     X[:, 1] = 0.0
-    degenerate = type(design)(y=design.y, X=X, Z=design.Z, intercept_included=True)
+    degenerate = replace(design, X=X)
     with pytest.raises(DegenerateColumnError, match="column 1"):
         fit_bcd(degenerate, basis, PenaltyConfig(0.1, 0.01), SolverOptions())
 
@@ -274,8 +274,7 @@ def test_zero_response_gives_zero_fit():
     rng = np.random.default_rng(8)
     ds, basis, design = make_instance(rng)
     y0 = np.zeros(design.n)
-    design0 = type(design)(y=y0, X=design.X, Z=design.Z,
-                           intercept_included=design.intercept_included)
+    design0 = replace(design, y=y0)
     fit = fit_bcd(design0, basis, PenaltyConfig(0.5, 0.1), SolverOptions())
     assert fit.beta0 == 0.0
     assert np.allclose(fit.mu, 0.0, atol=1e-14)
@@ -391,7 +390,7 @@ def test_fit_bcd_refuses_collinear_design_without_intercept():
     _, basis, design = make_instance(rng)
     X = design.X.copy()
     X[:, 2] = 2.0 * X[:, 0]
-    collinear = type(design)(y=design.y, X=X, Z=design.Z, intercept_included=False)
+    collinear = replace(design, X=X, intercept_included=False)
     with pytest.raises(DegenerateDesignError, match="rank-deficient"):
         fit_bcd(collinear, basis, PenaltyConfig(0.1, 0.01))
 
@@ -419,6 +418,13 @@ def test_design_gram_matches_stacked_product(monkeypatch, intercept, masked):
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.array_equal(got, got.T)
+    # the same sum of 7-row chunk products, each chunk cut from the blocks
+    # of `design.Z`: block rows formed in the chunk are the same products
+    by_chunk = np.zeros_like(want)
+    for start in range(0, len(Ay), 7):
+        At = np.ascontiguousarray(Ay[start:start + 7].T)
+        by_chunk += At @ At.T
+    assert np.array_equal(got, by_chunk)
 
 
 def test_design_gram_of_no_rows_is_zero():
@@ -545,7 +551,7 @@ def row_form_bcd(design, basis, penalty, options):
     theta = [np.zeros(basis.q) for _ in range(p)]
     norms = [0.0] * p
     pen = [0.0] * p
-    e = y - _predictor(design, *_split_constants(c, p), theta)
+    e = y - _predictor(design.X, design.B, *_split_constants(c, p), theta)
     ee = float(e @ e)
 
     def current_objective():
@@ -559,7 +565,7 @@ def row_form_bcd(design, basis, penalty, options):
     for sweep in range(1, options.max_iter + 1):
         sweeps = sweep
         if sweep % RESIDUAL_REFRESH_EVERY == 0:
-            e = y - _predictor(design, *_split_constants(c, p), theta)
+            e = y - _predictor(design.X, design.B, *_split_constants(c, p), theta)
         c_old = c.copy()
         cte = C.T @ e
         for j in range(m):
@@ -633,14 +639,14 @@ def test_gram_form_sweeps_follow_the_row_form_past_the_refresh(seed, lam2):
 @pytest.mark.parametrize("method", [METHOD_TV_SELECT, METHOD_VC_RIDGE, METHOD_GROUP_LASSO,
                                     METHOD_SCREEN_REFIT])
 def test_fits_read_no_design_row(method, intercept):
-    # given the Gram of [A y], a fit on a design whose rows are all NaN is
-    # bit-identical to the fit on the real rows
+    # given the Gram of [A y], a fit on a design whose y, X and B are all NaN
+    # is bit-identical to the fit on the real rows
     rng = np.random.default_rng(60)
     _, basis, design = make_instance(rng, theta_scale=2.0)
     design = replace(design, intercept_included=intercept)
     blank = replace(design, y=np.full_like(design.y, np.nan),
                     X=np.full_like(design.X, np.nan),
-                    Z=tuple(np.full_like(Zk, np.nan) for Zk in design.Z)).with_gram(design.gram)
+                    B=np.full_like(design.B, np.nan)).with_gram(design.gram)
     pen = PenaltyConfig(0.2 * lambda1_max(design), 0.01)
 
     def fit(d):
@@ -784,8 +790,7 @@ def test_oracle_unpenalized_matches_direct_least_squares():
 def test_oracle_zero_data():
     rng = np.random.default_rng(22)
     _, basis, design = make_instance(rng, N=8, n_i=3, p=2, q=5)
-    design0 = type(design)(y=np.zeros(design.n), X=design.X, Z=design.Z,
-                           intercept_included=False)
+    design0 = replace(design, y=np.zeros(design.n), intercept_included=False)
     fit = fit_oracle(design0, basis, PenaltyConfig(0.2, 0.1))
     assert np.allclose(fit.mu, 0.0, atol=1e-12)
     assert all(np.allclose(th, 0.0, atol=1e-12) for th in fit.theta)
@@ -844,9 +849,7 @@ def test_oracle_raises_when_it_cannot_certify():
     _, basis, design = make_instance(rng, N=15, n_i=4, p=3, q=8)
     X = design.X.copy()
     X[:, 1] = X[:, 0]          # a duplicated covariate leaves the Newton system singular
-    Z = list(design.Z)
-    Z[1] = Z[0]
-    collinear = type(design)(y=design.y, X=X, Z=tuple(Z), intercept_included=True)
+    collinear = replace(design, X=X)                # and so does its block: Z_1 = Z_0
     with pytest.raises(OracleNonconvergenceError, match="KKT residual"):
         fit_oracle(collinear, basis, PenaltyConfig(0.3 * lambda1_max(design), 0.9),
                    max_iter=50)
@@ -876,7 +879,7 @@ def test_predict_reproduces_training_fitted_values():
     fit = fit_bcd(design, basis, PenaltyConfig(0.05, 0.001), SolverOptions())
     _, X, t = ds.stacked()
     pred = predict(fit, X, t)
-    assert np.abs(pred - fitted_values(design, fit)).max() < 1e-12
+    assert np.array_equal(pred, fitted_values(design, fit))
 
 
 def test_predict_time_out_of_domain():

@@ -1,8 +1,9 @@
 """Checks on the repository around the package rather than on its numbers.
 
 The benchmark's span targets must name functions that exist in the package:
-`perfbench/spans.py` wraps each target by `vars(owner)[attr]`; a rename in
-`src/` would otherwise surface only when a traced benchmark run crashes.
+`perfbench/spans.py` wraps each target by `vars(owner)[attr]`, and its
+describers read what the targets return; a rename in `src/` would otherwise
+surface only when a traced benchmark run crashes.
 The package's imports must match its declared runtime dependencies, and
 importing it must not pull in scipy, whose import would dominate start-up, nor
 the process pool, which only `simulate --parallel` uses.  A private helper
@@ -21,16 +22,21 @@ import sys
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-SPANS_PATH = os.path.join(ROOT, "perfbench", "spans.py")
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "tvselect")
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(name):
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_perfbench("spans")
 
 
 def test_every_span_target_resolves():
@@ -63,6 +69,25 @@ def test_span_install_wraps_every_binding_and_restores_it():
         installed.uninstall()
     assert (solver.fit_bcd, tuning.fit_bcd, tuning.fit_baseline,
             cli.fit_bcd, cli.main) == originals
+
+
+def test_span_describers_read_every_workload(tmp_path):
+    # each workload's warm-up under the full set of spans: every described
+    # target is called, and its describer reads what the call returned
+    spans, workloads = load_spans(), load_perfbench("workloads")
+    described = {f"{layer}.{path.split('.')[-1]}"
+                 for layer, _, path, describe in spans.TARGETS if describe is not None}
+    tracer = spans.Tracer()
+    installed = spans.install(tracer)
+    try:
+        for name, workload in workloads.WORKLOADS.items():
+            workload.warm_up(str(tmp_path / name))
+    finally:
+        installed.uninstall()
+    got = [s for s in tracer.spans if s.name in described]
+    assert {s.name for s in got} == described
+    assert [s.name for s in got if s.info is None] == []
+    assert [s.info for s in got if s.name == "cli.main" and s.info["exit"] != 0] == []
 
 
 def test_import_leaves_scipy_unloaded():

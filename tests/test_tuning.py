@@ -75,8 +75,7 @@ def test_lambda1_max_zero_when_orthogonal():
     _, basis, design = make_dataset(rng, s_v=0, mu=())
     # response == fitted constants part: residual orthogonal to every Z
     y_fit = design.X @ np.zeros(design.p)
-    design0 = type(design)(y=y_fit, X=design.X, Z=design.Z,
-                           intercept_included=design.intercept_included)
+    design0 = replace(design, y=y_fit)
     assert lambda1_max(design0) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -160,7 +159,7 @@ def test_ebic_zero_rss_sentinel():
     rng = np.random.default_rng(6)
     _, basis, design = make_dataset(rng, s_v=0, mu=())
     y_zero = np.zeros(design.n)
-    d0 = type(design)(y=y_zero, X=design.X, Z=design.Z, intercept_included=False)
+    d0 = replace(design, y=y_zero, intercept_included=False)
     fit = fit_bcd(d0, basis, PenaltyConfig(0.1, 0.0), SolverOptions())
     assert ebic(fit, d0, 0.5) == float("-inf")
 
