@@ -237,6 +237,10 @@ def cmd_tune(cfg) -> int:
     else:
         result = tune_cv(dataset, basis, grid, n_folds=cfg["cv_folds"],
                          seed=cfg["seed"], options=options)
+    for i, j, reason in result.failed_points:
+        print(f"warning: grid point lambda1={_fmt(grid.lambda1_values[i])} "
+              f"lambda2={_fmt(grid.lambda2_values[j])} failed ({reason}); "
+              "its surface.csv criterion is NaN", file=sys.stderr)
     _write_csv(os.path.join(cfg["out"], "surface.csv"),
                ("lambda1", "lambda2", "criterion"), list(result.surface_rows()))
     _write_fit_outputs(cfg, result.best_fit, dataset)

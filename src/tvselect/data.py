@@ -98,8 +98,9 @@ class DesignBlocks:
     """Stacked y, X and B = Btilde(t) at each row; no spline block Z_k = diag(x_k) B is stored.
 
     What the design alone determines is formed on first use and shared by its
-    fits: `gram` (the Gram of [A y], A = [C Z_1 ... Z_p]), `cold_constants` and
-    `block_factors`.  A `replace` copy forms its own; `with_gram` sets the Gram.
+    fits: `gram` (the Gram of [A y], A = [C Z_1 ... Z_p]), `cold_constants`,
+    `sweep_tables` and `block_factors`.  A `replace` copy forms its own;
+    `with_gram` sets the Gram.
     """
 
     y: np.ndarray
@@ -155,6 +156,20 @@ class DesignBlocks:
         c = np.linalg.solve(ctc, gram[:m, -1])
         c.setflags(write=False)
         return c
+
+    @cached_property
+    def sweep_tables(self) -> tuple:
+        """(inv(tril(C'C)), [G_kk], [G[block k rows]]) from `gram`, read by each BCD sweep.
+
+        One Gauss-Seidel pass over the constants is forward substitution with
+        tril(C'C), so inv(tril(C'C)) makes it one product.  Each block's G_kk
+        is a contiguous copy; its rows of G = A'A are views.
+        """
+        m, G = self.p + self.intercept_included, self.gram[:-1, :-1]
+        gauss_seidel = np.linalg.inv(np.tril(G[:m, :m]))
+        gauss_seidel.setflags(write=False)
+        g_kk = [np.ascontiguousarray(G[cols, cols]) for cols in self.block_slices]
+        return gauss_seidel, g_kk, [G[cols] for cols in self.block_slices]
 
     def with_gram(self, gram: np.ndarray) -> DesignBlocks:
         """A copy whose `gram` is the given Gram of [A y], such as a sum of fold Grams."""

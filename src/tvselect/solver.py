@@ -18,8 +18,10 @@ in the precomputed eigenbasis of G_k + 2*lambda2*Omega.  A block is set to
 exact zero precisely when ||Z_k' r_k / n||_2 <= lambda1 (the subdifferential
 condition at zero); otherwise the block norm s solves the secular equation
 h(s) = 1, found by a safeguarded Newton iteration on h(s)^(-1/2) that stops
-within 4 ulp of s.  The iteration starts from the block's current norm, which
-along a lambda1 path and in every later sweep is close to the new root.
+when a step or the bracket falls within 4 ulp of s, or when two steps from
+the left of the root predict the next one below that.  The iteration starts
+from the block's current norm, which along a lambda1 path and in every later
+sweep is close to the new root.
 Exact block minimization keeps the objective monotone and drives the iterate
 to the global minimum of the convex problem, which the reference solver
 `fit_oracle` certifies.
@@ -31,10 +33,15 @@ alike.  A fit reads only `design.gram`, the Gram of [A y] for A = [C Z_1
 keeps g = A'e and e'e for the residual e in place of e itself.  A
 coordinate or block reads its correlation with its partial residual from g
 and G, and a step Delta on its columns moves g by G[its rows]' Delta and
-e'e by -2 Delta' g_k + Delta' G_kk Delta.  The design keeps what it alone
-determines: the cold start from G[:m, :m] = C'C (`cold_constants`, which
-`lambda1_max` reads too and which refuses unidentified constants) and the
-block factorizations of each (lambda2, Omega) from the G_kk (`block_factors`).
+e'e by -2 Delta' g_k + Delta' G_kk Delta, where G_kk Delta is read from
+G[its rows]' Delta.  The Gauss-Seidel pass over the m constants is forward
+substitution with tril(C'C), so it is one product with inv(tril(C'C)).  The
+design keeps what it alone determines: the cold start from G[:m, :m] = C'C
+(`cold_constants`, which `lambda1_max` reads too and which refuses
+unidentified constants), inv(tril(C'C)) with each block's G_kk and rows of G
+(`sweep_tables`), and the block factorizations of each (lambda2, Omega) from
+the G_kk (`block_factors`).  A zero block whose ||g_k||/n stays at most
+lambda1 is skipped after that one test.
 Cross-validation sums per-fold Grams of the full design into each training
 Gram (`tuning.tune_cv`).  g = A'y - G x and
 e'e = y'y - x'A'y - x'g are recomputed at the start of each fit and every
@@ -170,6 +177,12 @@ def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
     return [BlockFactor(gram[cols, cols] / design.n + omega2) for cols in design.block_slices]
 
 
+def _zero_minimizes(norm_z: float, lambda1: float) -> bool:
+    """theta = 0 solves the block subproblem: ||z|| <= lambda1."""
+    # relative slack keeps boundary roundoff (lambda1 == lambda1_max) at zero
+    return norm_z <= lambda1 * (1.0 + 1e-12)
+
+
 def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
                             s0: float = 0.0) -> np.ndarray:
     """Exact minimizer of 0.5 theta'M theta - z'theta + lambda1 ||theta||_2.
@@ -185,13 +198,18 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
     the concave g lies below its tangent, and from there the iteration is
     monotone again.  A bracket [lo, hi] catches roundoff and a step below 0: a
     Newton point outside it is replaced by bisection, and an upper end never
-    evaluated is doubled until h(hi) <= 1.
+    evaluated is doubled until h(hi) <= 1.  The iteration stops at s when its
+    step or the checked bracket is within 4 ulp of s.  Left of the root it
+    converges quadratically, so after two Newton steps from the left, prev
+    and then step, the next would be about step^3 / prev^2; when that is
+    within 4 ulp of s + step and s + step lies inside (lo, hi), it returns
+    theta at s + step without evaluating h there.  A step from the right is
+    no guide: it can land far left of the root.
     """
     if lambda1 <= 0.0:
         return factor.solve(z)
     norm_z = math.sqrt(z.dot(z))
-    # relative slack keeps boundary roundoff (lambda1 == lambda1_max) at zero
-    if norm_z <= lambda1 * (1.0 + 1e-12):
+    if _zero_minimizes(norm_z, lambda1):
         return np.zeros_like(z)
     w, v = factor.w, factor.v
     zt = v.T.dot(z)
@@ -200,6 +218,7 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
     lo, hi = 0.0, (norm_z - lambda1) / factor.w_pos_min
     hi_checked = False        # h(hi) <= 1 seen, so hi is a true upper bound
     s = min(s0, hi)
+    prev = 0.0                # the last Newton step, when it was taken from the left
     for _ in range(SECULAR_MAX_ITER):
         r = 1.0 / (w * s + lambda1)
         r2 = r * r
@@ -221,11 +240,14 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
             return v.dot(zt / (w + lambda1 / s))
         s_next = s + step
         if s_next >= hi and not hi_checked:
-            s = hi
+            s, prev = hi, 0.0
         elif lo < s_next < hi:
-            s = s_next
+            # two steps from the left predict the next below the 4-ulp stop
+            if step > 0.0 and step ** 3 <= SECULAR_ULPS * _EPS * s_next * prev * prev:
+                return v.dot(zt / (w + lambda1 / s_next))
+            s, prev = s_next, max(step, 0.0)
         else:
-            s = 0.5 * (lo + hi)
+            s, prev = 0.5 * (lo + hi), 0.0
     raise SingularBlockError("block stationarity equation has no root the safeguarded "
                              f"Newton iteration could reach (lambda1={lambda1:.3e})")
 
@@ -264,9 +286,11 @@ def lambda1_max(design: DesignBlocks) -> float:
 def _block_penalty(th: np.ndarray, nrm: float, lam1: float, lam2: float,
                    omega: np.ndarray) -> float:
     """lambda1 ||th|| + lambda2 th' Omega th given nrm = ||th||, exactly 0.0 for a zero block."""
-    if nrm > 0.0:
-        return lam1 * nrm + lam2 * float(th.dot(omega).dot(th))
-    return 0.0
+    if nrm == 0.0:
+        return 0.0
+    if lam2 == 0.0:
+        return lam1 * nrm
+    return lam1 * nrm + lam2 * float(th.dot(omega).dot(th))
 
 
 def _penalty_value(theta, penalty: PenaltyConfig, omega: np.ndarray) -> float:
@@ -310,12 +334,13 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     design C = [1 X] (intercept = column 0; X alone without an intercept),
     then one exact solve per spline block, all in covariance form: the fit
     reads only `design.gram`, the Gram of [A y] for A = [C Z_1 ... Z_p], and
-    the factorizations that every fit on the design shares (`block_factors`),
-    and keeps g = A'e and e'e.  Block k
-    solves with u_k = g_k + G_kk theta_k, then a step Delta moves e'e by
-    -2 Delta' g_k + Delta' G_kk Delta and g by G[block k rows]' Delta.  g =
-    A'y - G x and e'e = y'y - x'A'y - x'g are recomputed for the parameters
-    x at the start and every RESIDUAL_REFRESH_EVERY sweeps.  `init`
+    the tables and factorizations that every fit on the design shares
+    (`sweep_tables`, `block_factors`), and keeps g = A'e and e'e.  The
+    constants move by dc = inv(tril(C'C)) g[:m], the step of the sequential
+    pass.  Block k solves with u_k = g_k + G_kk theta_k, then a step Delta
+    moves g by d = G[block k rows]' Delta and e'e by -2 Delta' g_k +
+    Delta' d_k.  g = A'y - G x and e'e = y'y - x'A'y - x'g are recomputed for
+    the parameters x at the start and every RESIDUAL_REFRESH_EVERY sweeps.  `init`
     warm-starts the parameters (e.g. along a lambda1 path); the default
     start is theta = 0 with `design.cold_constants` = solve(C'C, (A'y)[:m]).
     Non-convergence within max_iter is reported via `converged`, not raised.
@@ -331,15 +356,12 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     c, gram = design.cold_constants.copy(), design.gram
     G, aty, yty = gram[:-1, :-1], gram[:-1, -1], float(gram[-1, -1])
     m, blocks = len(c), design.block_slices
-    ctc = G[:m, :m]
-    c_sq = ctc.diagonal()
+    c_rows = G[:m]
+    gauss_seidel, g_kk, g_rows = design.sweep_tables
     key = (lam2, omega.tobytes())
     if key not in design.block_factors:
         design.block_factors[key] = precompute_block_factors(design, basis, lam2)
     factors = design.block_factors[key]
-    # each block's diagonal block G_kk and its rows of G
-    g_kk = [np.ascontiguousarray(G[cols, cols]) for cols in blocks]
-    g_rows = [G[cols] for cols in blocks]
 
     if init is not None:
         # (beta0, mu), or mu alone when C has no intercept column
@@ -376,37 +398,40 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
         if sweep % RESIDUAL_REFRESH_EVERY == 0:
             g, ee = refresh()
 
-        # Gauss-Seidel on the constants with cte = C'e kept current: c_j moves
-        # by c_j'e / c_j'c_j, which changes C'e by that step times column j of C'C
-        c_old = c.copy()
-        cte = g[:m].copy()
-        for j in range(m):
-            delta = cte[j] / c_sq[j]
-            c[j] += delta
-            cte -= delta * ctc[j]
-        dc = c - c_old
-        ee += float(dc.dot(ctc).dot(dc)) - 2.0 * float(dc.dot(g[:m]))
-        g -= dc.dot(G[:m])
+        # one Gauss-Seidel pass over the constants (c_j moves by its column's
+        # correlation with the running residual over c_j'c_j) is forward
+        # substitution with tril(C'C): dc = inv(tril(C'C)) C'e in one product
+        dc = gauss_seidel.dot(g[:m])
+        dg = dc.dot(c_rows)
+        ee += float(dg[:m].dot(dc)) - 2.0 * float(dc.dot(g[:m]))
+        g -= dg
+        c += dc
 
         # ndarray.dot, not @: on vectors this short it costs half as much
         for k in range(p):
-            th_old = theta[k]
             nrm_old = norms[k]
-            gk, gkk = g[blocks[k]], g_kk[k]
-            # Z_k' r_k for the partial residual r_k = e + Z_k theta_k
-            u = gk + gkk.dot(th_old) if nrm_old > 0.0 else gk
-            th_new = _solve_block_subproblem(factors[k], u / n, lam1, nrm_old)
+            gk, th_old = g[blocks[k]], theta[k]
+            if nrm_old > 0.0:
+                # Z_k' r_k / n for the partial residual r_k = e + Z_k theta_k
+                z = (gk + g_kk[k].dot(th_old)) / n
+            else:
+                z = gk / n
+                if _zero_minimizes(math.sqrt(z.dot(z)), lam1):
+                    continue        # a zero block that stays zero
+            th_new = _solve_block_subproblem(factors[k], z, lam1, nrm_old)
             nrm_new = math.sqrt(th_new.dot(th_new))
             if nrm_old == 0.0 and nrm_new == 0.0:
                 continue
             # exact block minimization cannot increase the objective; this
             # guards against floating-point drift in the running g and e'e:
-            # a step that raises it is halved, at most 20 times, then reverted
+            # a step that raises it is halved, at most 20 times, then reverted.
+            # Delta' G_kk Delta reads G[block k rows]' Delta, g's own update
             base = 0.5 / n * ee + pen[k]
             for _ in range(21):
                 step = th_new - th_old
+                dg = step.dot(g_rows[k])
                 pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
-                ee_new = ee + float(step.dot(gkk).dot(step)) - 2.0 * float(step.dot(gk))
+                ee_new = ee + float(dg[blocks[k]].dot(step)) - 2.0 * float(step.dot(gk))
                 if 0.5 / n * ee_new + pen_new <= base:
                     break
                 th_new = th_old + 0.5 * step
@@ -417,7 +442,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             norms[k] = nrm_new
             pen[k] = pen_new
             ee = ee_new
-            g -= step.dot(g_rows[k])
+            g -= dg
 
         q_new = current_objective()
         trace.append(q_new)

@@ -69,6 +69,8 @@ class TuningResult:
     best_fit: ModelFit
     grid: TuningGrid
     criterion: str = "ebic"
+    # (i, j, reason) for each grid point whose fit failed; its surface cell is NaN
+    failed_points: tuple = ()
 
     def surface_rows(self):
         """(lambda1, lambda2, criterion) triples for CSV export."""
@@ -136,7 +138,10 @@ def _check_grid(grid: TuningGrid, method: str) -> None:
 
 
 def _fit_grid(design, basis, grid, options, method):
-    """All grid fits on one design, warm-started down the lambda1 path at fixed lambda2."""
+    """All grid fits on one design, warm-started down the lambda1 path at fixed lambda2.
+
+    Returns the fits and each failed fit's reason, keyed by grid index (i, j).
+    """
     fits = {}
     failures = {}
     for j, lam2 in enumerate(grid.lambda2_values):
@@ -153,12 +158,12 @@ def _fit_grid(design, basis, grid, options, method):
             except DegenerateDesignError:
                 raise       # a property of the design: every grid point would fail
             except (TVSelectError, np.linalg.LinAlgError) as exc:
-                # numerical failure: keep scanning; the surface records the hole
-                failures[(i, j)] = exc
+                # numerical failure: keep scanning; the result records the point
+                failures[(i, j)] = f"{type(exc).__name__}: {exc}"
     if not fits:
         raise TuningError(f"all {len(failures)} grid fits failed; "
                           f"first error: {next(iter(failures.values()))}")
-    return fits
+    return fits, failures
 
 
 def tune_ebic(design: DesignBlocks, basis: CenteredSplineBasis, grid: TuningGrid,
@@ -166,7 +171,7 @@ def tune_ebic(design: DesignBlocks, basis: CenteredSplineBasis, grid: TuningGrid
               method: str = METHOD_TV_SELECT) -> TuningResult:
     """Fit every grid point and return the EBIC minimizer."""
     _check_grid(grid, method)
-    fits = _fit_grid(design, basis, grid, options, method)
+    fits, failures = _fit_grid(design, basis, grid, options, method)
     surface = np.full((len(grid.lambda1_values), len(grid.lambda2_values)), np.nan)
     for (i, j), fit in fits.items():
         surface[i, j] = ebic(fit, design, grid.gamma)
@@ -175,6 +180,7 @@ def tune_ebic(design: DesignBlocks, basis: CenteredSplineBasis, grid: TuningGrid
     return TuningResult(
         best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],
         criterion_surface=surface, best_fit=fits[(i, j)], grid=grid, criterion="ebic",
+        failed_points=tuple((*ij, reason) for ij, reason in sorted(failures.items())),
     )
 
 
@@ -205,7 +211,8 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     The dataset is used exactly as preprocessed by the caller; whole subjects
     are held out, the criterion pools squared errors over held-out rows, and
     the winning pair is refit on the full data.  A grid point whose fit
-    failed in any fold is NaN in the surface.  One pass over the full
+    failed in any fold is NaN in the surface, and `failed_points` gives the
+    first fold it failed in and why.  One pass over the full
     design forms the Gram of [A y] per fold (G, A'y and y'y); fold f trains
     on a design carrying the sum of the other folds' Grams (`with_gram`), the
     refit on the sum of all of them.  No fit reads a training design's rows;
@@ -218,12 +225,16 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     sq_err = np.zeros(shape)
     counts = np.zeros(shape)
     folds_ok = np.zeros(shape, dtype=int)
+    failed = {}
     for f, held_out in enumerate(folds):
         d_train, d_test = (build_design(part, basis) for part in split_subjects(dataset, held_out))
         # train_gram outlives the del below: freed with the designs, it lets malloc
         # trim the heap, and the next fold's designs fault it back in (2x the faults)
         train_gram = sum(G for g, G in enumerate(fold_grams) if g != f)
-        fits = _fit_grid(d_train.with_gram(train_gram), basis, grid, options, METHOD_TV_SELECT)
+        fits, failures = _fit_grid(d_train.with_gram(train_gram), basis, grid, options,
+                                   METHOD_TV_SELECT)
+        for ij, reason in failures.items():
+            failed.setdefault(ij, f"fold {f + 1} of {len(folds)}: {reason}")
         for (i, j), fit in fits.items():
             sq_err[i, j] += float(np.sum(residuals(d_test, fit) ** 2))
             counts[i, j] += d_test.n
@@ -238,4 +249,5 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     return TuningResult(
         best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],
         criterion_surface=surface, best_fit=best_fit, grid=grid, criterion="cv-mspe",
+        failed_points=tuple((*ij, reason) for ij, reason in sorted(failed.items())),
     )

@@ -9,7 +9,7 @@ from tvselect import artifact, cli, tuning
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.cli import main
 from tvselect.data import build_design, from_arrays, load_long_csv, standardize
-from tvselect.errors import ParseError
+from tvselect.errors import ParseError, SingularBlockError
 from tvselect.simulate import StudyOptions, generate, make_scenario, predict_dataset
 from tvselect.solver import (
     PenaltyConfig,
@@ -451,6 +451,29 @@ def test_malformed_grid_exit_code_2(train_csv, tmp_path, capsys, flag, value):
                "--knots", "2", "--lambda1-grid", "0.1", flag, value])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_tune_warns_once_per_failed_grid_point(train_csv, tmp_path, capsys, monkeypatch):
+    real_fit = tuning.fit_bcd
+
+    def fit_failing(design, basis, penalty, *args, **kwargs):
+        if penalty.lambda1 == 0.02:
+            raise SingularBlockError("injected failure")
+        return real_fit(design, basis, penalty, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "fit_bcd", fit_failing)
+    out = tmp_path / "tune_out"
+    rc = main(["tune", "--data", str(train_csv), "--out", str(out), "--knots", "2",
+               "--no-demean", "--lambda1-grid", "0.08,0.02,0.005",
+               "--lambda2-grid", "1e-3,1e-5"])
+    assert rc == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert warnings == [
+        f"warning: grid point lambda1=0.02 lambda2={cli._fmt(lam2)} failed "
+        "(SingularBlockError: injected failure); its surface.csv criterion is NaN"
+        for lam2 in (1e-3, 1e-5)]
+    rows = [ln.split(",") for ln in (out / "surface.csv").read_text().splitlines()[1:]]
+    assert [r[2] == "nan" for r in rows] == [False, False, True, True, False, False]
 
 
 def test_tune_cv_command(train_csv, tmp_path):

@@ -1,9 +1,11 @@
+import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvselect.basis import TIME_QUANTILES, SplineConfig, build_basis
@@ -47,7 +49,7 @@ from tvselect.solver import (
     predict,
     residuals,
 )
-from tvselect.tuning import lambda1_max
+from tvselect.tuning import _fit_grid, default_grid, lambda1_max
 
 
 def make_instance(rng, N=15, n_i=4, p=3, q=6, sigma=1.0, theta_scale=1.0):
@@ -210,20 +212,32 @@ def block_with_null_vector(seed, log_eigs):
        st.lists(st.floats(-2.0, 5.0), min_size=2, max_size=13),
        st.one_of(st.just(0.0), st.floats(-4.0, 2.0).map(lambda e: 10.0 ** e)),
        st.one_of(st.floats(-0.9, 0.0), st.floats(-11.0, 1.0).map(lambda e: 10.0 ** e)),
-       st.one_of(st.just("zero"), st.just("huge"), st.floats(-6.0, 6.0)))
+       st.one_of(st.just("zero"), st.just("huge"), st.floats(-6.0, 6.0),
+                 st.tuples(st.sampled_from((-1.0, 1.0)), st.integers(2, 12))))
+# from far right of the root, the first Newton step lands left of it at a
+# point where the next step is no guide to the one after: the stop on
+# predicted convergence must wait for two steps from the left
+@example(1596948134, [2.3, 3.5, 4.0, 2.8, 3.2, -1.7, 1.6], 10.0 ** -0.9, 10.0 ** 0.4, "huge")
 def test_block_solve_matches_brentq_reference(seed, log_eigs, lam1, delta, start):
     # eigenvalues span 1e-2..1e5 (desk blocks span 0.06..5.4e4); z lies in the
     # range of M with ||z|| = lambda1 (1 + delta), so small delta probes the
-    # zero boundary; the Newton start s0 is 0, far beyond any bracket, or the
-    # reference norm scaled by 10^start, on either side of the root
+    # zero boundary; the Newton start s0 is 0, far beyond any bracket, the
+    # reference norm scaled by 10^start, on either side of the root, or that
+    # norm times 1 -+ 10^-k, near the root, where the iteration stops on
+    # predicted convergence after its second evaluation
     M, V, rng = block_with_null_vector(seed, log_eigs)
     factor = BlockFactor(M)
     z = V[:, 1:] @ rng.standard_normal(len(log_eigs))
     z *= (lam1 if lam1 > 0.0 else 1.0) * (1.0 + delta) / np.linalg.norm(z)
     ref = brentq_block_solve(factor, z, lam1)
-    s0 = {"zero": 0.0, "huge": 1e300}.get(start)
-    if s0 is None:
-        s0 = float(np.linalg.norm(ref)) * 10.0 ** start
+    norm_ref = float(np.linalg.norm(ref))
+    if isinstance(start, tuple):
+        side, k = start
+        s0 = norm_ref * (1.0 + side * 10.0 ** -k)
+    elif isinstance(start, str):
+        s0 = {"zero": 0.0, "huge": 1e300}[start]
+    else:
+        s0 = norm_ref * 10.0 ** start
     theta = _solve_block_subproblem(factor, z, lam1, s0)
     assert theta.any() == ref.any()
     norm_z = math.sqrt(z @ z)
@@ -531,6 +545,37 @@ def test_fits_from_the_design_cache_match_fits_on_a_fresh_design(method):
     assert omegas == {basis.roughness.omega.tobytes(), other.roughness.omega.tobytes()}
 
 
+def gauss_seidel_pass(ctc, cte):
+    """One Gauss-Seidel pass over the constants, coordinate by coordinate.
+
+    c_j moves by its correlation with the running residual over c_j'c_j,
+    which changes C'e by that step times column j of C'C.  Returns the step.
+    """
+    cte = cte.copy()
+    dc = np.zeros(len(cte))
+    for j in range(len(cte)):
+        dc[j] = cte[j] / ctc[j, j]
+        cte -= dc[j] * ctc[j]
+    return dc
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+@pytest.mark.parametrize("seed", range(3))
+def test_constants_step_is_one_gauss_seidel_pass(seed, intercept):
+    # the design's inv(tril(C'C)) gives in one product the step of the
+    # sequential pass that `row_form_bcd` runs
+    rng = np.random.default_rng(70 + seed)
+    _, _, design = make_instance(rng, N=15, n_i=4, p=2 + 2 * seed, q=6)
+    design = replace(design, intercept_included=intercept)
+    m = design.p + intercept
+    ctc = design.gram[:m, :m]
+    assert np.linalg.cond(ctc) < 1e3
+    gauss_seidel = design.sweep_tables[0]
+    for cte in rng.standard_normal((5, m)) * 10.0 ** rng.uniform(-3, 3, (5, 1)):
+        want = gauss_seidel_pass(ctc, cte)
+        assert np.linalg.norm(gauss_seidel.dot(cte) - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def row_form_bcd(design, basis, penalty, options):
     """Reference BCD that keeps the residual e itself on the design rows.
 
@@ -543,9 +588,7 @@ def row_form_bcd(design, basis, penalty, options):
     omega = basis.roughness.omega
     lam1, lam2 = penalty.lambda1, penalty.lambda2
     C = _constant_design(design)
-    m = C.shape[1]
     ctc = C.T @ C
-    c_sq = ctc.diagonal()
     factors = [BlockFactor(Zk.T @ Zk / n + 2.0 * lam2 * omega) for Zk in Z]
     c = np.linalg.solve(ctc, C.T @ y)
     theta = [np.zeros(basis.q) for _ in range(p)]
@@ -566,13 +609,9 @@ def row_form_bcd(design, basis, penalty, options):
         sweeps = sweep
         if sweep % RESIDUAL_REFRESH_EVERY == 0:
             e = y - _predictor(design.X, design.B, *_split_constants(c, p), theta)
-        c_old = c.copy()
-        cte = C.T @ e
-        for j in range(m):
-            delta = cte[j] / c_sq[j]
-            c[j] += delta
-            cte -= delta * ctc[j]
-        e = e - C @ (c - c_old)
+        dc = gauss_seidel_pass(ctc, C.T @ e)
+        c += dc
+        e = e - C @ dc
         ee = float(e @ e)
         for k in range(p):
             th_old, nrm_old = theta[k], norms[k]
@@ -633,6 +672,29 @@ def test_gram_form_sweeps_follow_the_row_form_past_the_refresh(seed, lam2):
     assert fit.iterations == sweeps > RESIDUAL_REFRESH_EVERY
     assert np.abs(np.append(fit.beta0, fit.mu)[-len(c):] - c).max() <= 1e-10
     assert np.abs(np.array(fit.theta) - np.array(theta)).max() <= 1e-10
+
+
+# sweeps per cell of the grid below, recorded with the coordinate-by-coordinate
+# Gauss-Seidel pass over the constants and a Newton that confirms each step
+GRID_SWEEPS_SEED80 = [[1, 1, 1], [2, 4, 6], [4, 4, 10], [4, 4, 25], [3, 4, 62],
+                      [3, 3, 118], [2, 2, 124], [2, 2, 95], [1, 1, 62], [1, 1, 36]]
+
+
+def test_grid_fits_keep_their_recorded_sweeps_and_coefficients():
+    # a sweep that does less work must take the same steps: every cell of a
+    # warm-started 10 x 3 path (lambda2 = 0 included, 124 sweeps at most,
+    # past the refresh) keeps its sweep count and its coefficients to 1e-10
+    _, basis, design = make_instance(np.random.default_rng(80), N=15, n_i=4, p=3, q=6)
+    grid = default_grid(design, lambda1_count=10, lambda2_values=(0.1, 1e-3, 0.0))
+    fits, failures = _fit_grid(design, basis, grid, SolverOptions(), METHOD_TV_SELECT)
+    assert not failures
+    with open(os.path.join(os.path.dirname(__file__), "data", "fit_grid_seed80.json")) as fh:
+        recorded = np.array(json.load(fh)["coefficients"])
+    sweeps = [[fits[(i, j)].iterations for j in range(3)] for i in range(10)]
+    assert sweeps == GRID_SWEEPS_SEED80
+    coef = np.array([[np.concatenate([[fits[(i, j)].beta0], fits[(i, j)].mu, *fits[(i, j)].theta])
+                      for j in range(3)] for i in range(10)])
+    assert np.abs(coef - recorded).max() <= 1e-10
 
 
 @pytest.mark.parametrize("intercept", [True, False])

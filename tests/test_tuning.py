@@ -340,12 +340,13 @@ def test_tune_cv_surface_matches_fits_on_training_grams(method, grid):
     count = 0
     for held_out in subject_folds(ds.subject_ids, 4, 7):
         d_train, d_test = (build_design(part, basis) for part in split_subjects(ds, held_out))
-        for (i, j), fit in _fit_grid(d_train, basis, grid, SolverOptions(), method).items():
+        fits, _ = _fit_grid(d_train, basis, grid, SolverOptions(), method)
+        for (i, j), fit in fits.items():
             sq_err[i, j] += float(np.sum(tuning.residuals(d_test, fit) ** 2))
         count += d_test.n
     np.testing.assert_allclose(res.criterion_surface, sq_err / count, rtol=1e-10)
     ref = _fit_grid(design, basis, TuningGrid((res.best_lambda1,), (res.best_lambda2,)),
-                    SolverOptions(), method)[(0, 0)]
+                    SolverOptions(), method)[0][(0, 0)]
     np.testing.assert_allclose(res.best_fit.mu, ref.mu, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(np.array(res.best_fit.theta), np.array(ref.theta),
                                rtol=1e-10, atol=1e-12)
@@ -392,6 +393,30 @@ def test_tune_cv_marks_point_failed_in_one_fold(monkeypatch):
     mask = np.ones(res.criterion_surface.shape, dtype=bool)
     mask[1, 0] = False
     assert np.isfinite(res.criterion_surface[mask]).all()
+    assert res.failed_points == (
+        (1, 0, "fold 1 of 5: SingularBlockError: injected failure in the first fold"),)
+
+
+def test_tune_ebic_records_failed_points(monkeypatch):
+    # a failed fit is kept with its reason, not dropped; the path goes on
+    # warm-started from the last fit that succeeded
+    rng = np.random.default_rng(19)
+    _, basis, design = make_dataset(rng, N=10, n_i=4, p=2, q=6, mu=(1.0,))
+    grid = TuningGrid((0.2, 0.1, 0.05), (0.1, 0.01))
+    real_fit = tuning.fit_bcd
+
+    def fit_failing(design, basis, penalty, *args, **kwargs):
+        if penalty.lambda1 == 0.1:
+            raise SingularBlockError(f"injected at lambda2={penalty.lambda2}")
+        return real_fit(design, basis, penalty, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "fit_bcd", fit_failing)
+    res = tune_ebic(design, basis, grid)
+    assert res.failed_points == ((1, 0, "SingularBlockError: injected at lambda2=0.1"),
+                                 (1, 1, "SingularBlockError: injected at lambda2=0.01"))
+    assert np.isnan(res.criterion_surface[1]).all()
+    assert np.isfinite(res.criterion_surface[[0, 2]]).all()
+    assert tune_ebic(design, basis, TuningGrid((0.2,), (0.1,))).failed_points == ()
 
 
 def test_roundoff_ties_go_to_larger_penalties():
