@@ -55,7 +55,7 @@ from .structure import classify, threshold
 from .tuning import DEFAULT_LAMBDA2_GRID, TuningGrid, default_grid, tune_cv, tune_ebic
 
 USAGE_ERRORS = (ParseError, ConfigurationError, ArtifactMismatchError,
-                DegenerateDesignError, DegenerateColumnError, FileNotFoundError)
+                DegenerateDesignError, DegenerateColumnError, OSError)
 NUMERICAL_ERRORS = (SingularBlockError, OracleNonconvergenceError, TuningError,
                     StudyError, DimensionError, DomainError)
 

@@ -182,31 +182,30 @@ class DesignBlocks:
         return design
 
 
-def design_gram(design: DesignBlocks, rows=None) -> np.ndarray:
-    """The Gram of [A y] for A = [C Z_1 ... Z_p], over the design rows or a boolean row mask.
+def design_gram(design: DesignBlocks) -> np.ndarray:
+    """The Gram of [A y] for A = [C Z_1 ... Z_p] over the design's rows.
 
     For A of width w: the (w+1) x (w+1) matrix [[G, A'y], [y'A, y'y]], G = A'A.
     [A y]' is stacked a chunk of rows at a time (GRAM_CHUNK_ROWS) and never
     whole, block k's rows as B[chunk]' * x_k[chunk], so forming it costs a
     fraction of the design's memory.  Stacking [A y]' (contiguous rows per
-    column) copies several times faster than stacking [A y].  Read-only.
+    column) copies several times faster than stacking [A y].  A
+    cross-validation fold's Gram is its held-out design's own
+    (`tuning.tune_cv`).  Read-only.
     """
-    idx = None if rows is None else np.flatnonzero(rows)
-    count = design.n if idx is None else len(idx)
     m = design.p + design.intercept_included
     width = m + design.p * design.q
     chunk = int(np.clip(design.n // 8, *GRAM_CHUNK_ROWS))
     gram = np.zeros((width + 1, width + 1))
-    buf = np.empty((width + 1, min(chunk, count)))
+    buf = np.empty((width + 1, min(chunk, design.n)))
     buf[0] = 1.0                    # the intercept row, when C has one
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        sel = slice(start, stop) if idx is None else idx[start:stop]
+    for start in range(0, design.n, chunk):
+        stop = min(start + chunk, design.n)
         At = buf[:, :stop - start]
-        At[m - design.p:m] = design.X.T[:, sel]
+        At[m - design.p:m] = design.X.T[:, start:stop]
         for xk, cols in zip(At[m - design.p:m], design.block_slices):
-            np.multiply(design.B.T[:, sel], xk, out=At[cols])
-        At[width] = design.y[sel]
+            np.multiply(design.B.T[:, start:stop], xk, out=At[cols])
+        At[width] = design.y[start:stop]
         gram += At @ At.T
     gram.setflags(write=False)
     return gram

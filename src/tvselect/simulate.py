@@ -126,6 +126,7 @@ class ScenarioSpec:
             raise ConfigurationError("scenario B fixes rho = 0.6")
         if self.scenario == "F" and self.amplitude != 0.5:
             raise ConfigurationError("scenario F fixes amplitude = 0.5")
+        SplineConfig.from_q(self.q)         # refuses a q the cubic basis cannot have
 
     @property
     def n_total(self) -> int:

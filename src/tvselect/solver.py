@@ -42,8 +42,8 @@ unidentified constants), inv(tril(C'C)) with each block's G_kk and rows of G
 (`sweep_tables`), and the block factorizations of each (lambda2, Omega) from
 the G_kk (`block_factors`).  A zero block whose ||g_k||/n stays at most
 lambda1 is skipped after that one test.
-Cross-validation sums per-fold Grams of the full design into each training
-Gram (`tuning.tune_cv`).  g = A'y - G x and
+Cross-validation sums the held-out designs' own Grams into each training
+Gram and the refit's (`tuning.tune_cv`).  g = A'y - G x and
 e'e = y'y - x'A'y - x'g are recomputed at the start of each fit and every
 50 sweeps, to cap floating-point drift.  Each block's norm and penalty
 value are cached between updates, so a sweep's objective is a sum of

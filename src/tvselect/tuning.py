@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CenteredSplineBasis
-from .data import DesignBlocks, LongitudinalDataset, build_design, design_gram, split_subjects
+from .data import DesignBlocks, LongitudinalDataset, build_design, split_subjects
 from .errors import ConfigurationError, DegenerateDesignError, TuningError, TVSelectError
 from .solver import (
     METHOD_GROUP_LASSO,
@@ -196,55 +196,44 @@ def subject_folds(subject_ids, n_folds: int, seed) -> list[list[str]]:
     return [[ids[i] for i in chunk] for chunk in np.array_split(perm, n_folds)]
 
 
-def _fold_grams(dataset: LongitudinalDataset, design: DesignBlocks, folds) -> list:
-    """`design_gram` of `design` (built from `dataset`) over each fold's rows."""
-    fold_of = {sid: f for f, held_out in enumerate(folds) for sid in held_out}
-    row_fold = np.repeat([fold_of[sid] for sid in dataset.subject_ids], np.diff(dataset.bounds))
-    return [design_gram(design, rows=row_fold == f) for f in range(len(folds))]
-
-
 def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: TuningGrid,
             n_folds: int = 5, seed: int = 0,
             options: SolverOptions = SolverOptions()) -> TuningResult:
     """Subject-wise K-fold cross-validation of tv-select on mean squared prediction error.
 
     The dataset is used exactly as preprocessed by the caller; whole subjects
-    are held out, the criterion pools squared errors over held-out rows, and
-    the winning pair is refit on the full data.  A grid point whose fit
-    failed in any fold is NaN in the surface, and `failed_points` gives the
-    first fold it failed in and why.  One pass over the full
-    design forms the Gram of [A y] per fold (G, A'y and y'y); fold f trains
-    on a design carrying the sum of the other folds' Grams (`with_gram`), the
-    refit on the sum of all of them.  No fit reads a training design's rows;
-    the held-out error is summed over the held-out rows.
+    are held out, and the winning pair is refit on the full data.  Every row
+    is held out once, so a grid point fitted in all K folds scores its
+    squared errors summed over the held-out rows divided by n.  A grid point
+    whose fit failed in any fold is NaN in the surface, and `failed_points`
+    gives the first fold it failed in and why.  Each held-out design's own
+    Gram of [A y] (G, A'y and y'y) is its fold's Gram; fold f trains on a
+    design carrying the sum of the other folds' Grams (`with_gram`), the
+    refit on the sum of all of them.  No fit reads a training design's rows.
     """
     folds = subject_folds(dataset.subject_ids, n_folds, seed)
-    full_design = build_design(dataset, basis)
-    fold_grams = _fold_grams(dataset, full_design, folds)
+    held_out_designs = [build_design(split_subjects(dataset, held_out)[1], basis)
+                        for held_out in folds]
+    fold_grams = [d_test.gram for d_test in held_out_designs]
     shape = (len(grid.lambda1_values), len(grid.lambda2_values))
     sq_err = np.zeros(shape)
-    counts = np.zeros(shape)
     folds_ok = np.zeros(shape, dtype=int)
     failed = {}
-    for f, held_out in enumerate(folds):
-        d_train, d_test = (build_design(part, basis) for part in split_subjects(dataset, held_out))
-        # train_gram outlives the del below: freed with the designs, it lets malloc
-        # trim the heap, and the next fold's designs fault it back in (2x the faults)
-        train_gram = sum(G for g, G in enumerate(fold_grams) if g != f)
-        fits, failures = _fit_grid(d_train.with_gram(train_gram), basis, grid, options,
-                                   METHOD_TV_SELECT)
+    for f, (held_out, d_test) in enumerate(zip(folds, held_out_designs)):
+        d_train = build_design(split_subjects(dataset, held_out)[0], basis).with_gram(
+            sum(G for g, G in enumerate(fold_grams) if g != f))
+        fits, failures = _fit_grid(d_train, basis, grid, options, METHOD_TV_SELECT)
         for ij, reason in failures.items():
             failed.setdefault(ij, f"fold {f + 1} of {len(folds)}: {reason}")
         for (i, j), fit in fits.items():
             sq_err[i, j] += float(np.sum(residuals(d_test, fit) ** 2))
-            counts[i, j] += d_test.n
             folds_ok[i, j] += 1
-        del d_train, d_test, fits      # before the next fold's designs are built
-    with np.errstate(invalid="ignore", divide="ignore"):
-        surface = np.where(folds_ok == len(folds), sq_err / counts, np.nan)
+        del d_train         # freed before the next fold's training design is built
+    surface = np.where(folds_ok == len(folds), sq_err / dataset.n_total, np.nan)
     i, j = _argmin_with_tiebreak(surface)
     pen = PenaltyConfig(lambda1=grid.lambda1_values[i], lambda2=grid.lambda2_values[j])
-    best_fit = fit_bcd(full_design.with_gram(sum(fold_grams)), basis, pen, options)
+    best_fit = fit_bcd(build_design(dataset, basis).with_gram(sum(fold_grams)), basis, pen,
+                       options)
     surface.setflags(write=False)
     return TuningResult(
         best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],

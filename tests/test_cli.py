@@ -670,6 +670,32 @@ def test_simulate_refuses_bad_inputs_before_any_replication(tmp_path, capsys, ar
     assert "replications in" not in err and "ParseError" not in err
 
 
+def test_simulate_refuses_a_q_the_basis_cannot_have(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_study", refuse_to_fit)
+    rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
+               "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "3",
+               "--replications", "2", "--out", str(tmp_path / "sim"), "--parallel", "1",
+               "--methods", "tv-select"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "q=3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "classify"])
+def test_unwritable_output_path_exit_code_2(train_csv, tmp_path, capsys, command):
+    # --out names an existing file, or a path below one
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--data", str(train_csv), "--out", str(fit_dir), "--knots", "2"]) == 0
+    capsys.readouterr()
+    argv = {"fit": ["fit", "--data", str(train_csv), "--knots", "2",
+                    "--out", str(fit_dir / "fit.json" / "sub")],
+            "classify": ["classify", "--artifact", str(fit_dir / "fit.json"),
+                         "--out", str(fit_dir / "fit.json")]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_config_values_read_like_flags(train_csv, tmp_path):
     # a string is converted as its flag would; a number the flag reads back
     # as itself is echoed as written

@@ -55,6 +55,14 @@ def test_scenario_forced_fields_reject_contradictions():
     make_scenario("B", N=50, n_i=4, p=20, rho=0.6)   # restating is fine
 
 
+def test_scenario_refuses_a_q_the_basis_cannot_have():
+    # the study's cubic basis needs q >= 4: refused before any data are drawn
+    for q in (3, 0):
+        with pytest.raises(ConfigurationError, match=f"q={q}"):
+            make_scenario("A", N=50, n_i=4, p=20, q=q)
+    assert make_scenario("A", N=50, n_i=4, p=20, q=4).q == 4
+
+
 def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         make_scenario("A", N=50, n_i=4, p=20, s_v=7)

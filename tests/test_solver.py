@@ -418,17 +418,15 @@ def stacked_design(design):
 
 
 @pytest.mark.parametrize("intercept", [True, False])
-@pytest.mark.parametrize("masked", [False, True])
-def test_design_gram_matches_stacked_product(monkeypatch, intercept, masked):
+def test_design_gram_matches_stacked_product(monkeypatch, intercept):
     # 7-row chunks: several full chunks and a partial last one
     monkeypatch.setattr(data, "GRAM_CHUNK_ROWS", (7, 7))
     rng = np.random.default_rng(40)
     _, basis, design = make_instance(rng, N=13, n_i=4, p=3, q=6)
     design = replace(design, intercept_included=intercept)
-    rows = rng.random(design.n) < 0.6 if masked else np.ones(design.n, dtype=bool)
-    Ay = stacked_design(design)[rows]
+    Ay = stacked_design(design)
     want = Ay.T @ Ay
-    got = design_gram(design, rows=rows if masked else None)
+    got = design_gram(design)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.array_equal(got, got.T)
@@ -439,12 +437,6 @@ def test_design_gram_matches_stacked_product(monkeypatch, intercept, masked):
         At = np.ascontiguousarray(Ay[start:start + 7].T)
         by_chunk += At @ At.T
     assert np.array_equal(got, by_chunk)
-
-
-def test_design_gram_of_no_rows_is_zero():
-    rng = np.random.default_rng(41)
-    _, _, design = make_instance(rng)
-    assert not design_gram(design, rows=np.zeros(design.n, dtype=bool)).any()
 
 
 def test_with_gram_rejects_gram_of_another_shape():
@@ -462,9 +454,9 @@ def test_design_gram_is_formed_once_per_design(monkeypatch):
     # shared by group-lasso and screen-refit
     calls, factors, eigen_checks = [], [], []
 
-    def counted(design, rows=None):
-        calls.append(rows)
-        return real(design, rows)
+    def counted(design):
+        calls.append(design.n)
+        return real(design)
 
     class CountedFactor(BlockFactor):
         def __init__(self, mat):
@@ -486,7 +478,7 @@ def test_design_gram_is_formed_once_per_design(monkeypatch):
     fits = fit_study_methods(design, basis, opts)
     assert sorted(fits) == sorted(opts.methods)
     assert all(fit.method == method for method, fit in fits.items())
-    assert calls == [None]
+    assert calls == [design.n]
     assert len(factors) == (len(opts.lambda2_values) + 1) * design.p
     assert sorted(lam2 for lam2, _ in design.block_factors) == [0.0, 1e-4, 1e-2]
     assert eigen_checks == [(design.p + 1, design.p + 1)]

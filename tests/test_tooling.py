@@ -3,7 +3,8 @@
 The benchmark's span targets must name functions that exist in the package:
 `perfbench/spans.py` wraps each target by `vars(owner)[attr]`, and its
 describers read what the targets return; a rename in `src/` would otherwise
-surface only when a traced benchmark run crashes.
+surface only when a traced benchmark run crashes, and a panel pass must make
+the calls that the traced run's span-count check expects of its outputs.
 The package's imports must match its declared runtime dependencies, and
 importing it must not pull in scipy, whose import would dominate start-up, nor
 the process pool, which only `simulate --parallel` uses.  A private helper
@@ -88,6 +89,25 @@ def test_span_describers_read_every_workload(tmp_path):
     assert {s.name for s in got} == described
     assert [s.name for s in got if s.info is None] == []
     assert [s.info for s in got if s.name == "cli.main" and s.info["exit"] != 0] == []
+
+
+def test_panel_pass_makes_the_calls_its_outputs_imply(tmp_path):
+    # the span counts a traced panel-cli pass checks, on the warm-up's inputs:
+    # a drift in build_design or fit_bcd calls fails here, not only in a --trace 1 run
+    spans, workloads = load_spans(), load_perfbench("workloads")
+    d = str(tmp_path)
+    workloads.write_panel(d, {"N": 30, "n_i": 4, "p": 4, "s_v": 1, "s_c": 1}, (0,), 5)
+    tracer = spans.Tracer()
+    installed = spans.install(tracer)
+    try:
+        exits = workloads.run_cli(workloads._commands(d, 0, "0.1,0.01", "0.01", 2,
+                                                      workloads.PANEL_FIT_PENALTY))
+    finally:
+        installed.uninstall()
+    assert set(exits.values()) == {0}
+    implied = workloads.PanelWorkload().summarize({"workdir": d}, exits, []).implied_spans
+    counts = spans.span_counts(tracer.spans)
+    assert {name: counts.get(name, 0) for name in implied} == implied
 
 
 def test_import_leaves_scipy_unloaded():

@@ -13,7 +13,7 @@ from tvselect.data import (
     split_subjects,
     standardize,
 )
-from tvselect import tuning
+from tvselect import data, tuning
 from tvselect.errors import ConfigurationError, SingularBlockError
 from tvselect.solver import (
     METHOD_GROUP_LASSO,
@@ -29,7 +29,6 @@ from tvselect.tuning import (
     TuningGrid,
     _argmin_with_tiebreak,
     _fit_grid,
-    _fold_grams,
     default_grid,
     ebic,
     lambda1_max,
@@ -319,12 +318,29 @@ def test_fold_grams_sum_to_each_training_gram(demean):
         ds = demean_within_subject(ds)
     basis = build_basis(SplineConfig.from_q(6))
     folds = subject_folds(ds.subject_ids, 4, seed=5)
-    fold_grams = _fold_grams(ds, build_design(ds, basis), folds)
+    fold_grams = [build_design(split_subjects(ds, held_out)[1], basis).gram
+                  for held_out in folds]
     for f, held_out in enumerate(folds):
         d_train = build_design(split_subjects(ds, held_out)[0], basis)
         want = design_gram(d_train)
         got = sum(G for g, G in enumerate(fold_grams) if g != f)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_tune_cv_forms_one_gram_per_fold(monkeypatch):
+    # the held-out designs' own Grams are the fold Grams: no Gram pass over
+    # the full design or a training design
+    rng = np.random.default_rng(23)
+    ds, basis, _ = make_dataset(rng, N=12, n_i=4, p=2, q=6, mu=(1.0,))
+    real, rows = data.design_gram, []
+
+    def counted(design):
+        rows.append(design.n)
+        return real(design)
+
+    monkeypatch.setattr(data, "design_gram", counted)
+    tune_cv(ds, basis, TuningGrid((0.2, 0.05), (0.01,)), n_folds=3, seed=1)
+    assert rows == [4 * len(held_out) for held_out in subject_folds(ds.subject_ids, 3, 1)]
 
 
 @pytest.mark.parametrize("method, grid", [
