@@ -79,11 +79,32 @@ def _csv_cell(cell) -> str:
     return cell
 
 
-def _write_csv(path, header, rows):
+def _csv_column(values) -> list:
+    """Each value's `_csv_cell`, formed once per column.
+
+    A float array is formatted straight from `tolist()`; a column of strings
+    is quoted once per distinct value.  Any other column goes cell by cell,
+    since values that compare equal (0.0 and -0.0, 1 and True) print apart.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return [FMT % v for v in values.tolist()]
+    distinct = set(values)
+    if all(isinstance(v, str) for v in distinct):
+        cells = {v: _csv_cell(v) for v in distinct}
+        return [cells[v] for v in values]
+    return [_csv_cell(v) for v in values]
+
+
+def _blocks_of(labels, count: int) -> list:
+    """Each label `count` times in a row: the label column of blocks of `count` rows."""
+    return [label for label in labels for _ in range(count)]
+
+
+def _write_csv(path, header, columns):
+    """The one CSV writer: a header line, then row i of the equal-length `columns`."""
+    rows = map(",".join, zip(*map(_csv_column, columns)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(cell) for cell in row) + "\n")
+        fh.write("\n".join([",".join(header), *rows, ""]))
 
 
 def _load_config_file(path):
@@ -194,11 +215,9 @@ def _write_fit_outputs(cfg, fit, dataset):
     _write_partition_report(os.path.join(out, "partition.json"), part, names)
     tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
     curves = fit.coefficient_curves(tgrid)
-    rows = []
-    for k, name in enumerate(names):
-        for g, t in enumerate(tgrid):
-            rows.append((str(k + 1), name, t, curves[k, g]))
-    _write_csv(os.path.join(out, "curves.csv"), ("k", "covariate", "t", "beta_hat"), rows)
+    _write_csv(os.path.join(out, "curves.csv"), ("k", "covariate", "t", "beta_hat"),
+               (_blocks_of([str(k + 1) for k in range(len(names))], len(tgrid)),
+                _blocks_of(names, len(tgrid)), np.tile(tgrid, len(names)), curves.ravel()))
     return part
 
 
@@ -237,12 +256,15 @@ def cmd_tune(cfg) -> int:
     else:
         result = tune_cv(dataset, basis, grid, n_folds=cfg["cv_folds"],
                          seed=cfg["seed"], options=options)
-    for i, j, reason in result.failed_points:
-        print(f"warning: grid point lambda1={_fmt(grid.lambda1_values[i])} "
-              f"lambda2={_fmt(grid.lambda2_values[j])} failed ({reason}); "
-              "its surface.csv criterion is NaN", file=sys.stderr)
+    for points, what, cell in ((result.failed_points, "failed", "is NaN"),
+                               (result.nonconverged, "did not converge",
+                                "is that of the unconverged fit")):
+        for i, j, reason in points:
+            print(f"warning: grid point lambda1={_fmt(grid.lambda1_values[i])} "
+                  f"lambda2={_fmt(grid.lambda2_values[j])} {what} ({reason}); "
+                  f"its surface.csv criterion {cell}", file=sys.stderr)
     _write_csv(os.path.join(cfg["out"], "surface.csv"),
-               ("lambda1", "lambda2", "criterion"), list(result.surface_rows()))
+               ("lambda1", "lambda2", "criterion"), zip(*result.surface_rows()))
     _write_fit_outputs(cfg, result.best_fit, dataset)
     print(f"criterion={result.criterion} best_lambda1={_fmt(result.best_lambda1)} "
           f"best_lambda2={_fmt(result.best_lambda2)}")
@@ -262,22 +284,22 @@ def cmd_predict(cfg) -> int:
 
     # rows are regrouped by subject and time, so name them by subject and time
     ids = dataset.row_subject_ids()
-    bad = [(sid, t, "time outside the fitted [0,1] range")
-           for sid, t, t_fit in zip(ids, raw_times, t01) if not 0.0 <= t_fit <= 1.0]
-    if bad:
+    bad = ~((0.0 <= t01) & (t01 <= 1.0))
+    if bad.any():
         report = os.path.join(out, "prediction_errors.csv")
-        _write_csv(report, ("subject", "time", "reason"), bad)
-        print(f"error: {len(bad)} rows have times outside the model's range; "
+        n_bad = int(bad.sum())
+        _write_csv(report, ("subject", "time", "reason"),
+                   (ids[bad], raw_times[bad], ["time outside the fitted [0,1] range"] * n_bad))
+        print(f"error: {n_bad} rows have times outside the model's range; "
               f"see {report}", file=sys.stderr)
         return 2
 
     if prep and prep.get("center") is not None:
         X = (X - np.asarray(prep["center"])) / np.asarray(prep["scale"])
     pred = predict(fit, X, t01)
-    rows = list(zip(ids, raw_times, t01, pred))
     _write_csv(os.path.join(out, "predictions.csv"),
-               ("subject", "time", "time01", "prediction"), rows)
-    print(f"wrote {len(rows)} predictions")
+               ("subject", "time", "time01", "prediction"), (ids, raw_times, t01, pred))
+    print(f"wrote {len(pred)} predictions")
     return 0
 
 
@@ -327,20 +349,19 @@ def cmd_simulate(cfg) -> int:
     workers = min(cfg["parallel"], cfg["replications"])
     print(f"{cfg['replications']} replications in {time.perf_counter() - start:.0f}s "
           f"({workers} worker{'s' if workers > 1 else ''})", file=sys.stderr)
-    rows = []
-    for rep in reports:
-        rows.extend(rep.rows())
     _write_csv(os.path.join(out, "metrics.csv"),
-               ("scenario", "config", "method", "metric", "mean", "se"), rows)
+               ("scenario", "config", "method", "metric", "mean", "se"),
+               zip(*(row for rep in reports for row in rep.rows())))
     if cfg["curves"]:
         data = replication_curves(spec, 0, cfg["seed"], options)
-        crows = []
-        for method, curves in data["methods"].items():
-            for k in range(spec.p):
-                for t, bt, bh in zip(data["t"], data["truth"][k], curves[k]):
-                    crows.append((method, str(k + 1), t, bt, bh))
+        curves = data["methods"]          # method -> (p, len(t)) array
+        ks = _blocks_of([str(k + 1) for k in range(spec.p)], len(data["t"]))
         _write_csv(os.path.join(out, "curves.csv"),
-                   ("method", "k", "t", "beta_true", "beta_hat"), crows)
+                   ("method", "k", "t", "beta_true", "beta_hat"),
+                   (_blocks_of(curves, len(ks)), ks * len(curves),
+                    np.tile(data["t"], spec.p * len(curves)),
+                    np.tile(data["truth"].ravel(), len(curves)),
+                    np.array(list(curves.values())).ravel()))
     print(format_summary(reports))
     return 0
 

@@ -352,10 +352,19 @@ def demean_within_subject(dataset: LongitudinalDataset) -> LongitudinalDataset:
     """
     if dataset.preprocessing.demeaned:
         return dataset
-    # each subject slice's own mean: a grouped sum (np.add.reduceat) rounds differently
-    y = np.concatenate([s.responses - s.responses.mean() for s in dataset.subjects])
-    X = np.vstack([s.covariates - s.covariates.mean(axis=0) for s in dataset.subjects])
-    bound = np.diff(dataset.bounds).max() * np.finfo(float).eps * np.abs(dataset.X).max(axis=0)
+    # Each run of consecutive subjects with n_i rows each is viewed as (subjects, n_i[, p])
+    # and reduced over its row axis: the same sums in the same order as each subject
+    # slice's own mean (pairwise for y, row by row for X).  A grouped sum
+    # (np.add.reduceat) rounds differently.
+    sizes = np.diff(dataset.bounds)
+    y, X = np.empty(dataset.n_total), np.empty((dataset.n_total, dataset.p))
+    firsts = np.flatnonzero(np.diff(sizes, prepend=-1))
+    for first, stop in zip(firsts, [*firsts[1:], len(sizes)]):
+        rows, n_i = slice(dataset.bounds[first], dataset.bounds[stop]), sizes[first]
+        for src, dst in ((dataset.y, y), (dataset.X, X)):
+            runs = src[rows].reshape(stop - first, n_i, *src.shape[1:])
+            np.subtract(runs, runs.mean(axis=1, keepdims=True), out=dst[rows].reshape(runs.shape))
+    bound = sizes.max() * np.finfo(float).eps * np.abs(dataset.X).max(axis=0)
     for k in np.flatnonzero(np.abs(X).max(axis=0) <= bound):
         raise DegenerateColumnError(f"covariate '{dataset.covariate_names[k]}' is constant within "
                                     "every subject; fit without de-meaning (--no-demean)")
@@ -385,16 +394,20 @@ def standardize(dataset: LongitudinalDataset, binary_columns=()) -> Longitudinal
     return replace(dataset, X=(X - center) / scale, preprocessing=state)
 
 
-def split_subjects(dataset: LongitudinalDataset, held_out) -> tuple:
-    """(rest, held): the subjects not named in `held_out` and those named, rows as stored."""
-    held, ids = set(held_out), np.array(dataset.subject_ids, dtype=object)
-    in_held = np.array([sid in held for sid in ids], dtype=bool)
+def subset_subjects(dataset: LongitudinalDataset, named,
+                    others: bool = False) -> LongitudinalDataset:
+    """The subjects in `named` (with `others`, the ones not in it), rows as stored.
+
+    Only the returned subjects' rows are copied, so taking the two sides of a
+    split copies each row once.
+    """
+    named, ids = set(named), np.array(dataset.subject_ids, dtype=object)
+    keep = np.array([(sid in named) != others for sid in ids], dtype=bool)
     sizes = np.diff(dataset.bounds)
-    in_rows = np.repeat(in_held, sizes)
-    return tuple(replace(dataset, subject_ids=tuple(ids[keep]),
-                         bounds=np.concatenate([[0], np.cumsum(sizes[keep])]),
-                         y=dataset.y[rows], X=dataset.X[rows], times=dataset.times[rows])
-                 for keep, rows in ((~in_held, ~in_rows), (in_held, in_rows)))
+    rows = np.repeat(keep, sizes)
+    return replace(dataset, subject_ids=tuple(ids[keep]),
+                   bounds=np.concatenate([[0], np.cumsum(sizes[keep])]),
+                   y=dataset.y[rows], X=dataset.X[rows], times=dataset.times[rows])
 
 
 def build_design(dataset: LongitudinalDataset, basis: CenteredSplineBasis) -> DesignBlocks:

@@ -304,7 +304,7 @@ def _predictor(X: np.ndarray, B: np.ndarray, beta0: float, mu: np.ndarray, theta
     """beta0 + X mu + sum_k x_k * (B theta_k), B = Btilde(t) at each row, skipping zero blocks."""
     pred = beta0 + X @ mu
     for xk, th in zip(X.T, theta):
-        if np.any(th):
+        if th.any():
             pred = pred + xk * (B @ th)
     return pred
 
@@ -514,7 +514,7 @@ def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
     screen = fit_bcd(design, basis, pen, options, init=init)
     if method == METHOD_GROUP_LASSO:
         return replace(screen, method=method)
-    selected = [k for k, th in enumerate(screen.theta) if np.any(th)]
+    selected = [k for k, th in enumerate(screen.theta) if th.any()]
     c, theta, rss = _joint_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
     beta0, mu = _split_constants(c, design.p)
     return ModelFit(

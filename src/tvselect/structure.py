@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError
 from .solver import ModelFit
 
@@ -49,7 +47,7 @@ class StructuralPartition:
 
 def select_vary(fit: ModelFit) -> frozenset:
     """Indices with a nonzero spline block (exact-zero storage is decisive)."""
-    return frozenset(k for k, th in enumerate(fit.theta) if np.any(th))
+    return frozenset(k for k, th in enumerate(fit.theta) if th.any())
 
 
 def threshold(n: int, p: int, multiplier: float = 1.0) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import CenteredSplineBasis
-from .data import DesignBlocks, LongitudinalDataset, build_design, split_subjects
+from .data import DesignBlocks, LongitudinalDataset, build_design, subset_subjects
 from .errors import ConfigurationError, DegenerateDesignError, TuningError, TVSelectError
 from .solver import (
     METHOD_GROUP_LASSO,
@@ -71,6 +71,8 @@ class TuningResult:
     criterion: str = "ebic"
     # (i, j, reason) for each grid point whose fit failed; its surface cell is NaN
     failed_points: tuple = ()
+    # (i, j, reason) for each grid point whose fit stopped at max_iter; its cell is kept
+    nonconverged: tuple = ()
 
     def surface_rows(self):
         """(lambda1, lambda2, criterion) triples for CSV export."""
@@ -166,6 +168,16 @@ def _fit_grid(design, basis, grid, options, method):
     return fits, failures
 
 
+def _nonconverged(fits) -> dict:
+    """(i, j) -> reason for each fit that stopped at max_iter before meeting `tol`."""
+    return {ij: f"stopped at max_iter={fit.iterations}"
+            for ij, fit in fits.items() if not fit.converged}
+
+
+def _by_point(reasons: dict) -> tuple:
+    return tuple((*ij, reason) for ij, reason in sorted(reasons.items()))
+
+
 def tune_ebic(design: DesignBlocks, basis: CenteredSplineBasis, grid: TuningGrid,
               options: SolverOptions = SolverOptions(),
               method: str = METHOD_TV_SELECT) -> TuningResult:
@@ -180,7 +192,7 @@ def tune_ebic(design: DesignBlocks, basis: CenteredSplineBasis, grid: TuningGrid
     return TuningResult(
         best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],
         criterion_surface=surface, best_fit=fits[(i, j)], grid=grid, criterion="ebic",
-        failed_points=tuple((*ij, reason) for ij, reason in sorted(failures.items())),
+        failed_points=_by_point(failures), nonconverged=_by_point(_nonconverged(fits)),
     )
 
 
@@ -206,25 +218,27 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     is held out once, so a grid point fitted in all K folds scores its
     squared errors summed over the held-out rows divided by n.  A grid point
     whose fit failed in any fold is NaN in the surface, and `failed_points`
-    gives the first fold it failed in and why.  Each held-out design's own
+    gives the first fold it failed in and why; `nonconverged` gives the first
+    fold a point's fit stopped at max_iter in.  Each held-out design's own
     Gram of [A y] (G, A'y and y'y) is its fold's Gram; fold f trains on a
     design carrying the sum of the other folds' Grams (`with_gram`), the
     refit on the sum of all of them.  No fit reads a training design's rows.
     """
     folds = subject_folds(dataset.subject_ids, n_folds, seed)
-    held_out_designs = [build_design(split_subjects(dataset, held_out)[1], basis)
+    held_out_designs = [build_design(subset_subjects(dataset, held_out), basis)
                         for held_out in folds]
     fold_grams = [d_test.gram for d_test in held_out_designs]
     shape = (len(grid.lambda1_values), len(grid.lambda2_values))
     sq_err = np.zeros(shape)
     folds_ok = np.zeros(shape, dtype=int)
-    failed = {}
+    failed, nonconverged = {}, {}
     for f, (held_out, d_test) in enumerate(zip(folds, held_out_designs)):
-        d_train = build_design(split_subjects(dataset, held_out)[0], basis).with_gram(
+        d_train = build_design(subset_subjects(dataset, held_out, others=True), basis).with_gram(
             sum(G for g, G in enumerate(fold_grams) if g != f))
         fits, failures = _fit_grid(d_train, basis, grid, options, METHOD_TV_SELECT)
-        for ij, reason in failures.items():
-            failed.setdefault(ij, f"fold {f + 1} of {len(folds)}: {reason}")
+        for found, reasons in ((failed, failures), (nonconverged, _nonconverged(fits))):
+            for ij, reason in reasons.items():
+                found.setdefault(ij, f"fold {f + 1} of {len(folds)}: {reason}")
         for (i, j), fit in fits.items():
             sq_err[i, j] += float(np.sum(residuals(d_test, fit) ** 2))
             folds_ok[i, j] += 1
@@ -238,5 +252,5 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     return TuningResult(
         best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],
         criterion_surface=surface, best_fit=best_fit, grid=grid, criterion="cv-mspe",
-        failed_points=tuple((*ij, reason) for ij, reason in sorted(failed.items())),
+        failed_points=_by_point(failed), nonconverged=_by_point(nonconverged),
     )

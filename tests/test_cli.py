@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -476,6 +478,30 @@ def test_tune_warns_once_per_failed_grid_point(train_csv, tmp_path, capsys, monk
     assert [r[2] == "nan" for r in rows] == [False, False, True, True, False, False]
 
 
+def test_tune_warns_once_per_nonconverged_grid_point(train_csv, tmp_path, capsys,
+                                                     monkeypatch):
+    argv = ["tune", "--data", str(train_csv), "--knots", "2", "--no-demean",
+            "--lambda1-grid", "0.08,0.02,0.005", "--lambda2-grid", "1e-3,1e-5"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    real_fit = tuning.fit_bcd
+
+    def fit_unconverged(design, basis, penalty, *args, **kwargs):
+        fit = real_fit(design, basis, penalty, *args, **kwargs)
+        return replace(fit, converged=False) if penalty.lambda1 == 0.08 else fit
+
+    monkeypatch.setattr(tuning, "fit_bcd", fit_unconverged)
+    assert main(argv + ["--out", str(tmp_path / "flagged")]) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert [re.sub(r"max_iter=\d+", "max_iter=N", ln) for ln in warnings] == [
+        f"warning: grid point lambda1={cli._fmt(0.08)} lambda2={cli._fmt(lam2)} did not converge "
+        "(stopped at max_iter=N); its surface.csv criterion is that of the unconverged fit"
+        for lam2 in (1e-3, 1e-5)]
+    # the record changes no output file
+    assert ((tmp_path / "flagged" / "surface.csv").read_bytes()
+            == (tmp_path / "plain" / "surface.csv").read_bytes())
+
+
 def test_tune_cv_command(train_csv, tmp_path):
     out = tmp_path / "cv_out"
     rc = main(["tune", "--data", str(train_csv), "--out", str(out), "--knots", "2",
@@ -743,3 +769,74 @@ def test_numeric_output_has_17_significant_digits(train_csv, tmp_path):
     for ln in lines[:50]:
         val = ln.split(",")[-1]
         assert float(val) == float(f"{float(val):.17g}")
+
+
+# ------------------------------------------------------------------ CSV output
+
+
+def test_csv_columns_match_per_cell_formatting(tmp_path):
+    # each column formatted at once gives each value's own _csv_cell
+    floats = np.array([-0.0, 0.0, 5e-324, 2.5e-310, 1e308, -1e308, 0.1, 1 / 3, np.nan, np.inf])
+    names = ["a", "a,b", 'say "hi"', "two\nlines", "cr\rlf", "", "a,b", "x\x00", "a", "é"]
+    columns = {
+        "float64": floats,
+        "float32": np.array([-0.0, 1e-45, 3.4e38, 0.1, np.nan, -2.5, 1e-10, 7.0, 0.0, -np.inf],
+                            dtype=np.float32)[::-1],
+        "ints": [0, -3, 10**20, np.int64(7), 2**63, -1, 5, np.int32(-9), 0, 12],
+        "bools": [True, False, np.bool_(True), np.bool_(False)] * 2 + [True, False],
+        "mixed": [0.0, -0.0, 1, True, np.int64(3), np.float64(-0.0), np.bool_(False),
+                  "x,y", 2.5, "0"],
+        "names": names,
+        "ids": np.array(names, dtype=object),
+        "tuple": tuple(floats.tolist()),
+    }
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, list(columns), list(columns.values()))
+    want = [",".join(columns)] + [",".join(cli._csv_cell(cell) for cell in row)
+                                  for row in zip(*columns.values())]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+    cli._write_csv(path, ("empty",), ([],))
+    assert path.read_bytes() == b"empty\n"
+
+
+def write_golden_panel(path):
+    """24 subjects in runs of equal and unequal sizes, ids that need quoting, repr floats."""
+    rng = np.random.default_rng(2024)
+    sizes = [6, 6, 6, 3, 3, 7, 2, 6, 6, 6, 6, 4, 4, 4, 9, 5, 5, 3, 6, 6, 6, 6, 2, 8]
+    lines = ["subject,time,y,x1,x2,x3"]
+    for i, n_i in enumerate(sizes):
+        sid = ['"s,%d"', '"q""%d"', "p%d"][i % 3] % i
+        base = rng.standard_normal(3)
+        for t in rng.uniform(0.0, 10.0, n_i):
+            x = base + 0.5 * rng.standard_normal(3)
+            y = x[0] * (1.0 + np.sin(0.6 * t)) - x[1] + 0.1 * rng.standard_normal()
+            lines.append(",".join([sid] + [repr(float(v)) for v in (t, y, *x)]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+# sha256 of the files below, as the writer that formatted each cell on its own
+# wrote them; a platform whose BLAS rounds differently changes them
+GOLDEN_DIGESTS = {
+    "fit/curves.csv": "f322e9b32ebcd87bd9b1495ca5d91ddf2f64ba543eeeb44c473c560ef7a7eb65",
+    "pred/predictions.csv": "05a9b5c506536001d51c52cc7ff307f34766e53db33157673a8c06f5f3180116",
+    "tune/surface.csv": "c5978a383901823c94826f7bfd37cc9b710875030e4cc1b2db4f2eff511b0ec7",
+    "tune/curves.csv": "7c183820f050bdd809bbbd1f18b9050032e1dd89361590ea4835c13b966288bb",
+}
+
+
+def test_cli_outputs_keep_their_golden_bytes(tmp_path):
+    import hashlib
+    data = str(write_golden_panel(tmp_path / "panel.csv"))
+    out = tmp_path / "out"
+    for argv in (["fit", "--data", data, "--out", str(out / "fit"), "--knots", "2",
+                  "--lambda1", "0.02", "--lambda2", "1e-3"],
+                 ["predict", "--artifact", str(out / "fit" / "fit.json"), "--data", data,
+                  "--out", str(out / "pred")],
+                 ["tune", "--data", data, "--out", str(out / "tune"), "--knots", "2",
+                  "--criterion", "cv", "--cv-folds", "3", "--seed", "4",
+                  "--lambda1-grid", "0.1,0.02,0.004", "--lambda2-grid", "1e-2,1e-4"]):
+        assert main(argv) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_DIGESTS}
+    assert digests == GOLDEN_DIGESTS

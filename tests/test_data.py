@@ -13,8 +13,8 @@ from tvselect.data import (
     demean_within_subject,
     from_arrays,
     load_long_csv,
-    split_subjects,
     standardize,
+    subset_subjects,
 )
 from tvselect.errors import DegenerateColumnError, DegenerateDesignError, ParseError
 from tvselect.solver import PenaltyConfig, SolverOptions, fit_bcd
@@ -301,19 +301,35 @@ def _assert_same_bits(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _subject_layouts(rng):
+    """(subject sizes, covariate count): 25 random unbalanced panels, then fixed ones."""
+    for _ in range(25):
+        n_subj = int(rng.integers(3, 9))
+        sizes = rng.integers(1, 13, n_subj)
+        sizes[rng.integers(n_subj)] = 12
+        yield sizes, 3
+    # runs of consecutive equal-size subjects, sizes past numpy's 128-value
+    # pairwise-sum block (where its reduction order could differ), balanced panels
+    yield [5, 5, 5, 130, 130, 2, 2, 2, 2, 129, 129, 1, 1], 3
+    yield [200, 129, 300, 7, 7, 257], 2
+    yield [3, 3, 8, 8, 3, 3, 17, 17, 17, 9], 1
+    yield [10] * 12, 3
+    yield [140] * 4, 1
+    yield [1, 1, 2, 2, 1, 1], 4
+
+
 def test_stacked_layout_matches_per_subject_operations():
     # the per-subject record operations, written out, against the stacked code:
     # bit-equal arrays on unbalanced, interleaved subjects with tied times
     rng = np.random.default_rng(21)
-    for _ in range(25):
-        n_subj = int(rng.integers(3, 9))
+    for sizes, n_cols in _subject_layouts(rng):
+        n_subj = len(sizes)
         ids = [f"s{i // 2}" + "\x00" * (i % 2) for i in range(n_subj)]
-        sizes = rng.integers(1, 13, n_subj)
-        sizes[rng.integers(n_subj)] = 12
         rows = rng.permutation(np.repeat(np.arange(n_subj), sizes))
         n = len(rows)
         ds = from_arrays([ids[i] for i in rows], rng.integers(0, 4, n).astype(float),
-                         rng.standard_normal(n) * 10, rng.standard_normal((n, 3)) * [1, 5, 1e3])
+                         rng.standard_normal(n) * 10,
+                         rng.standard_normal((n, n_cols)) * [1, 5, 1e3, 1e-3][:n_cols])
         records = ds.subjects
         assert [r.subject_id for r in records] == list(ds.subject_ids)
         _assert_same_bits(_stack(records), ds.stacked())
@@ -332,7 +348,7 @@ def test_stacked_layout_matches_per_subject_operations():
 
         held = {ids[i] for i in rng.choice(n_subj, size=int(rng.integers(1, n_subj)),
                                            replace=False)}
-        rest, test = split_subjects(ds, held)
+        rest, test = subset_subjects(ds, held, others=True), subset_subjects(ds, held)
         for part, want in ((rest, [r for r in records if r.subject_id not in held]),
                            (test, [r for r in records if r.subject_id in held])):
             assert part.subject_ids == tuple(r.subject_id for r in want)

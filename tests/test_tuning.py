@@ -10,8 +10,8 @@ from tvselect.data import (
     demean_within_subject,
     design_gram,
     from_arrays,
-    split_subjects,
     standardize,
+    subset_subjects,
 )
 from tvselect import data, tuning
 from tvselect.errors import ConfigurationError, SingularBlockError
@@ -318,10 +318,10 @@ def test_fold_grams_sum_to_each_training_gram(demean):
         ds = demean_within_subject(ds)
     basis = build_basis(SplineConfig.from_q(6))
     folds = subject_folds(ds.subject_ids, 4, seed=5)
-    fold_grams = [build_design(split_subjects(ds, held_out)[1], basis).gram
+    fold_grams = [build_design(subset_subjects(ds, held_out), basis).gram
                   for held_out in folds]
     for f, held_out in enumerate(folds):
-        d_train = build_design(split_subjects(ds, held_out)[0], basis)
+        d_train = build_design(subset_subjects(ds, held_out, others=True), basis)
         want = design_gram(d_train)
         got = sum(G for g, G in enumerate(fold_grams) if g != f)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -355,7 +355,8 @@ def test_tune_cv_surface_matches_fits_on_training_grams(method, grid):
     sq_err = np.zeros(res.criterion_surface.shape)
     count = 0
     for held_out in subject_folds(ds.subject_ids, 4, 7):
-        d_train, d_test = (build_design(part, basis) for part in split_subjects(ds, held_out))
+        d_train, d_test = (build_design(subset_subjects(ds, held_out, others=others), basis)
+                           for others in (True, False))
         fits, _ = _fit_grid(d_train, basis, grid, SolverOptions(), method)
         for (i, j), fit in fits.items():
             sq_err[i, j] += float(np.sum(tuning.residuals(d_test, fit) ** 2))
@@ -433,6 +434,48 @@ def test_tune_ebic_records_failed_points(monkeypatch):
     assert np.isnan(res.criterion_surface[1]).all()
     assert np.isfinite(res.criterion_surface[[0, 2]]).all()
     assert tune_ebic(design, basis, TuningGrid((0.2,), (0.1,))).failed_points == ()
+
+
+def test_tune_ebic_records_nonconverged_points(monkeypatch):
+    # a fit stopped by max_iter keeps its surface cell and is listed with the cap
+    rng = np.random.default_rng(19)
+    _, basis, design = make_dataset(rng, N=10, n_i=4, p=2, q=6, mu=(1.0,))
+    grid = TuningGrid((0.2, 0.1, 0.05), (0.1, 0.01))
+    assert tune_ebic(design, basis, grid).nonconverged == ()
+    real_fit = tuning.fit_bcd
+
+    def fit_capped(design, basis, penalty, options, *args, **kwargs):
+        if (penalty.lambda1, penalty.lambda2) == (0.05, 0.01):
+            options = SolverOptions(max_iter=1)
+        return real_fit(design, basis, penalty, options, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "fit_bcd", fit_capped)
+    res = tune_ebic(design, basis, grid)
+    assert res.nonconverged == ((2, 1, "stopped at max_iter=1"),)
+    assert res.failed_points == ()
+    assert np.isfinite(res.criterion_surface).all()
+
+
+def test_tune_cv_records_first_nonconverged_fold(monkeypatch):
+    rng = np.random.default_rng(18)
+    ds, basis, _ = make_dataset(rng, N=10, n_i=4, p=2, q=6, mu=(1.0,))
+    grid = TuningGrid((0.2, 0.1, 0.05), (0.1, 0.01))
+    capped = (grid.lambda1_values[2], grid.lambda2_values[1])
+    real_fit = tuning.fit_bcd
+    calls = []
+
+    def fit_capped(design, basis, penalty, options, *args, **kwargs):
+        key = (penalty.lambda1, penalty.lambda2)
+        calls.append(key)
+        if key == capped and calls.count(key) in (2, 4):     # folds 2 and 4
+            options = SolverOptions(max_iter=1)
+        return real_fit(design, basis, penalty, options, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "fit_bcd", fit_capped)
+    res = tune_cv(ds, basis, grid, n_folds=5, seed=0)
+    assert res.nonconverged == ((2, 1, "fold 2 of 5: stopped at max_iter=1"),)
+    assert res.failed_points == ()
+    assert np.isfinite(res.criterion_surface).all()
 
 
 def test_roundoff_ties_go_to_larger_penalties():
