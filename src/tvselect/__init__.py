@@ -8,7 +8,6 @@ zero, constant, or time-varying.
 
 from .basis import (
     CenteredSplineBasis,
-    RoughnessMatrix,
     SplineConfig,
     build_basis,
     build_basis_from_interior,

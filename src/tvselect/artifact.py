@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .basis import CenteredSplineBasis, SplineConfig, build_basis_from_interior
-from .data import LongitudinalDataset
+from .data import LongitudinalDataset, PreprocessState
 from .errors import ArtifactMismatchError, ParseError
 from .solver import ModelFit, PenaltyConfig
 
@@ -38,9 +38,9 @@ def _rebuild_basis(payload: dict) -> CenteredSplineBasis:
     return build_basis_from_interior(config, payload["interior_knots"])
 
 
-def fit_to_dict(fit: ModelFit, dataset: LongitudinalDataset | None = None) -> dict:
-    state = dataset.preprocessing if dataset is not None else None
-    payload = {
+def fit_to_dict(fit: ModelFit, dataset: LongitudinalDataset) -> dict:
+    state = dataset.preprocessing
+    return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "method": fit.method,
@@ -59,27 +59,24 @@ def fit_to_dict(fit: ModelFit, dataset: LongitudinalDataset | None = None) -> di
         "converged": fit.converged,
         "intercept": fit.intercept,
         "n_train": fit.n_train,
-        "preprocessing": None,
-    }
-    if dataset is not None:
-        payload["preprocessing"] = {
+        "preprocessing": {
             "demeaned": state.demeaned,
             "center": [float(v) for v in state.center] if state.standardized else None,
             "scale": [float(v) for v in state.scale] if state.standardized else None,
-            "time_domain": [float(dataset.time_domain[0]), float(dataset.time_domain[1])],
+            "time_domain": [float(v) for v in state.time_domain],
             "covariate_names": list(dataset.covariate_names),
-        }
-    return payload
+        },
+    }
 
 
-def save_fit(fit: ModelFit, path, dataset: LongitudinalDataset | None = None) -> None:
+def save_fit(fit: ModelFit, path, dataset: LongitudinalDataset) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(fit_to_dict(fit, dataset), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def fit_from_dict(payload: dict) -> tuple[ModelFit, dict | None]:
-    """Rebuild (fit, preprocessing payload) from a parsed artifact.
+def fit_from_dict(payload: dict) -> tuple[ModelFit, PreprocessState, tuple | None]:
+    """Rebuild (fit, preprocessing record, covariate names) from a parsed artifact.
 
     A missing or ill-typed field, or a non-finite coefficient, raises
     `ParseError`.  Artifacts written by earlier versions carry
@@ -109,16 +106,20 @@ def fit_from_dict(payload: dict) -> tuple[ModelFit, dict | None]:
             basis=basis, intercept=bool(payload["intercept"]),
             n_train=int(payload["n_train"]),
         )
-        prep = payload.get("preprocessing")
-        if prep is not None:
-            _check_preprocessing(prep, fit.p)
+        state, names = _read_preprocessing(payload.get("preprocessing"), fit.p)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {FORMAT_NAME} artifact: {type(exc).__name__}: {exc}") from exc
-    return fit, prep
+    return fit, state, names
 
 
-def _check_preprocessing(prep, p: int) -> None:
-    """Raise unless `prep` can map new rows of p covariates onto the model scale."""
+def _read_preprocessing(prep, p: int) -> tuple[PreprocessState, tuple | None]:
+    """The record mapping new rows of p covariates onto the model scale, and the names.
+
+    Null is the identity map with no names; a record without `time_domain`
+    leaves times as they are.  Raises unless the record is usable.
+    """
+    if prep is None:
+        return PreprocessState(), None
     if not isinstance(prep, dict):
         raise ParseError("preprocessing must be an object or null")
 
@@ -140,9 +141,13 @@ def _check_preprocessing(prep, p: int) -> None:
     if names is not None and (not isinstance(names, list) or len(names) != p
                               or not all(isinstance(v, str) for v in names)):
         raise ParseError(f"preprocessing covariate_names must be null or {p} strings")
+    state = PreprocessState(demeaned=bool(prep.get("demeaned", False)), center=center,
+                            scale=scale, time_domain=tuple(domain.tolist()))
+    return state, None if names is None else tuple(names)
 
 
-def load_fit(path) -> tuple[ModelFit, dict | None]:
+def load_fit(path) -> tuple[ModelFit, PreprocessState, tuple | None]:
+    """(fit, preprocessing record, covariate names) of a saved artifact; see `fit_from_dict`."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -153,15 +158,13 @@ def load_fit(path) -> tuple[ModelFit, dict | None]:
     return fit_from_dict(payload)
 
 
-def check_compatible(fit: ModelFit, preprocessing: dict | None,
+def check_compatible(fit: ModelFit, names: tuple | None,
                      dataset: LongitudinalDataset) -> None:
-    """Raise unless the artifact can score the dataset."""
+    """Raise unless the artifact can score the dataset; names of None match any."""
     if dataset.p != fit.p:
         raise ArtifactMismatchError(
             f"artifact expects {fit.p} covariates, data has {dataset.p}")
-    if preprocessing and preprocessing.get("covariate_names"):
-        stored = list(preprocessing["covariate_names"])
-        if list(dataset.covariate_names) != stored:
-            raise ArtifactMismatchError(
-                f"covariate names differ: artifact {stored}, "
-                f"data {list(dataset.covariate_names)}")
+    if names is not None and dataset.covariate_names != names:
+        raise ArtifactMismatchError(
+            f"covariate names differ: artifact {list(names)}, "
+            f"data {list(dataset.covariate_names)}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateDesignError, DimensionError, DomainError
+from .errors import ConfigurationError, DegenerateDesignError, DomainError
 
 EQUALLY_SPACED = "equal"
 TIME_QUANTILES = "quantile"
@@ -78,19 +78,6 @@ def _interior_knots(config: SplineConfig, observed_times) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RoughnessMatrix:
-    """Symmetric PSD Gram matrix of second derivatives of the basis."""
-
-    omega: np.ndarray
-
-    def quadratic_form(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.omega.shape[0],):
-            raise DimensionError(f"expected vector of length {self.omega.shape[0]}, got shape {v.shape}")
-        return float(v @ self.omega @ v)
-
-
-@dataclass(frozen=True)
 class CenteredSplineBasis:
     """B-spline basis on [0,1] with integral-centered functions.
 
@@ -100,7 +87,7 @@ class CenteredSplineBasis:
     config: SplineConfig
     full_knot_vector: np.ndarray
     basis_means: np.ndarray
-    roughness: RoughnessMatrix
+    omega: np.ndarray            # curvature penalty: symmetric PSD Gram of second derivatives
     _d2_coefficients: np.ndarray | None = field(repr=False, default=None)
 
     @property
@@ -250,6 +237,6 @@ def build_basis_from_interior(config: SplineConfig, interior_knots) -> CenteredS
         config=config,
         full_knot_vector=knots,
         basis_means=means,
-        roughness=RoughnessMatrix(omega=omega),
+        omega=omega,
         _d2_coefficients=d2_coefs,
     )

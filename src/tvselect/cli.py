@@ -60,6 +60,9 @@ NUMERICAL_ERRORS = (SingularBlockError, OracleNonconvergenceError, TuningError,
                     StudyError, DimensionError, DomainError)
 
 FMT = "%.17g"
+# ScenarioSpec fields `simulate` takes from flags; unset is None (a number) or "" (a name)
+SCENARIO_FLAGS = ("rho", "alpha", "sigma", "sigma_x2", "amplitude", "t_df",
+                  "error_model", "time_design", "covariate_design")
 
 
 def _fmt(value) -> str:
@@ -273,14 +276,12 @@ def cmd_tune(cfg) -> int:
 
 def cmd_predict(cfg) -> int:
     out = cfg["out"]
-    fit, prep = artifact.load_fit(cfg["artifact"])
+    fit, prep, names = artifact.load_fit(cfg["artifact"])
     dataset = load_long_csv(cfg["data"], rescale=False)
-    artifact.check_compatible(fit, prep, dataset)
-
-    _, X, raw_times = dataset.stacked()
-    # new times are mapped through the ARTIFACT's fitted time domain (`load_fit` checked lo < hi)
-    lo, hi = (prep or {}).get("time_domain", [0.0, 1.0])
-    t01 = (raw_times - lo) / (hi - lo)
+    artifact.check_compatible(fit, names, dataset)
+    # new rows are mapped through the ARTIFACT's standardization and time domain
+    raw_times = dataset.times
+    X, t01 = prep.to_model_scale(dataset.X, raw_times)
 
     # rows are regrouped by subject and time, so name them by subject and time
     ids = dataset.row_subject_ids()
@@ -294,8 +295,6 @@ def cmd_predict(cfg) -> int:
               f"see {report}", file=sys.stderr)
         return 2
 
-    if prep and prep.get("center") is not None:
-        X = (X - np.asarray(prep["center"])) / np.asarray(prep["scale"])
     pred = predict(fit, X, t01)
     _write_csv(os.path.join(out, "predictions.csv"),
                ("subject", "time", "time01", "prediction"), (ids, raw_times, t01, pred))
@@ -305,8 +304,8 @@ def cmd_predict(cfg) -> int:
 
 def cmd_classify(cfg) -> int:
     out = cfg["out"]
-    fit, prep = artifact.load_fit(cfg["artifact"])
-    names = (prep or {}).get("covariate_names") or [f"x{k+1}" for k in range(fit.p)]
+    fit, _, names = artifact.load_fit(cfg["artifact"])
+    names = names or [f"x{k+1}" for k in range(fit.p)]
     part = classify(fit, threshold_multiplier=cfg["threshold_multiplier"])
     _write_partition_report(os.path.join(out, "partition.json"), part, names)
     print(f"threshold={_fmt(part.threshold_used)} "
@@ -316,31 +315,17 @@ def cmd_classify(cfg) -> int:
 
 def cmd_simulate(cfg) -> int:
     out = cfg["out"]
-    overrides = {}
-    for key in ("rho", "alpha", "sigma", "sigma_x2", "amplitude", "t_df"):
-        if cfg.get(key) is not None:
-            overrides[key] = cfg[key]
-    for key in ("error_model", "time_design", "covariate_design"):
-        if cfg.get(key):
-            overrides[key] = cfg[key]
+    overrides = {k: cfg[k] for k in SCENARIO_FLAGS if cfg.get(k) not in (None, "")}
     spec = make_scenario(cfg["scenario"], N=cfg["subjects"], n_i=cfg["obs_per_subject"],
                          p=cfg["covariates"], s_v=cfg["s_vary"], s_c=cfg["s_const"],
                          q=cfg["q"], seed=cfg["seed"], **overrides)
     lam2 = _descending(cfg["lambda2_grid"], StudyOptions().lambda2_values)
     # re-echo with the resolved values (presets, forced fields and the grid)
     resolved = dict(cfg)
-    resolved.update({
-        "rho": spec.rho, "alpha": spec.alpha, "sigma": spec.sigma,
-        "sigma_x2": spec.sigma_x2, "amplitude": spec.amplitude, "t_df": spec.t_df,
-        "error_model": spec.error_model, "time_design": spec.time_design,
-        "covariate_design": spec.covariate_design,
-        "lambda2_grid": ",".join(repr(float(v)) for v in lam2),
-    })
+    resolved.update({k: getattr(spec, k) for k in SCENARIO_FLAGS},
+                    lambda2_grid=",".join(repr(float(v)) for v in lam2))
     _echo_config(out, "simulate", resolved)
     methods = tuple(m.strip() for m in cfg["methods"].split(",") if m.strip())
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigurationError(f"unknown method '{m}', expected subset of {METHODS}")
     options = StudyOptions(methods=methods, gamma=cfg["gamma"], lambda2_values=lam2,
                            n_test=cfg["test_subjects"])
     start = time.perf_counter()

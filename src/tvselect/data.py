@@ -42,13 +42,27 @@ CONSTANT_GRAM_RCOND = 1e-12
 
 @dataclass(frozen=True)
 class PreprocessState:
+    """How raw rows reach the model scale; the default is the identity map."""
+
     demeaned: bool = False
     center: np.ndarray | None = None        # per-covariate standardization
     scale: np.ndarray | None = None
+    time_domain: tuple = (0.0, 1.0)         # raw (min, max) of the times, mapped onto [0,1]
 
     @property
     def standardized(self) -> bool:
         return self.center is not None
+
+    def to_model_scale(self, X: np.ndarray, times: np.ndarray) -> tuple:
+        """Raw rows' (X, times) on the model scale: X standardized, times (t - lo) / (hi - lo).
+
+        For new rows only: a dataset's stored times are mapped already, and
+        de-meaning needs a subject's rows, not the record.
+        """
+        if self.standardized:
+            X = (X - self.center) / self.scale
+        lo, hi = self.time_domain
+        return X, (times - lo) / (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -61,7 +75,6 @@ class LongitudinalDataset:
     X: np.ndarray
     times: np.ndarray                       # rescaled to [0,1]
     covariate_names: tuple
-    time_domain: tuple                      # original (min, max) before rescaling
     preprocessing: PreprocessState = field(default_factory=PreprocessState)
 
     def __post_init__(self):
@@ -246,7 +259,7 @@ def from_arrays(subject_ids, times, y, X, covariate_names=None,
         bounds=np.concatenate([[0], np.cumsum(np.bincount(row_rank))]),
         y=y[order], X=X[order], times=t01[order],
         covariate_names=tuple(covariate_names),
-        time_domain=(lo, hi),
+        preprocessing=PreprocessState(time_domain=(lo, hi)),
     )
 
 

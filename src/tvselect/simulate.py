@@ -17,13 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import SplineConfig, build_basis
-from .data import LongitudinalDataset, build_design, from_arrays, standardize
+from .data import LongitudinalDataset, PreprocessState, build_design, from_arrays, standardize
 from .errors import ConfigurationError, StudyError
 from .solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
     METHOD_TV_SELECT,
     METHOD_VC_RIDGE,
+    METHODS,
     ModelFit,
     PenaltyConfig,
     SolverOptions,
@@ -274,26 +275,18 @@ def generate(spec: ScenarioSpec, truth: TrueStructure | None = None,
     return from_arrays(sids, times, y, X, rescale=False)
 
 
-def predict_dataset(fit: ModelFit, dataset: LongitudinalDataset,
-                    center=None, scale=None) -> np.ndarray:
-    """Row predictions for a raw dataset, applying a training standardization."""
-    _, X, t = dataset.stacked()
-    if center is not None:
-        X = (X - center) / scale
-    return predict(fit, X, t)
-
-
 def score_fit(fit: ModelFit, truth: TrueStructure, spec: ScenarioSpec,
-              train_center=None, train_scale=None,
+              prep: PreprocessState = PreprocessState(),
               test_set: LongitudinalDataset | None = None) -> dict:
     """All single-replication metrics; coefficient errors on the raw scale.
 
-    The fit lives on the standardized covariate scale, so curves and mu are
-    divided by the training scales before comparison with the truth.
+    The fit lives on the scale of the training record `prep`, so curves and
+    mu are divided by its scales before comparison with the truth, and the
+    raw test rows are mapped onto that scale before prediction.
     Classification stays on the standardized scale.
     """
     p = fit.p
-    scale = np.ones(p) if train_scale is None else np.asarray(train_scale, dtype=float)
+    scale = np.ones(p) if prep.scale is None else prep.scale
     tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
     curves = fit.coefficient_curves(tgrid) / scale[:, None]
     truth_curves = np.vstack([truth.beta(k, tgrid) for k in range(p)])
@@ -329,9 +322,8 @@ def score_fit(fit: ModelFit, truth: TrueStructure, spec: ScenarioSpec,
     out = {"ise": ise, "mse_mu": mse_mu, "mse_mu_act": mse_mu_act, "re": re,
            "tpr_vary": tpr, "fpr_vary": fpr, "class_acc": class_acc}
     if test_set is not None:
-        y_test, _, _ = test_set.stacked()
-        pred = predict_dataset(fit, test_set, train_center, train_scale)
-        out["mspe"] = float(np.mean((y_test - pred) ** 2))
+        pred = predict(fit, *prep.to_model_scale(test_set.X, test_set.times))
+        out["mspe"] = float(np.mean((test_set.y - pred) ** 2))
     return out
 
 
@@ -375,6 +367,11 @@ class StudyOptions:
     n_test: int = 500
 
     def __post_init__(self):
+        if not self.methods:
+            raise ConfigurationError(f"methods must name at least one of {METHODS}")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ConfigurationError(f"unknown method '{m}', expected subset of {METHODS}")
         if self.n_test < 1:
             raise ConfigurationError("n_test must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
@@ -447,65 +444,56 @@ def _run_replication(payload):
     prep, fits = _fit_replication(spec, truth, train_ss, opts)
     metrics, selected = {}, {}
     for method, fit in fits.items():
-        metrics[method] = score_fit(fit, truth, spec, prep.center, prep.scale, test_set=test)
+        metrics[method] = score_fit(fit, truth, spec, prep, test_set=test)
         selected[method] = tuple(sorted(select_vary(fit)))
     return metrics, selected
 
 
-def run_study(specs, R: int, seed: int = 0, parallelism: int = 1,
+def run_study(spec: ScenarioSpec, R: int, seed: int = 0, parallelism: int = 1,
               options: StudyOptions = StudyOptions()) -> list[MetricsReport]:
-    """Replicated paired comparison of the configured methods.
+    """Replicated paired comparison of the configured methods; one report per method.
 
     Individual replication failures are tolerated up to
-    MAX_FAILURE_FRACTION per scenario, then the study errors out.
-    Replications run in min(parallelism, R) processes, serially when that is
-    1.  Aggregation is deterministic and independent of `parallelism`.
+    MAX_FAILURE_FRACTION, then the study errors out.  Replications run in
+    min(parallelism, R) processes, serially when that is 1.  Aggregation is
+    deterministic and independent of `parallelism`.
     """
     if R < 1:
         raise ConfigurationError("R must be >= 1")
     if parallelism < 1:
         raise ConfigurationError(f"parallelism must be >= 1, got {parallelism}")
     workers = min(parallelism, R)
-    if isinstance(specs, ScenarioSpec):
-        specs = [specs]
-    reports = []
-    for spec in specs:
-        payloads = [(spec, r, seed, options) for r in range(R)]
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                raw = list(pool.map(_run_replication_safe, payloads))
-        else:
-            raw = [_run_replication_safe(pl) for pl in payloads]
+    payloads = [(spec, r, seed, options) for r in range(R)]
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(_run_replication_safe, payloads))
+    else:
+        raw = [_run_replication_safe(pl) for pl in payloads]
 
-        failures = [err for err in raw if isinstance(err, str)]
-        results = [res for res in raw if not isinstance(res, str)]
-        if len(failures) > MAX_FAILURE_FRACTION * R:
-            raise StudyError(
-                f"{len(failures)}/{R} replications failed for scenario {spec.scenario}; "
-                f"first failure: {failures[0]}"
-            )
-        per_method = {m: [] for m in options.methods}
-        sel_method = {m: [] for m in options.methods}
-        for metrics, selected in results:
-            for m in options.methods:
-                per_method[m].append(metrics[m])
-                sel_method[m].append(selected[m])
-        for method in options.methods:
-            rows = per_method[method]
-            means, ses = {}, {}
-            for name in rows[0].keys():
-                vals = np.array([row[name] for row in rows])
-                means[name] = float(vals.mean())
-                ses[name] = (float(vals.std(ddof=1) / math.sqrt(len(vals)))
-                             if len(vals) > 1 else float("nan"))
-            if len(sel_method[method]) >= 2:
-                means["stab"] = stability(sel_method[method])
-            ses["stab"] = float("nan")
-            reports.append(MetricsReport(
-                spec=spec, method=method, means=means, ses=ses,
-                n_replications=len(rows), n_failures=len(failures),
-            ))
+    failures = [err for err in raw if isinstance(err, str)]
+    results = [res for res in raw if not isinstance(res, str)]
+    if len(failures) > MAX_FAILURE_FRACTION * R:
+        raise StudyError(
+            f"{len(failures)}/{R} replications failed for scenario {spec.scenario}; "
+            f"first failure: {failures[0]}"
+        )
+    reports = []
+    for method in options.methods:
+        rows = [metrics[method] for metrics, _ in results]
+        means, ses = {}, {}
+        for name in rows[0].keys():
+            vals = np.array([row[name] for row in rows])
+            means[name] = float(vals.mean())
+            ses[name] = (float(vals.std(ddof=1) / math.sqrt(len(vals)))
+                         if len(vals) > 1 else float("nan"))
+        if len(rows) >= 2:
+            means["stab"] = stability([selected[method] for _, selected in results])
+        ses["stab"] = float("nan")
+        reports.append(MetricsReport(
+            spec=spec, method=method, means=means, ses=ses,
+            n_replications=len(rows), n_failures=len(failures),
+        ))
     return reports
 
 

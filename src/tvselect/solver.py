@@ -173,7 +173,7 @@ class BlockFactor:
 def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
                              lambda2: float) -> list[BlockFactor]:
     """One factorization of G_kk/n + 2*lambda2*Omega per block; `fit_bcd` keeps them."""
-    omega2, gram = 2.0 * lambda2 * basis.roughness.omega, design.gram
+    omega2, gram = 2.0 * lambda2 * basis.omega, design.gram
     return [BlockFactor(gram[cols, cols] / design.n + omega2) for cols in design.block_slices]
 
 
@@ -315,7 +315,7 @@ def objective(design: DesignBlocks, fit: ModelFit) -> float:
         raise DimensionError(f"design has p={design.p}, fit has p={fit.p}")
     e = residuals(design, fit)
     loss = 0.5 / design.n * float(e @ e)
-    return loss + _penalty_value(fit.theta, fit.penalty, fit.basis.roughness.omega)
+    return loss + _penalty_value(fit.theta, fit.penalty, fit.basis.omega)
 
 
 def fitted_values(design: DesignBlocks, fit: ModelFit) -> np.ndarray:
@@ -350,7 +350,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     n, p = design.n, design.p
     if basis.q != design.q:
         raise DimensionError(f"basis has q={basis.q}, design has q={design.q}")
-    omega = basis.roughness.omega
+    omega = basis.omega
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
     c, gram = design.cold_constants.copy(), design.gram
@@ -480,7 +480,7 @@ def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
     hess = g_ss / n
     for j in range(len(selected)):
         sl = slice(m + j * q, m + (j + 1) * q)
-        hess[sl, sl] += 2.0 * lambda2_refit * basis.roughness.omega
+        hess[sl, sl] += 2.0 * lambda2_refit * basis.omega
     # each selected block contributes the structural ones-nullvector, so the
     # system is consistent but singular; take the minimum-norm solution
     coef, *_ = np.linalg.lstsq(hess, b_s / n, rcond=None)
@@ -645,7 +645,7 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
     """
     y = design.y
     n, p, q = design.n, design.p, basis.q
-    omega = basis.roughness.omega
+    omega = basis.omega
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
     C = _constant_design(design)

@@ -10,7 +10,7 @@ from tvselect.basis import (
     build_basis,
     build_basis_from_interior,
 )
-from tvselect.errors import ConfigurationError, DegenerateDesignError, DimensionError, DomainError
+from tvselect.errors import ConfigurationError, DegenerateDesignError, DomainError
 
 
 @pytest.fixture(scope="module")
@@ -121,14 +121,14 @@ def test_non_finite_times_rejected(cubic_q8, bad):
 
 
 def test_omega_symmetric_psd(cubic_q8):
-    om = cubic_q8.roughness.omega
+    om = cubic_q8.omega
     assert np.abs(om - om.T).max() < 1e-12
     eig = np.linalg.eigvalsh(om)
     assert eig[0] >= -1e-10 * eig[-1]
 
 
 def test_omega_rank_q_minus_2(cubic_q8):
-    eig = np.linalg.eigvalsh(cubic_q8.roughness.omega)
+    eig = np.linalg.eigvalsh(cubic_q8.omega)
     rank = int((eig > 1e-10 * eig[-1]).sum())
     assert rank == cubic_q8.q - 2
 
@@ -139,16 +139,12 @@ def test_linear_functions_in_nullspace(cubic_q8):
     knots = cubic_q8.full_knot_vector
     greville = np.array([knots[i + 1:i + 1 + d].mean() for i in range(cubic_q8.q)])
     for v in (np.ones(cubic_q8.q), greville, 2.0 - 3.0 * greville):
-        assert cubic_q8.roughness.quadratic_form(v) == pytest.approx(0.0, abs=1e-9)
+        assert v @ cubic_q8.omega @ v == pytest.approx(0.0, abs=1e-9)
 
 
 def test_quadratic_form_zero_vector(cubic_q8):
-    assert cubic_q8.roughness.quadratic_form(np.zeros(cubic_q8.q)) == 0.0
-
-
-def test_quadratic_form_dimension_mismatch(cubic_q8):
-    with pytest.raises(DimensionError):
-        cubic_q8.roughness.quadratic_form(np.ones(cubic_q8.q + 1))
+    v = np.zeros(cubic_q8.q)
+    assert v @ cubic_q8.omega @ v == 0.0
 
 
 def test_quadratic_form_matches_finite_differences(cubic_q8):
@@ -160,7 +156,7 @@ def test_quadratic_form_matches_finite_differences(cubic_q8):
         g = cubic_q8.eval_centered(t) @ v
         g2 = np.gradient(np.gradient(g, t), t)
         approx = np.trapezoid(g2 ** 2, t)
-        exact = cubic_q8.roughness.quadratic_form(v)
+        exact = v @ cubic_q8.omega @ v
         assert abs(approx - exact) / exact < 0.01
 
 
@@ -175,7 +171,7 @@ def test_quadrature_exactness(degree, knots):
     d2 = basis.eval_second_derivative(x)
     omega = (d2 * w[:, None]).T @ d2
     scale = max(1.0, np.abs(omega).max())
-    assert np.abs(basis.roughness.omega - omega).max() < 1e-12 * scale
+    assert np.abs(basis.omega - omega).max() < 1e-12 * scale
     assert np.abs(basis.basis_means - means).max() < 1e-12
 
 
@@ -266,4 +262,4 @@ def test_matches_splev_bitwise_property(cubic_q8, t):
 def test_second_derivative_zero_below_degree_two():
     basis = build_basis(SplineConfig(degree=1, num_internal_knots=3))
     assert np.array_equal(basis.eval_second_derivative(np.linspace(0, 1, 7)), np.zeros((7, 5)))
-    assert not np.any(basis.roughness.omega)
+    assert not np.any(basis.omega)

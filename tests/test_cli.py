@@ -10,9 +10,9 @@ import pytest
 from tvselect import artifact, cli, tuning
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.cli import main
-from tvselect.data import build_design, from_arrays, load_long_csv, standardize
+from tvselect.data import PreprocessState, build_design, from_arrays, load_long_csv, standardize
 from tvselect.errors import ParseError, SingularBlockError
-from tvselect.simulate import StudyOptions, generate, make_scenario, predict_dataset
+from tvselect.simulate import StudyOptions, generate, make_scenario
 from tvselect.solver import (
     PenaltyConfig,
     SolverOptions,
@@ -71,13 +71,13 @@ def test_artifact_round_trip(train_csv, tmp_path):
     fit = fit_bcd(design, basis, PenaltyConfig(0.02, 1e-5), SolverOptions())
     path = tmp_path / "fit.json"
     artifact.save_fit(fit, path, ds)
-    loaded, prep = artifact.load_fit(path)
+    loaded, prep, names = artifact.load_fit(path)
     assert loaded.beta0 == fit.beta0
     assert np.array_equal(loaded.mu, fit.mu)
     assert all(np.array_equal(a, b) for a, b in zip(loaded.theta, fit.theta))
     assert loaded.penalty == fit.penalty
-    assert prep["demeaned"] is True
-    assert prep["covariate_names"] == ["x1", "x2", "x3"]
+    assert prep.demeaned is True
+    assert names == ("x1", "x2", "x3")
     # reloaded fit reproduces fitted values exactly
     assert np.array_equal(fitted_values(design, loaded), fitted_values(design, fit))
 
@@ -88,7 +88,7 @@ def test_oracle_and_loaded_fits_are_read_only(train_csv, tmp_path):
     design = build_design(ds, basis)
     oracle = fit_oracle(design, basis, PenaltyConfig(0.02, 1e-5))
     artifact.save_fit(oracle, tmp_path / "fit.json", ds)
-    loaded, _ = artifact.load_fit(tmp_path / "fit.json")
+    loaded, _, _ = artifact.load_fit(tmp_path / "fit.json")
     for fit in (oracle, loaded):
         assert not any(arr.flags.writeable for arr in (fit.mu, *fit.theta))
 
@@ -100,12 +100,12 @@ def test_artifact_mismatch_detected(train_csv, tmp_path):
     fit = fit_bcd(design, basis, PenaltyConfig(0.05, 0.0), SolverOptions())
     path = tmp_path / "fit.json"
     artifact.save_fit(fit, path, ds)
-    loaded, prep = artifact.load_fit(path)
+    loaded, _, names = artifact.load_fit(path)
     other = from_arrays(["a", "a"], [0.0, 1.0], [0.0, 1.0],
                         np.zeros((2, 2)), rescale=False)
     from tvselect.errors import ArtifactMismatchError
     with pytest.raises(ArtifactMismatchError):
-        artifact.check_compatible(loaded, prep, other)
+        artifact.check_compatible(loaded, names, other)
 
 
 def fitted_payload(train_csv):
@@ -122,7 +122,7 @@ def test_artifact_with_epsilon_prox_still_loads(train_csv, tmp_path):
     payload["penalty"]["epsilon_prox"] = 1e-8
     path = tmp_path / "old.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    loaded, _ = artifact.load_fit(path)
+    loaded, _, _ = artifact.load_fit(path)
     assert loaded.penalty == fit.penalty
     assert all(np.array_equal(a, b) for a, b in zip(loaded.theta, fit.theta))
 
@@ -190,6 +190,44 @@ def test_predict_refuses_bad_artifact_values_exit_code_2(train_csv, tmp_path, ca
     assert not (out / "predictions.csv").exists()
 
 
+def test_artifact_without_preprocessing_maps_rows_unchanged(tmp_path):
+    # "preprocessing": null is the identity map with no names: predict scores the
+    # raw rows, classify names the covariates x1..xp, and any data names pass
+    path = make_training_csv(tmp_path / "raw.csv", np.random.default_rng(8),
+                             time_range=(0.0, 1.0))
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(header.replace("x1,x2,x3", "age,dose,bmi") + "\n" + rest, encoding="utf-8")
+    ds = standardize(load_long_csv(path))
+    basis = build_basis(SplineConfig(degree=3, num_internal_knots=2))
+    fit = fit_bcd(build_design(ds, basis), basis, PenaltyConfig(0.02, 1e-5), SolverOptions())
+    payload = artifact.fit_to_dict(fit, ds)
+    art = tmp_path / "fit.json"
+    art.write_text(json.dumps({**payload, "preprocessing": None}), encoding="utf-8")
+    loaded, prep, names = artifact.load_fit(art)
+    assert prep == PreprocessState() and names is None
+
+    raw = load_long_csv(path, rescale=False)
+    artifact.check_compatible(loaded, names, raw)
+    assert main(["predict", "--artifact", str(art), "--data", str(path),
+                 "--out", str(tmp_path / "pred")]) == 0
+    rows = np.loadtxt(tmp_path / "pred" / "predictions.csv", delimiter=",", skiprows=1,
+                      usecols=(1, 2, 3))
+    assert np.array_equal(rows[:, 1], raw.times)
+    assert np.array_equal(rows[:, 2], predict(loaded, raw.X, raw.times))
+    assert main(["classify", "--artifact", str(art), "--out", str(tmp_path / "cls")]) == 0
+    labels = json.loads((tmp_path / "cls" / "partition.json").read_text(encoding="utf-8"))
+    assert list(labels["labels"]) == ["x1", "x2", "x3"]
+
+    # a record without time_domain standardizes X and leaves the times as given
+    del payload["preprocessing"]["time_domain"]
+    _, prep, names = artifact.fit_from_dict(payload)
+    assert prep.time_domain == (0.0, 1.0) and names == ("age", "dose", "bmi")
+    X, t = prep.to_model_scale(raw.X, raw.times)
+    state = ds.preprocessing
+    assert np.array_equal(X, (raw.X - state.center) / state.scale)
+    assert np.array_equal(t, raw.times)
+
+
 # ----------------------------------------------------------------- commands
 
 
@@ -227,8 +265,8 @@ def test_predictors_agree(train_csv, tmp_path):
                  "--lambda1", "0.02", "--lambda2", "1e-5", "--knots", "2", "--no-demean"]) == 0
     assert main(["predict", "--artifact", str(out_fit / "fit.json"),
                  "--data", str(train_csv), "--out", str(out_pred)]) == 0
-    fit, prep = artifact.load_fit(out_fit / "fit.json")
-    center, scale = np.asarray(prep["center"]), np.asarray(prep["scale"])
+    fit, prep, _ = artifact.load_fit(out_fit / "fit.json")
+    center, scale = prep.center, prep.scale
 
     # the in-design predictor and the raw-row predictor on the training rows
     ds = standardize(load_long_csv(train_csv))
@@ -236,15 +274,14 @@ def test_predictors_agree(train_csv, tmp_path):
     pred = predict(fit, X, t)
     assert np.array_equal(fitted_values(build_design(ds, fit.basis), fit), pred)
 
-    # simulate.predict_dataset and tvselect predict call predict itself
-    raw = load_long_csv(train_csv)
-    _, X_raw, t_raw = raw.stacked()
-    assert np.array_equal(predict_dataset(fit, raw, center, scale),
-                          predict(fit, (X_raw - center) / scale, t_raw))
+    # tvselect predict and simulate.score_fit map raw rows with the record, then call predict
+    raw = load_long_csv(train_csv, rescale=False)
+    X_new, t01 = prep.to_model_scale(raw.X, raw.times)
+    assert np.array_equal(X_new, (raw.X - center) / scale)
     rows = np.loadtxt(out_pred / "predictions.csv", delimiter=",", skiprows=1,
                       usecols=(1, 2, 3))
-    _, X_new, _ = load_long_csv(train_csv, rescale=False).stacked()
-    assert np.array_equal(rows[:, 2], predict(fit, (X_new - center) / scale, rows[:, 1]))
+    assert np.array_equal(rows[:, 1], t01)
+    assert np.array_equal(rows[:, 2], predict(fit, (raw.X - center) / scale, rows[:, 1]))
 
 
 def test_predictions_name_their_input_rows(train_csv, tmp_path):
@@ -260,9 +297,9 @@ def test_predictions_name_their_input_rows(train_csv, tmp_path):
     assert main(["predict", "--artifact", str(out_fit / "fit.json"),
                  "--data", str(shuffled), "--out", str(out_pred)]) == 0
 
-    fit, prep = artifact.load_fit(out_fit / "fit.json")
-    lo, hi = prep["time_domain"]
-    center, scale = np.asarray(prep["center"]), np.asarray(prep["scale"])
+    fit, prep, _ = artifact.load_fit(out_fit / "fit.json")
+    lo, hi = prep.time_domain
+    center, scale = prep.center, prep.scale
     expected = {}
     for line in lines:
         sid, t, _, *x = line.split(",")
@@ -683,8 +720,11 @@ def test_classify_refuses_nan_threshold_multiplier_exit_code_2(train_csv, tmp_pa
     ["--gamma", "nan"],
     ["--parallel", "0"],
     ["--parallel", "-2"],
+    ["--methods", ""],
+    ["--methods", " , "],
+    ["--methods", "tv-select,lasso"],
 ], ids=["sigma", "sigma-x2", "amplitude", "t-df", "gamma", "parallel-zero",
-        "parallel-negative"])
+        "parallel-negative", "methods-empty", "methods-blank", "methods-unknown"])
 def test_simulate_refuses_bad_inputs_before_any_replication(tmp_path, capsys, argv):
     rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
                "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "6",
@@ -815,13 +855,17 @@ def write_golden_panel(path):
     return path
 
 
-# sha256 of the files below, as the writer that formatted each cell on its own
-# wrote them; a platform whose BLAS rounds differently changes them
+# sha256 of the files below as written when each CSV cell was formatted on its
+# own and artifacts were read back as raw dicts; a platform whose BLAS rounds
+# differently changes them
 GOLDEN_DIGESTS = {
     "fit/curves.csv": "f322e9b32ebcd87bd9b1495ca5d91ddf2f64ba543eeeb44c473c560ef7a7eb65",
+    "fit/fit.json": "72fa022942b15631fce8506f3ce143d6025b07c94e58b5850f283825cddc0607",
+    "classify/partition.json": "3823fdf8b2ff017f50f5a7d0d164144dcf73ca557fd12702dc64d6dd67a9d9db",
     "pred/predictions.csv": "05a9b5c506536001d51c52cc7ff307f34766e53db33157673a8c06f5f3180116",
     "tune/surface.csv": "c5978a383901823c94826f7bfd37cc9b710875030e4cc1b2db4f2eff511b0ec7",
     "tune/curves.csv": "7c183820f050bdd809bbbd1f18b9050032e1dd89361590ea4835c13b966288bb",
+    "tune/fit.json": "feea699a0ca36053cf7d74522a84106e2bd8368515df50c5791e776f699a6809",
 }
 
 
@@ -833,6 +877,8 @@ def test_cli_outputs_keep_their_golden_bytes(tmp_path):
                   "--lambda1", "0.02", "--lambda2", "1e-3"],
                  ["predict", "--artifact", str(out / "fit" / "fit.json"), "--data", data,
                   "--out", str(out / "pred")],
+                 ["classify", "--artifact", str(out / "fit" / "fit.json"),
+                  "--out", str(out / "classify"), "--threshold-multiplier", "0.5"],
                  ["tune", "--data", data, "--out", str(out / "tune"), "--knots", "2",
                   "--criterion", "cv", "--cv-folds", "3", "--seed", "4",
                   "--lambda1-grid", "0.1,0.02,0.004", "--lambda2-grid", "1e-2,1e-4"]):

@@ -44,7 +44,7 @@ def test_load_counts_and_rescaling(tmp_path):
     # global times {2,4,6} -> {0, 0.5, 1}
     _, _, t = ds.stacked()
     assert sorted(set(np.round(t, 12))) == [0.0, 0.5, 1.0]
-    assert ds.time_domain == (2.0, 6.0)
+    assert ds.preprocessing.time_domain == (2.0, 6.0)
 
 
 def test_load_sorts_within_subject_by_time(tmp_path):

@@ -5,7 +5,8 @@ from tvselect import simulate
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.data import build_design, demean_within_subject, standardize
 from tvselect.errors import ConfigurationError, StudyError
-from tvselect.solver import METHOD_TV_SELECT, ModelFit, PenaltyConfig, SolverOptions, fit_bcd
+from tvselect.solver import (METHOD_TV_SELECT, ModelFit, PenaltyConfig, SolverOptions, fit_bcd,
+                             predict)
 from tvselect.simulate import (
     COV_TIME_VARYING,
     ERROR_AR1,
@@ -84,6 +85,9 @@ def test_scenario_validation():
     for gamma in (float("nan"), -0.1, 1.5):
         with pytest.raises(ConfigurationError, match="gamma"):
             StudyOptions(gamma=gamma)
+    for methods in ((), ("tv-select", "lasso")):
+        with pytest.raises(ConfigurationError, match="method"):
+            StudyOptions(methods=methods)
 
 
 # -------------------------------------------------------------------- truth
@@ -279,6 +283,16 @@ def test_score_fit_mspe_on_test_set():
     m = score_fit(fit, truth, spec, test_set=test)
     # perfect coefficient fit: MSPE equals the noise variance, here sigma=1
     assert m["mspe"] == pytest.approx(1.0, rel=0.25)
+
+
+def test_score_fit_maps_test_rows_through_the_training_record():
+    spec, truth, fit = quartic_truth_and_fit()
+    test = generate(type(spec)(**{**spec.__dict__, "N": 40, "seed": 77}), truth)
+    prep = standardize(generate(spec, truth)).preprocessing
+    m = score_fit(fit, truth, spec, prep, test_set=test)
+    pred = predict(fit, (test.X - prep.center) / prep.scale, test.times)
+    assert m["mspe"] == float(np.mean((test.y - pred) ** 2))
+    assert m["mse_mu"] == float(np.sum((fit.mu / prep.scale - truth.mu0) ** 2)) / fit.p
 
 
 # ---------------------------------------------------------------- stability

@@ -115,7 +115,7 @@ def test_objective_matches_straight_line_reimplementation():
     value = float(resid @ resid) / (2 * n)
     for th in fit.theta:
         value += pen.lambda1 * float(np.sqrt(np.sum(th ** 2)))
-        value += pen.lambda2 * float(th @ basis.roughness.omega @ th)
+        value += pen.lambda2 * float(th @ basis.omega @ th)
     assert objective(design, fit) == pytest.approx(value, abs=1e-12)
 
 
@@ -165,7 +165,7 @@ def test_ridge_smooth_solves_linear_system():
     rhs = design.Z[1].T @ r / design.n
     theta = _solve_block_subproblem(factor, rhs, 0.0)
     G = design.Z[1].T @ design.Z[1] / design.n
-    lhs = (G + 2 * lam2 * basis.roughness.omega) @ theta
+    lhs = (G + 2 * lam2 * basis.omega) @ theta
     assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
@@ -343,7 +343,7 @@ def test_kkt_conditions_at_convergence():
         lam2 = rng.uniform(0, 0.5)
         fit = fit_bcd(design, basis, PenaltyConfig(lam1, lam2), TIGHT)
         e = residuals(design, fit)
-        omega = basis.roughness.omega
+        omega = basis.omega
         n = design.n
         for k, th in enumerate(fit.theta):
             grad_corr = design.Z[k].T @ e / n
@@ -519,7 +519,7 @@ def test_fits_from_the_design_cache_match_fits_on_a_fresh_design(method):
     other = build_basis(SplineConfig(num_internal_knots=basis.q - 4,
                                      knot_placement=TIME_QUANTILES), observed_times=ds.times)
     assert other.q == basis.q
-    assert not np.array_equal(other.roughness.omega, basis.roughness.omega)
+    assert not np.array_equal(other.omega, basis.omega)
     pen = PenaltyConfig(0.2 * lambda1_max(design), 0.01)
 
     def fit(d, b):
@@ -534,7 +534,7 @@ def test_fits_from_the_design_cache_match_fits_on_a_fresh_design(method):
         assert np.array_equal(np.array(got.theta), np.array(want.theta))
         assert np.array_equal(got.objective_trace, want.objective_trace)
     omegas = {omega for _, omega in design.block_factors}
-    assert omegas == {basis.roughness.omega.tobytes(), other.roughness.omega.tobytes()}
+    assert omegas == {basis.omega.tobytes(), other.omega.tobytes()}
 
 
 def gauss_seidel_pass(ctc, cte):
@@ -577,7 +577,7 @@ def row_form_bcd(design, basis, penalty, options):
     rows: r = e + Z_k theta_k, Z_k' r, r - Z_k theta_new and its norm.
     """
     y, Z, n, p = design.y, design.Z, design.n, design.p
-    omega = basis.roughness.omega
+    omega = basis.omega
     lam1, lam2 = penalty.lambda1, penalty.lambda2
     C = _constant_design(design)
     ctc = C.T @ C
@@ -790,7 +790,7 @@ def stacked_refit(design, basis, selected, lambda2):
     removed: that is the minimum-norm solution.
     """
     A = np.hstack([_constant_design(design)] + [design.Z[k] for k in selected])
-    w, v = np.linalg.eigh(basis.roughness.omega)
+    w, v = np.linalg.eigh(basis.omega)
     root = math.sqrt(2.0 * design.n * lambda2) * (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
     m, q = A.shape[1] - len(selected) * basis.q, basis.q
     ridge = np.zeros((len(selected) * q, A.shape[1]))
@@ -873,7 +873,7 @@ def oracle_certificate(design, basis, fit):
 
     def grad(c):
         g = -(A.T @ (y - A @ c)) / n
-        g[off:] += 2.0 * lam2 * (c[off:].reshape(p, -1) @ basis.roughness.omega).ravel()
+        g[off:] += 2.0 * lam2 * (c[off:].reshape(p, -1) @ basis.omega).ravel()
         return g
 
     start = np.concatenate([_constants_init(y, C), np.zeros(p * basis.q)])
@@ -891,7 +891,7 @@ def test_oracle_certifies_ill_conditioned_instance(lambda1_share):
     _, basis, design = make_instance(rng, N=20, n_i=4, p=4, q=8)
     pen = PenaltyConfig(lambda1_share * lambda1_max(design), 0.95)
     # curvature term far above the data curvature (near 1): FISTA stalls
-    assert 2.0 * pen.lambda2 * np.linalg.eigvalsh(basis.roughness.omega)[-1] > 1000.0
+    assert 2.0 * pen.lambda2 * np.linalg.eigvalsh(basis.omega)[-1] > 1000.0
     orc = fit_oracle(design, basis, pen, tol=1e-10)
     kkt, grad_ref = oracle_certificate(design, basis, orc)
     assert kkt <= 1e-8 * grad_ref
