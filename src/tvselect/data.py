@@ -6,12 +6,14 @@ Rows may arrive in any order; a dataset stores them once, stacked by subject
 offsets.  Observation times are rescaled to [0,1] by the pooled (min, max) so
 one basis serves all subjects.
 
-The accepted grammar: UTF-8 text, comma-separated, every row with as many
-fields as the header.  A field may be quoted with ``"`` (``""`` inside quotes
-is a literal quote).  Numbers use Python ``float`` syntax in ASCII without
-underscores (``1.5``, ``-2e-05``, ``.5``) and may be padded with spaces; NaN
-and inf are rejected.  Empty lines are skipped but still counted in the row
-numbers of error messages; a line of spaces or of empty fields is an error.
+The accepted grammar: UTF-8 text (a leading byte-order mark is skipped),
+comma-separated, every row with as many fields as the header, whose names
+are distinct once surrounding spaces are stripped.  A field may be quoted
+with ``"`` (``""`` inside quotes is a literal quote).  Numbers use Python
+``float`` syntax in ASCII without underscores (``1.5``, ``-2e-05``, ``.5``)
+and may be padded with spaces; NaN and inf are rejected.  Empty lines are
+skipped but still counted in the row numbers of error messages; a line of
+spaces or of empty fields is an error.
 """
 
 from __future__ import annotations
@@ -185,13 +187,15 @@ class DesignBlocks:
         return gauss_seidel, g_kk, [G[cols] for cols in self.block_slices]
 
     def with_gram(self, gram: np.ndarray) -> DesignBlocks:
-        """A copy whose `gram` is the given Gram of [A y], such as a sum of fold Grams."""
+        """A copy whose `gram` is the given Gram of [A y], such as a sum of fold Grams.
+
+        A Gram with a non-finite entry raises `DegenerateDesignError`.
+        """
         width = self.p + self.intercept_included + self.p * self.q + 1
         if gram.shape != (width, width):
             raise DimensionError(f"Gram of shape {gram.shape}, the design needs {(width, width)}")
         design = replace(self)
-        object.__setattr__(design, "gram", gram.view())
-        design.gram.setflags(write=False)
+        object.__setattr__(design, "gram", _finite_gram(gram.view()))
         return design
 
 
@@ -204,7 +208,8 @@ def design_gram(design: DesignBlocks) -> np.ndarray:
     fraction of the design's memory.  Stacking [A y]' (contiguous rows per
     column) copies several times faster than stacking [A y].  A
     cross-validation fold's Gram is its held-out design's own
-    (`tuning.tune_cv`).  Read-only.
+    (`tuning.tune_cv`).  Read-only; an entry that overflows raises
+    `DegenerateDesignError`.
     """
     m = design.p + design.intercept_included
     width = m + design.p * design.q
@@ -219,7 +224,16 @@ def design_gram(design: DesignBlocks) -> np.ndarray:
         for xk, cols in zip(At[m - design.p:m], design.block_slices):
             np.multiply(design.B.T[:, start:stop], xk, out=At[cols])
         At[width] = design.y[start:stop]
-        gram += At @ At.T
+        with np.errstate(over="ignore", invalid="ignore"):  # `_finite_gram` refuses it
+            gram += At @ At.T
+    return _finite_gram(gram)
+
+
+def _finite_gram(gram: np.ndarray) -> np.ndarray:
+    """The Gram made read-only; one whose entries overflow raises `DegenerateDesignError`."""
+    if not np.isfinite(gram).all():
+        raise DegenerateDesignError("the design's Gram matrix is not finite: y or a covariate "
+                                    "is too large in magnitude for its squares to be summed")
     gram.setflags(write=False)
     return gram
 
@@ -272,7 +286,7 @@ def load_long_csv(path, rescale: bool = True) -> LongitudinalDataset:
     look for the row and column to name in the error.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -283,6 +297,10 @@ def load_long_csv(path, rescale: bool = True) -> LongitudinalDataset:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
         header = [h.strip() for h in header]
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise ParseError(f"{path}: column name '{name}' appears more than once "
+                                 "in the header")
         required = ("subject", "time", "y")
         for col in required:
             if col not in header:
@@ -361,7 +379,8 @@ def demean_within_subject(dataset: LongitudinalDataset) -> LongitudinalDataset:
     within subject is annihilated up to roundoff, at most n_i * eps/2 * |x|
     for the mean of n_i values x; so a column whose de-meaned magnitude is at
     most n_max * eps (n_max the largest subject) times its magnitude before
-    raises `DegenerateColumnError`: its constant effect would be noise.
+    raises `DegenerateColumnError`: its constant effect would be noise.  A
+    response that de-means to roundoff the same way raises it too.
     """
     if dataset.preprocessing.demeaned:
         return dataset
@@ -377,8 +396,11 @@ def demean_within_subject(dataset: LongitudinalDataset) -> LongitudinalDataset:
         for src, dst in ((dataset.y, y), (dataset.X, X)):
             runs = src[rows].reshape(stop - first, n_i, *src.shape[1:])
             np.subtract(runs, runs.mean(axis=1, keepdims=True), out=dst[rows].reshape(runs.shape))
-    bound = sizes.max() * np.finfo(float).eps * np.abs(dataset.X).max(axis=0)
-    for k in np.flatnonzero(np.abs(X).max(axis=0) <= bound):
+    rel_bound = sizes.max() * np.finfo(float).eps
+    if np.abs(y).max() <= rel_bound * np.abs(dataset.y).max():
+        raise DegenerateColumnError("the response is constant within every subject, "
+                                    "so de-meaning leaves nothing to fit")
+    for k in np.flatnonzero(np.abs(X).max(axis=0) <= rel_bound * np.abs(dataset.X).max(axis=0)):
         raise DegenerateColumnError(f"covariate '{dataset.covariate_names[k]}' is constant within "
                                     "every subject; fit without de-meaning (--no-demean)")
     state = replace(dataset.preprocessing, demeaned=True)

@@ -49,9 +49,11 @@ e'e = y'y - x'A'y - x'g are recomputed at the start of each fit and every
 value are cached between updates, so a sweep's objective is a sum of
 cached terms.
 
-The screen-refit's joint least squares on [C Z_k for the chosen blocks]
-reads the same Gram.  `fit_oracle`, the independent reference, stacks the
-design rows itself, its blocks from `design.Z`.
+The block factorizations, the screen-refit and `fit_oracle`'s Newton polish
+read the smooth part's Hessian on their columns from the same Gram
+(`smooth_hessian`), and a singular system gets its minimum-norm solution.
+`fit_oracle`, the independent reference, computes its value, gradient and
+KKT certificate on the design rows, which it stacks from `design.Z`.
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ class BlockFactor:
     representative the group penalty selects anyway.
     """
 
-    def __init__(self, mat: np.ndarray):
-        w, v = np.linalg.eigh(mat)
+    def __init__(self, w: np.ndarray, v: np.ndarray):
+        """From the eigenvalues w (ascending) and eigenvectors v of `np.linalg.eigh`."""
         if w[-1] <= 0.0:
             raise SingularBlockError(
                 f"block system has no positive eigenvalues (max {w[-1]:.3e})")
@@ -170,11 +172,31 @@ class BlockFactor:
         return self.v.dot(self.v.T.dot(z) * self._inv_w)
 
 
+def smooth_hessian(design: DesignBlocks, omega: np.ndarray, lambda2: float, blocks) -> tuple:
+    """Columns S and the smooth part's Hessian on them, G_SS/n + 2*lambda2*Omega per block.
+
+    S is C's columns, then the given blocks' in A = [C Z_1 ... Z_p].  G_SS is
+    read from `design.gram`, as a slice when S is a leading run of columns.
+    """
+    m, q = design.p + design.intercept_included, len(omega)
+    starts = m + q * np.asarray(blocks, dtype=int)
+    cols = np.concatenate([np.arange(m), (starts[:, None] + np.arange(q)).ravel()])
+    if np.array_equal(cols, np.arange(len(cols))):
+        hess = design.gram[:len(cols), :len(cols)] / design.n
+    else:
+        hess = design.gram[np.ix_(cols, cols)] / design.n
+    # hess[m:, m:] as (block, row, block, column); its diagonal blocks as one view
+    diagonal_blocks = np.einsum("kikj->kij", hess[m:, m:].reshape(len(starts), q, len(starts), q))
+    diagonal_blocks += 2.0 * lambda2 * omega
+    return cols, hess
+
+
 def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
                              lambda2: float) -> list[BlockFactor]:
     """One factorization of G_kk/n + 2*lambda2*Omega per block; `fit_bcd` keeps them."""
-    omega2, gram = 2.0 * lambda2 * basis.omega, design.gram
-    return [BlockFactor(gram[cols, cols] / design.n + omega2) for cols in design.block_slices]
+    _, hess = smooth_hessian(design, basis.omega, lambda2, range(design.p))
+    w, v = np.linalg.eigh(np.stack([hess[cols, cols] for cols in design.block_slices]))
+    return [BlockFactor(w_k, v_k) for w_k, v_k in zip(w, v)]
 
 
 def _zero_minimizes(norm_z: float, lambda1: float) -> bool:
@@ -264,16 +286,6 @@ def _split_constants(c: np.ndarray, p: int) -> tuple:
     if len(c) > p:
         return float(c[0]), c[1:]
     return 0.0, c
-
-
-def _constants_init(y, C):
-    """Least squares on the constant design C, ridge jitter 1e-10 on singular systems."""
-    gram = C.T @ C
-    rhs = C.T @ y
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        return np.linalg.solve(gram + 1e-10 * np.eye(C.shape[1]), rhs)
 
 
 def lambda1_max(design: DesignBlocks) -> float:
@@ -463,28 +475,20 @@ def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
                  lambda2_refit: float) -> tuple:
     """Joint least squares for the constants and theta_S with a mild curvature ridge.
 
-    Reads only `design.gram`, the Gram of [A y].  Over the columns
-    S of C and the selected blocks, the normal equations are G_SS/n, plus
-    2*lambda2*Omega on each block, and b_S/n for b = A'y.  Returns the
-    constants, every theta_k (zero off S) and the residual sum of squares
+    Reads only `design.gram`, the Gram of [A y].  The normal equations are
+    `smooth_hessian` on the selected blocks and b_S/n for b = A'y.  Returns
+    the constants, every theta_k (zero off S) and the residual sum of squares
     y'y - 2 x_S'b_S + x_S'G_SS x_S.
     """
+    gram, m, q = design.gram, design.p + design.intercept_included, basis.q
     selected = sorted(selected)
-    gram, blocks = design.gram, design.block_slices
-    n, q, width = design.n, basis.q, gram.shape[0] - 1
-    m = design.p + design.intercept_included
-    idx = np.arange(width)
-    cols = np.concatenate([idx[:m]] + [idx[blocks[k]] for k in selected])
-    g_ss = gram[np.ix_(cols, cols)]
-    b_s = gram[cols, width]
-    hess = g_ss / n
-    for j in range(len(selected)):
-        sl = slice(m + j * q, m + (j + 1) * q)
-        hess[sl, sl] += 2.0 * lambda2_refit * basis.omega
+    cols, hess = smooth_hessian(design, basis.omega, lambda2_refit, selected)
+    b_s = gram[cols, -1]
     # each selected block contributes the structural ones-nullvector, so the
     # system is consistent but singular; take the minimum-norm solution
-    coef, *_ = np.linalg.lstsq(hess, b_s / n, rcond=None)
-    rss = float(gram[width, width]) - 2.0 * float(coef.dot(b_s)) + float(coef.dot(g_ss).dot(coef))
+    coef, *_ = np.linalg.lstsq(hess, b_s / design.n, rcond=None)
+    g_ss = gram[np.ix_(cols, cols)]
+    rss = float(gram[-1, -1]) - 2.0 * float(coef.dot(b_s)) + float(coef.dot(g_ss).dot(coef))
     theta = [np.zeros(q) for _ in range(design.p)]
     for j, k in enumerate(selected):
         theta[k] = coef[m + j * q: m + (j + 1) * q]
@@ -550,18 +554,17 @@ def _active_set_polish(x, hess, grad, off, p, q, lam1, kkt_bound):
     block proximal-gradient step.  The Newton step minimizes the smooth
     restriction of the objective to the unpenalized coordinates and the
     active blocks: the Hessian adds lambda1/||theta_k|| (I - u u'),
-    u = theta_k/||theta_k||, to the data and curvature terms, plus the
-    projector onto the ones vector, a direction along which every block's
-    loss and curvature are flat, so the system stays nonsingular when
-    lambda1 = 0.  A block that the step turns past zero stops at zero.  The
-    Armijo line search measures the exact change of the objective along the
-    step, not the difference of two objective values, whose roundoff hides
-    the last Newton steps.  Stops when the active set is unchanged and the
-    step is at roundoff, or when no step is accepted.
+    u = theta_k/||theta_k||, to the data and curvature terms of `hess`.  The
+    step is the system's minimum-norm solution, so it has no component
+    along a flat direction (a block's ones vector, a duplicated column),
+    where the system is singular.  A block that the step turns past zero
+    stops at zero.  The Armijo line search measures the exact change of the
+    objective along the step, not the difference of two objective values,
+    whose roundoff hides the last Newton steps.  Stops when the active set
+    is unchanged and the step is at roundoff, or when no step is accepted.
     """
     th = x[off:].reshape(p, q)                 # view: block writes update x
     sl = [slice(off + k * q, off + (k + 1) * q) for k in range(p)]
-    ones_proj = np.full((q, q), 1.0 / q)
     for _ in range(POLISH_MAX_ITER):
         g = grad(x)
         changed = False
@@ -593,11 +596,8 @@ def _active_set_polish(x, hess, grad, off, p, q, lam1, kkt_bound):
             u = th_k / n_k
             b = slice(off + j * q, off + (j + 1) * q)
             g_newton[b] += lam1 * u
-            h_newton[b, b] += (lam1 / n_k) * (np.eye(q) - np.outer(u, u)) + ones_proj
-        try:
-            d = np.linalg.solve(h_newton, -g_newton)
-        except np.linalg.LinAlgError:
-            break       # singular system (collinear design): left to the certificate
+            h_newton[b, b] += (lam1 / n_k) * (np.eye(q) - np.outer(u, u))
+        d = np.linalg.lstsq(h_newton, -g_newton, rcond=None)[0]
         slope = float(g_newton @ d)
         t = 1.0
         for _ in range(POLISH_MAX_HALVINGS):
@@ -630,10 +630,11 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
                grad_tol: float | None = None) -> ModelFit:
     """Reference solver for the convex objective, independent of `fit_bcd`.
 
-    Runs accelerated proximal gradient (FISTA with gradient-angle restarts,
-    exact group proximal map, backtracking from an exact spectral step) for
-    at most `max_iter` iterations, until the monotone best objective stalls
-    below `tol` over a whole window.  The returned point must also pass a
+    Runs accelerated proximal gradient from theta = 0 and the constants'
+    minimum-norm least squares (FISTA with gradient-angle restarts, exact
+    group proximal map, backtracking from the exact spectral step of
+    `smooth_hessian`) for at most `max_iter` iterations, until the monotone
+    best objective stalls below `tol` over a whole window.  The returned point must also pass a
     first-order KKT certificate, a residual of at most 1e-8 times the
     initial gradient scale; an iterate that FISTA cannot certify (too
     ill-conditioned for a first-order method) is polished by an active-set
@@ -651,9 +652,7 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
     C = _constant_design(design)
     A = np.hstack([C, *design.Z])
     off = C.shape[1]
-    hess = A.T @ A / n                  # the exact Hessian of the smooth part
-    for sl in design.block_slices:
-        hess[sl, sl] += 2.0 * lam2 * omega
+    _, hess = smooth_hessian(design, omega, lam2, range(p))
 
     def theta_of(c):
         return c[off:].reshape(p, q)
@@ -690,7 +689,7 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
         return out
 
     x = np.zeros(off + p * q)
-    x[:off] = _constants_init(y, C)
+    x[:off] = np.linalg.lstsq(C, y, rcond=None)[0]
 
     momentum = x.copy()
     t_acc = 1.0

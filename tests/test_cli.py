@@ -800,6 +800,74 @@ def test_covariates_constant_within_subject_refused_when_demeaning(tmp_path, cap
     assert "error:" in err and "'x1'" in err and "--no-demean" in err
 
 
+def test_response_constant_within_subject_refused_when_demeaning(train_csv, tmp_path, capsys):
+    # de-meaned to zeros, every surface cell was -inf and the first grid point won
+    lines = train_csv.read_text(encoding="utf-8").splitlines()
+    rows = [ln.split(",") for ln in lines[1:]]
+    for cells in rows:
+        cells[2] = str(len(cells[0]))
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([lines[0]] + [",".join(c) for c in rows]) + "\n", encoding="utf-8")
+    rc = main(["tune", "--data", str(path), "--out", str(tmp_path / "o"), "--knots", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "response is constant within every subject" in err
+
+
+def scale_column(path, column, factor, out):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [ln.split(",") for ln in lines[1:]]
+    for cells in rows:
+        cells[column] = repr(float(cells[column]) * factor)
+    out.write_text("\n".join([lines[0]] + [",".join(c) for c in rows]) + "\n", encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("column, flags", [
+    (2, []),                              # y: the fit ran 500 sweeps to objective=nan
+    (4, ["--no-standardize"]),            # x2: the block factorization raised LinAlgError
+], ids=["y", "x2"])
+def test_non_finite_gram_exit_code_2(train_csv, tmp_path, capsys, column, flags):
+    path = scale_column(train_csv, column, 1e160, tmp_path / "big.csv")
+    out = tmp_path / "o"
+    rc = main(["fit", "--data", str(path), "--out", str(out), "--knots", "2",
+               "--lambda1", "0.05", "--lambda2", "1e-4", *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "not finite" in err and "Traceback" not in err
+    assert not (out / "fit.json").exists()
+
+
+def test_utf8_byte_order_mark_is_skipped(train_csv, tmp_path, capsys):
+    text = train_csv.read_text(encoding="utf-8")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for name, path in (("plain", train_csv), ("bom", bom)):
+        assert main(["fit", "--data", str(path), "--out", str(tmp_path / name),
+                     "--knots", "2", "--lambda1", "0.05"]) == 0
+    assert (tmp_path / "bom" / "fit.json").read_bytes() == \
+        (tmp_path / "plain" / "fit.json").read_bytes()
+    # row numbers in error messages still count the header as row 1
+    lines = text.splitlines()
+    lines[5] = lines[5].replace(lines[5].split(",")[1], "soon", 1)
+    bom.write_bytes(b"\xef\xbb\xbf" + ("\n".join(lines) + "\n").encode("utf-8"))
+    assert main(["fit", "--data", str(bom), "--out", str(tmp_path / "bad")]) == 2
+    assert "row 6, column 'time': cannot parse 'soon'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, duplicate", [
+    ("subject,time,y,x1,x2,y", "y"),      # the second y was ignored, exit 0
+    ("subject,time,y,x1, x1 ,x3", "x1"),  # read x1 twice: 'rank-deficient'
+], ids=["y", "padded-x1"])
+def test_duplicate_column_names_exit_code_2(train_csv, tmp_path, capsys, header, duplicate):
+    lines = train_csv.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "dup.csv"
+    path.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
+    rc = main(["fit", "--data", str(path), "--out", str(tmp_path / "o"), "--knots", "2"])
+    assert rc == 2
+    assert f"column name '{duplicate}' appears more than once" in capsys.readouterr().err
+
+
 def test_numeric_output_has_17_significant_digits(train_csv, tmp_path):
     out = tmp_path / "out"
     main(["fit", "--data", str(train_csv), "--out", str(out), "--knots", "2",
@@ -866,6 +934,12 @@ GOLDEN_DIGESTS = {
     "tune/surface.csv": "c5978a383901823c94826f7bfd37cc9b710875030e4cc1b2db4f2eff511b0ec7",
     "tune/curves.csv": "7c183820f050bdd809bbbd1f18b9050032e1dd89361590ea4835c13b966288bb",
     "tune/fit.json": "feea699a0ca36053cf7d74522a84106e2bd8368515df50c5791e776f699a6809",
+    # the block factorizations and the screen-refit's joint least squares on
+    # the blocks of x1 and x3, recorded before both read `solver.smooth_hessian`
+    "screen-refit/fit.json": "9a12d2b7c5c02b38347a9f92de0468a0d46547dc104ee9fe16ed964051fd3d3b",
+    "screen-refit/curves.csv": "83a8f14e3b775d340ed7dae4ba5d6001469d947658df312425fa42e9816458a0",
+    "vc-ridge/fit.json": "2b28dda8ea3272a55f0241cb33438d44a0dc294ecfb0f05c0d2b9ab6d1e2c698",
+    "vc-ridge/curves.csv": "1622b7643bda23b499e5d7611356e88266f1705329fc518e94092247039dc704",
 }
 
 
@@ -881,7 +955,11 @@ def test_cli_outputs_keep_their_golden_bytes(tmp_path):
                   "--out", str(out / "classify"), "--threshold-multiplier", "0.5"],
                  ["tune", "--data", data, "--out", str(out / "tune"), "--knots", "2",
                   "--criterion", "cv", "--cv-folds", "3", "--seed", "4",
-                  "--lambda1-grid", "0.1,0.02,0.004", "--lambda2-grid", "1e-2,1e-4"]):
+                  "--lambda1-grid", "0.1,0.02,0.004", "--lambda2-grid", "1e-2,1e-4"],
+                 ["fit", "--data", data, "--out", str(out / "screen-refit"), "--knots", "2",
+                  "--method", "screen-refit", "--lambda1", "0.005"],
+                 ["fit", "--data", data, "--out", str(out / "vc-ridge"), "--knots", "2",
+                  "--method", "vc-ridge", "--lambda2", "1e-3"]):
         assert main(argv) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN_DIGESTS}

@@ -34,7 +34,6 @@ from tvselect.solver import (
     SolverOptions,
     _block_penalty,
     _constant_design,
-    _constants_init,
     _joint_refit,
     _oracle_kkt_residual,
     _predictor,
@@ -48,6 +47,7 @@ from tvselect.solver import (
     precompute_block_factors,
     predict,
     residuals,
+    smooth_hessian,
 )
 from tvselect.tuning import _fit_grid, default_grid, lambda1_max
 
@@ -150,7 +150,7 @@ def test_ridge_smooth_identity_gram():
     M = rng.standard_normal((n, q))
     Q_mat, _ = np.linalg.qr(M)
     Z = Q_mat * np.sqrt(n)
-    factor = BlockFactor(Z.T @ Z / n)
+    factor = BlockFactor(*np.linalg.eigh(Z.T @ Z / n))
     r = rng.standard_normal(n)
     assert np.allclose(_solve_block_subproblem(factor, Z.T @ r / n, 0.0), Z.T @ r / n,
                        atol=1e-12)
@@ -226,7 +226,7 @@ def test_block_solve_matches_brentq_reference(seed, log_eigs, lam1, delta, start
     # norm times 1 -+ 10^-k, near the root, where the iteration stops on
     # predicted convergence after its second evaluation
     M, V, rng = block_with_null_vector(seed, log_eigs)
-    factor = BlockFactor(M)
+    factor = BlockFactor(*np.linalg.eigh(M))
     z = V[:, 1:] @ rng.standard_normal(len(log_eigs))
     z *= (lam1 if lam1 > 0.0 else 1.0) * (1.0 + delta) / np.linalg.norm(z)
     ref = brentq_block_solve(factor, z, lam1)
@@ -260,7 +260,7 @@ def test_block_solve_without_root_raises():
     # every s: the stationarity equation has no root and must not return,
     # from any start
     M, V, rng = block_with_null_vector(7, [0.0, 1.0, 2.0])
-    factor = BlockFactor(M)
+    factor = BlockFactor(*np.linalg.eigh(M))
     z = 2.0 * V[:, 0] + 0.1 * V[:, 1:] @ rng.standard_normal(3)
     for s0 in (0.0, 0.5, 1e300):
         with pytest.raises(SingularBlockError):
@@ -447,6 +447,18 @@ def test_with_gram_rejects_gram_of_another_shape():
         design.with_gram(gram)
 
 
+def test_non_finite_gram_is_refused():
+    rng = np.random.default_rng(43)
+    _, _, design = make_instance(rng)
+    big = replace(design, y=design.y * 1e160)       # y'y overflows
+    with pytest.raises(DegenerateDesignError, match="not finite"):
+        design_gram(big)
+    gram = design.gram.copy()
+    gram[0, -1] = gram[-1, 0] = np.nan
+    with pytest.raises(DegenerateDesignError, match="not finite"):
+        design.with_gram(gram)
+
+
 def test_design_gram_is_formed_once_per_design(monkeypatch):
     # every method of a study replication reads the one Gram of its design,
     # its one cold start (one eigen check of C'C) and one factor set per
@@ -459,9 +471,9 @@ def test_design_gram_is_formed_once_per_design(monkeypatch):
         return real(design)
 
     class CountedFactor(BlockFactor):
-        def __init__(self, mat):
-            factors.append(mat.shape)
-            super().__init__(mat)
+        def __init__(self, w, v):
+            factors.append(v.shape)
+            super().__init__(w, v)
 
     def counted_eigvalsh(mat):
         eigen_checks.append(mat.shape)
@@ -581,7 +593,7 @@ def row_form_bcd(design, basis, penalty, options):
     lam1, lam2 = penalty.lambda1, penalty.lambda2
     C = _constant_design(design)
     ctc = C.T @ C
-    factors = [BlockFactor(Zk.T @ Zk / n + 2.0 * lam2 * omega) for Zk in Z]
+    factors = [BlockFactor(*np.linalg.eigh(Zk.T @ Zk / n + 2.0 * lam2 * omega)) for Zk in Z]
     c = np.linalg.solve(ctc, C.T @ y)
     theta = [np.zeros(basis.q) for _ in range(p)]
     norms = [0.0] * p
@@ -819,6 +831,25 @@ def test_joint_refit_matches_stacked_least_squares(intercept, selected):
     assert abs(rss - want_rss) <= 1e-10 * want_rss
 
 
+@pytest.mark.parametrize("intercept", [True, False])
+@pytest.mark.parametrize("blocks", [[0, 1, 2], [0, 2], [1], []])
+def test_smooth_hessian_matches_the_rows(intercept, blocks):
+    rng = np.random.default_rng(62)
+    _, basis, design = make_instance(rng, q=7)
+    design = replace(design, intercept_included=intercept)
+    lam2 = 0.3
+    cols, hess = smooth_hessian(design, basis.omega, lam2, blocks)
+    A_S = np.hstack([_constant_design(design)] + [design.Z[k] for k in blocks])
+    want = A_S.T @ A_S / design.n
+    m = design.p + intercept
+    for j in range(len(blocks)):
+        sl = slice(m + j * basis.q, m + (j + 1) * basis.q)
+        want[sl, sl] += 2.0 * lam2 * basis.omega
+    full = np.hstack([_constant_design(design), *design.Z])
+    assert np.array_equal(full[:, cols], A_S)
+    assert np.abs(hess - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_unknown_method_rejected():
     rng = np.random.default_rng(20)
     _, basis, design = make_instance(rng)
@@ -876,7 +907,7 @@ def oracle_certificate(design, basis, fit):
         g[off:] += 2.0 * lam2 * (c[off:].reshape(p, -1) @ basis.omega).ravel()
         return g
 
-    start = np.concatenate([_constants_init(y, C), np.zeros(p * basis.q)])
+    start = np.concatenate([np.linalg.lstsq(C, y, rcond=None)[0], np.zeros(p * basis.q)])
     c = np.concatenate([[fit.beta0], fit.mu, np.concatenate(fit.theta)])
     kkt = _oracle_kkt_residual(grad(c), np.vstack(fit.theta), off, lam1)
     return kkt, 1.0 + float(np.linalg.norm(grad(start)))
@@ -898,15 +929,30 @@ def test_oracle_certifies_ill_conditioned_instance(lambda1_share):
     assert objective(design, orc) <= objective(design, fit_bcd(design, basis, pen, TIGHT)) + 1e-9
 
 
-def test_oracle_raises_when_it_cannot_certify():
+def duplicated_covariate_instance():
+    """A design whose covariate 1 copies covariate 0, so [1 X] and Z_1 = Z_0 are collinear."""
     rng = np.random.default_rng(27)
     _, basis, design = make_instance(rng, N=15, n_i=4, p=3, q=8)
     X = design.X.copy()
-    X[:, 1] = X[:, 0]          # a duplicated covariate leaves the Newton system singular
-    collinear = replace(design, X=X)                # and so does its block: Z_1 = Z_0
+    X[:, 1] = X[:, 0]
+    return basis, replace(design, X=X), PenaltyConfig(0.3 * lambda1_max(design), 0.9)
+
+
+def test_oracle_certifies_a_duplicated_covariate():
+    # the Newton system is singular along (mu_0 - mu_1, theta_0 - theta_1); its
+    # minimum-norm step has no component there
+    basis, collinear, pen = duplicated_covariate_instance()
+    orc = fit_oracle(collinear, basis, pen, max_iter=50)
+    kkt, grad_ref = oracle_certificate(collinear, basis, orc)
+    assert kkt <= 1e-8 * grad_ref
+
+
+def test_oracle_raises_when_it_cannot_certify(monkeypatch):
+    # without the polish, 50 FISTA iterations leave the same design uncertified
+    monkeypatch.setattr(solver, "POLISH_MAX_ITER", 0)
+    basis, collinear, pen = duplicated_covariate_instance()
     with pytest.raises(OracleNonconvergenceError, match="KKT residual"):
-        fit_oracle(collinear, basis, PenaltyConfig(0.3 * lambda1_max(design), 0.9),
-                   max_iter=50)
+        fit_oracle(collinear, basis, pen, max_iter=50)
 
 
 # ------------------------------------------------------------------ predict
