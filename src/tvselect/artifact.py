@@ -51,8 +51,8 @@ def fit_to_dict(fit: ModelFit, dataset: LongitudinalDataset) -> dict:
         "basis": _basis_payload(fit.basis),
         "coefficients": {
             "beta0": fit.beta0,
-            "mu": [float(v) for v in fit.mu],
-            "theta": [[float(v) for v in th] for th in fit.theta],
+            "mu": fit.mu.tolist(),
+            "theta": fit.theta.tolist(),
         },
         "objective_trace": [float(v) for v in fit.objective_trace],
         "iterations": fit.iterations,
@@ -98,7 +98,7 @@ def fit_from_dict(payload: dict) -> tuple[ModelFit, PreprocessState, tuple | Non
             raise ParseError("coefficients beta0, mu and theta must be finite")
         pen = payload["penalty"]
         fit = ModelFit(
-            beta0=beta0, mu=mu, theta=tuple(theta),
+            beta0=beta0, mu=mu, theta=theta,
             objective_trace=np.asarray(payload["objective_trace"], dtype=float),
             iterations=int(payload["iterations"]), converged=bool(payload["converged"]),
             method=str(payload["method"]),

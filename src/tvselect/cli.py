@@ -162,6 +162,10 @@ def _echo_config(out_dir, command, merged):
 
 def _prepare_dataset(cfg):
     dataset = load_long_csv(cfg["data"])
+    # not in build_design: a CV fold's held-out rows may share one response
+    if np.ptp(dataset.y) == 0.0:
+        raise DegenerateColumnError("the response is the same in every row, so there is "
+                                    "nothing to fit")
     binary = tuple(s for s in (cfg.get("binary_cols") or "").split(",") if s)
     if not cfg.get("no_standardize"):
         dataset = standardize(dataset, binary_columns=binary)

@@ -7,10 +7,11 @@ The objective, with n the total observation count, is
                           + lambda2 * sum_k theta_k' Omega theta_k.
 
 The intercept is column 0 of one unpenalized design C = [1 X] (C = X when
-the data are de-meaned; `_constant_design`), and (beta0, mu) is split from
-C's coefficients only where a `ModelFit` is built.  One sweep updates every
-column of C by exact one-dimensional least squares, and every spline block
-theta_k by exactly minimizing its convex subproblem
+the data are de-meaned; `_constant_design`).  Every solver returns one
+vector x on the columns of A = [C Z_1 ... Z_p], which `_model_fit` alone
+turns into a `ModelFit`.  One sweep updates every column of C by exact
+one-dimensional least squares, and every spline block theta_k by exactly
+minimizing its convex subproblem
 
     (1/2n) ||r_k - Z_k theta||^2 + lambda2 theta' Omega theta + lambda1 ||theta||_2
 
@@ -49,9 +50,10 @@ e'e = y'y - x'A'y - x'g are recomputed at the start of each fit and every
 value are cached between updates, so a sweep's objective is a sum of
 cached terms.
 
-The block factorizations, the screen-refit and `fit_oracle`'s Newton polish
-read the smooth part's Hessian on their columns from the same Gram
-(`smooth_hessian`), and a singular system gets its minimum-norm solution.
+The block factorizations read each G_kk from `sweep_tables`.  The
+screen-refit and `fit_oracle`'s Newton polish read the smooth part's Hessian
+on their columns from the same Gram (`smooth_hessian`), and a singular
+system gets its minimum-norm solution.
 `fit_oracle`, the independent reference, computes its value, gradient and
 KKT certificate on the design rows, which it stacks from `design.Z`.
 """
@@ -68,7 +70,6 @@ from .data import DesignBlocks
 from .errors import (
     ConfigurationError,
     DimensionError,
-    DomainError,
     OracleNonconvergenceError,
     SingularBlockError,
 )
@@ -115,11 +116,11 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class ModelFit:
-    """A fitted model; `mu` and each `theta[k]` are read-only float copies."""
+    """A fitted model; `mu` (p,) and `theta` (p, q) are read-only float copies."""
 
     beta0: float
     mu: np.ndarray
-    theta: tuple
+    theta: np.ndarray
     objective_trace: np.ndarray
     iterations: int
     converged: bool
@@ -131,8 +132,8 @@ class ModelFit:
 
     def __post_init__(self):
         mu = np.array(self.mu, dtype=float)
-        theta = tuple(np.array(th, dtype=float) for th in self.theta)
-        for arr in (mu, *theta):
+        theta = np.array(self.theta, dtype=float).reshape(len(mu), -1)
+        for arr in (mu, theta):
             arr.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "theta", theta)
@@ -175,16 +176,12 @@ class BlockFactor:
 def smooth_hessian(design: DesignBlocks, omega: np.ndarray, lambda2: float, blocks) -> tuple:
     """Columns S and the smooth part's Hessian on them, G_SS/n + 2*lambda2*Omega per block.
 
-    S is C's columns, then the given blocks' in A = [C Z_1 ... Z_p].  G_SS is
-    read from `design.gram`, as a slice when S is a leading run of columns.
+    S is C's columns, then the given blocks' in A = [C Z_1 ... Z_p]; G_SS is from `design.gram`.
     """
     m, q = design.p + design.intercept_included, len(omega)
     starts = m + q * np.asarray(blocks, dtype=int)
     cols = np.concatenate([np.arange(m), (starts[:, None] + np.arange(q)).ravel()])
-    if np.array_equal(cols, np.arange(len(cols))):
-        hess = design.gram[:len(cols), :len(cols)] / design.n
-    else:
-        hess = design.gram[np.ix_(cols, cols)] / design.n
+    hess = design.gram[np.ix_(cols, cols)] / design.n
     # hess[m:, m:] as (block, row, block, column); its diagonal blocks as one view
     diagonal_blocks = np.einsum("kikj->kij", hess[m:, m:].reshape(len(starts), q, len(starts), q))
     diagonal_blocks += 2.0 * lambda2 * omega
@@ -193,9 +190,9 @@ def smooth_hessian(design: DesignBlocks, omega: np.ndarray, lambda2: float, bloc
 
 def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
                              lambda2: float) -> list[BlockFactor]:
-    """One factorization of G_kk/n + 2*lambda2*Omega per block; `fit_bcd` keeps them."""
-    _, hess = smooth_hessian(design, basis.omega, lambda2, range(design.p))
-    w, v = np.linalg.eigh(np.stack([hess[cols, cols] for cols in design.block_slices]))
+    """One factorization of G_kk/n + 2*lambda2*Omega per block, G_kk from `sweep_tables`."""
+    w, v = np.linalg.eigh(np.stack(design.sweep_tables[1]) / design.n
+                          + 2.0 * lambda2 * basis.omega)
     return [BlockFactor(w_k, v_k) for w_k, v_k in zip(w, v)]
 
 
@@ -281,11 +278,17 @@ def _constant_design(design: DesignBlocks) -> np.ndarray:
     return design.X
 
 
-def _split_constants(c: np.ndarray, p: int) -> tuple:
-    """(beta0, mu) from coefficients on the columns of `_constant_design`."""
-    if len(c) > p:
-        return float(c[0]), c[1:]
-    return 0.0, c
+def _model_fit(design: DesignBlocks, basis: CenteredSplineBasis, x: np.ndarray, trace,
+               iterations: int, converged: bool, method: str,
+               penalty: PenaltyConfig) -> ModelFit:
+    """The fit of coefficients x on the columns of A = [C Z_1 ... Z_p]."""
+    m = design.p + design.intercept_included
+    return ModelFit(
+        beta0=float(x[0]) if design.intercept_included else 0.0, mu=x[m - design.p:m],
+        theta=x[m:], objective_trace=np.array(trace), iterations=iterations,
+        converged=converged, method=method, penalty=penalty, basis=basis,
+        intercept=design.intercept_included, n_train=design.n,
+    )
 
 
 def lambda1_max(design: DesignBlocks) -> float:
@@ -378,9 +381,9 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     if init is not None:
         # (beta0, mu), or mu alone when C has no intercept column
         c = np.append(float(init.beta0), init.mu)[-m:]
-        theta = [np.array(th, dtype=float) for th in init.theta]
+        theta = list(init.theta)
     else:
-        theta = [np.zeros(basis.q) for _ in range(p)]
+        theta = list(np.zeros((p, basis.q)))
 
     # per-block caches: norm (0.0 for a zero block, the block solve's warm
     # start) and penalty, updated with every accepted block
@@ -462,13 +465,8 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             converged = True
             break
 
-    beta0, mu = _split_constants(c, p)
-    return ModelFit(
-        beta0=beta0, mu=mu, theta=tuple(theta),
-        objective_trace=np.array(trace), iterations=sweeps, converged=converged,
-        method=METHOD_TV_SELECT, penalty=penalty, basis=basis,
-        intercept=design.intercept_included, n_train=n,
-    )
+    return _model_fit(design, basis, np.concatenate([c, *theta]), trace, sweeps, converged,
+                      METHOD_TV_SELECT, penalty)
 
 
 def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
@@ -477,11 +475,10 @@ def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
 
     Reads only `design.gram`, the Gram of [A y].  The normal equations are
     `smooth_hessian` on the selected blocks and b_S/n for b = A'y.  Returns
-    the constants, every theta_k (zero off S) and the residual sum of squares
-    y'y - 2 x_S'b_S + x_S'G_SS x_S.
+    the coefficients x on the columns of A, zero off S, and the residual sum
+    of squares y'y - 2 x_S'b_S + x_S'G_SS x_S.
     """
-    gram, m, q = design.gram, design.p + design.intercept_included, basis.q
-    selected = sorted(selected)
+    gram = design.gram
     cols, hess = smooth_hessian(design, basis.omega, lambda2_refit, selected)
     b_s = gram[cols, -1]
     # each selected block contributes the structural ones-nullvector, so the
@@ -489,10 +486,9 @@ def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
     coef, *_ = np.linalg.lstsq(hess, b_s / design.n, rcond=None)
     g_ss = gram[np.ix_(cols, cols)]
     rss = float(gram[-1, -1]) - 2.0 * float(coef.dot(b_s)) + float(coef.dot(g_ss).dot(coef))
-    theta = [np.zeros(q) for _ in range(design.p)]
-    for j, k in enumerate(selected):
-        theta[k] = coef[m + j * q: m + (j + 1) * q]
-    return coef[:m], theta, rss
+    x = np.zeros(len(gram) - 1)
+    x[cols] = coef
+    return x, rss
 
 
 def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
@@ -518,15 +514,10 @@ def fit_baseline(design: DesignBlocks, basis: CenteredSplineBasis, method: str,
     screen = fit_bcd(design, basis, pen, options, init=init)
     if method == METHOD_GROUP_LASSO:
         return replace(screen, method=method)
-    selected = [k for k, th in enumerate(screen.theta) if th.any()]
-    c, theta, rss = _joint_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
-    beta0, mu = _split_constants(c, design.p)
-    return ModelFit(
-        beta0=beta0, mu=mu, theta=tuple(theta),
-        objective_trace=np.array([0.5 / design.n * rss]), iterations=screen.iterations,
-        converged=screen.converged, method=method, penalty=pen,
-        basis=basis, intercept=design.intercept_included, n_train=design.n,
-    )
+    x, rss = _joint_refit(design, basis, np.flatnonzero(screen.theta.any(axis=1)),
+                          SCREEN_REFIT_LAMBDA2)
+    return _model_fit(design, basis, x, [0.5 / design.n * rss], screen.iterations,
+                      screen.converged, method, pen)
 
 
 def _oracle_kkt_residual(g, theta, off, lam1):
@@ -748,21 +739,16 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
                 f"active-set Newton polish left KKT residual {kkt:.3e} above the "
                 f"certificate bound {kkt_bound:.3e}")
 
-    beta0, mu = _split_constants(x[:off], p)
-    return ModelFit(
-        beta0=beta0, mu=mu, theta=tuple(theta_of(x)),
-        objective_trace=np.array([total(x)]), iterations=it, converged=True,
-        method=METHOD_TV_SELECT, penalty=penalty, basis=basis,
-        intercept=design.intercept_included, n_train=n,
-    )
+    return _model_fit(design, basis, x, [total(x)], it, True, METHOD_TV_SELECT, penalty)
 
 
 def predict(fit: ModelFit, x, t):
     """beta0 + sum_k x_k * (mu_k + Btilde(t)' theta_k).
 
     `x` is one covariate vector (length p) or a matrix of rows; `t` a scalar
-    or a vector of length 1 or the row count, with finite times in [0,1].
-    Covariates must already be on the scale the model was fitted on.
+    or a vector of length 1 or the row count, with finite times in [0,1]
+    (the basis raises `DomainError` otherwise).  Covariates must already be
+    on the scale the model was fitted on.
     """
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 1
@@ -773,8 +759,6 @@ def predict(fit: ModelFit, x, t):
     if t_arr.ndim > 1 or t_arr.size not in (1, X.shape[0]):
         raise DimensionError(f"expected a scalar time or a vector of length 1 or "
                              f"{X.shape[0]}, got shape {t_arr.shape}")
-    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
-        raise DomainError("prediction times must be finite and lie in [0,1] on the model scale")
     B = fit.basis.eval_centered(np.atleast_1d(t_arr))       # (m, q) or (1, q)
     out = _predictor(X, B, fit.beta0, fit.mu, fit.theta)
     return float(out[0]) if scalar else out

@@ -14,8 +14,11 @@ from tvselect.data import PreprocessState, build_design, from_arrays, load_long_
 from tvselect.errors import ParseError, SingularBlockError
 from tvselect.simulate import StudyOptions, generate, make_scenario
 from tvselect.solver import (
+    METHOD_TV_SELECT,
+    METHODS,
     PenaltyConfig,
     SolverOptions,
+    fit_baseline,
     fit_bcd,
     fit_oracle,
     fitted_values,
@@ -83,14 +86,21 @@ def test_artifact_round_trip(train_csv, tmp_path):
 
 
 def test_oracle_and_loaded_fits_are_read_only(train_csv, tmp_path):
+    # theta is one (p, q) float array whichever solver made the fit
     ds = standardize(load_long_csv(train_csv))
     basis = build_basis(SplineConfig(degree=3, num_internal_knots=2))
     design = build_design(ds, basis)
-    oracle = fit_oracle(design, basis, PenaltyConfig(0.02, 1e-5))
-    artifact.save_fit(oracle, tmp_path / "fit.json", ds)
-    loaded, _, _ = artifact.load_fit(tmp_path / "fit.json")
-    for fit in (oracle, loaded):
-        assert not any(arr.flags.writeable for arr in (fit.mu, *fit.theta))
+    pen = PenaltyConfig(0.02, 1e-5)
+    fits = [fit_bcd(design, basis, pen, SolverOptions()), fit_oracle(design, basis, pen)]
+    fits += [fit_baseline(design, basis, method, pen, SolverOptions())
+             for method in METHODS if method != METHOD_TV_SELECT]
+    for j, fit in enumerate(list(fits)):
+        artifact.save_fit(fit, tmp_path / f"fit{j}.json", ds)
+        fits.append(artifact.load_fit(tmp_path / f"fit{j}.json")[0])
+    for fit in fits:
+        assert isinstance(fit.theta, np.ndarray) and fit.theta.dtype == float
+        assert fit.theta.shape == (design.p, basis.q)
+        assert not fit.mu.flags.writeable and not fit.theta.flags.writeable
 
 
 def test_artifact_mismatch_detected(train_csv, tmp_path):
@@ -812,6 +822,27 @@ def test_response_constant_within_subject_refused_when_demeaning(train_csv, tmp_
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "response is constant within every subject" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--lambda1", "0.05"],
+    ["tune"],
+    ["tune", "--criterion", "cv", "--cv-folds", "3"],
+], ids=["fit", "tune", "tune-cv"])
+def test_response_the_same_in_every_row_refused(train_csv, tmp_path, capsys, command):
+    # without de-meaning, fit printed objective=2.9e-49 and tune picked a roundoff lambda1
+    lines = train_csv.read_text(encoding="utf-8").splitlines()
+    rows = [ln.split(",") for ln in lines[1:]]
+    for cells in rows:
+        cells[2] = "2.5"
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([lines[0]] + [",".join(c) for c in rows]) + "\n", encoding="utf-8")
+    rc = main([*command, "--data", str(path), "--out", str(tmp_path / "o"), "--knots", "2",
+               "--no-demean"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "response is the same in every row" in err
+    assert not (tmp_path / "o" / "fit.json").exists()
 
 
 def scale_column(path, column, factor, out):

@@ -38,7 +38,6 @@ from tvselect.solver import (
     _oracle_kkt_residual,
     _predictor,
     _solve_block_subproblem,
-    _split_constants,
     fit_baseline,
     fit_bcd,
     fit_oracle,
@@ -598,7 +597,12 @@ def row_form_bcd(design, basis, penalty, options):
     theta = [np.zeros(basis.q) for _ in range(p)]
     norms = [0.0] * p
     pen = [0.0] * p
-    e = y - _predictor(design.X, design.B, *_split_constants(c, p), theta)
+
+    def residual():
+        beta0, mu = (float(c[0]), c[1:]) if design.intercept_included else (0.0, c)
+        return y - _predictor(design.X, design.B, beta0, mu, theta)
+
+    e = residual()
     ee = float(e @ e)
 
     def current_objective():
@@ -612,7 +616,7 @@ def row_form_bcd(design, basis, penalty, options):
     for sweep in range(1, options.max_iter + 1):
         sweeps = sweep
         if sweep % RESIDUAL_REFRESH_EVERY == 0:
-            e = y - _predictor(design.X, design.B, *_split_constants(c, p), theta)
+            e = residual()
         dc = gauss_seidel_pass(ctc, C.T @ e)
         c += dc
         e = e - C @ dc
@@ -824,10 +828,10 @@ def test_joint_refit_matches_stacked_least_squares(intercept, selected):
     _, basis, design = make_instance(rng, theta_scale=2.0)
     design = replace(design, intercept_included=intercept)
     want, want_rss = stacked_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
-    c, theta, rss = _joint_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
-    got = np.concatenate([c] + [theta[k] for k in selected])
-    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-    assert all(not np.any(th) for k, th in enumerate(theta) if k not in selected)
+    x, rss = _joint_refit(design, basis, selected, SCREEN_REFIT_LAMBDA2)
+    cols, _ = smooth_hessian(design, basis.omega, 0.0, selected)
+    assert np.abs(x[cols] - want).max() <= 1e-10 * np.abs(want).max()
+    assert not np.delete(x, cols).any()
     assert abs(rss - want_rss) <= 1e-10 * want_rss
 
 
@@ -848,6 +852,21 @@ def test_smooth_hessian_matches_the_rows(intercept, blocks):
     full = np.hstack([_constant_design(design), *design.Z])
     assert np.array_equal(full[:, cols], A_S)
     assert np.abs(hess - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+@pytest.mark.parametrize("lam2", [0.0, 0.3])
+def test_block_factors_are_the_smooth_hessians_diagonal_blocks(intercept, lam2):
+    # the factorizations read G_kk from the design's sweep tables, with the same bits
+    rng = np.random.default_rng(63)
+    _, basis, design = make_instance(rng, q=7)
+    design = replace(design, intercept_included=intercept)
+    _, hess = smooth_hessian(design, basis.omega, lam2, range(design.p))
+    w, v = np.linalg.eigh(np.stack([hess[sl, sl] for sl in design.block_slices]))
+    got = precompute_block_factors(design, basis, lam2)
+    assert len(got) == design.p
+    for factor, want in zip(got, map(BlockFactor, w, v)):
+        assert np.array_equal(factor.w, want.w) and np.array_equal(factor.v, want.v)
 
 
 def test_unknown_method_rejected():
@@ -986,10 +1005,12 @@ def test_predict_time_out_of_domain():
     rng = np.random.default_rng(27)
     _, basis, design = make_instance(rng)
     fit = fit_bcd(design, basis, PenaltyConfig(0.1, 0.0), SolverOptions())
-    with pytest.raises(DomainError):
-        predict(fit, np.zeros(3), 1.5)
-    with pytest.raises(DomainError):
-        predict(fit, np.zeros((2, 3)), np.array([0.5, -0.1]))
+    # the basis checks the times, NaN included
+    for x, t in ((np.zeros(3), 1.5), (np.zeros(3), np.nan),
+                 (np.zeros((2, 3)), np.array([0.5, -0.1])),
+                 (np.zeros((2, 3)), np.array([np.nan, 0.5]))):
+        with pytest.raises(DomainError, match=r"lie in \[0,1\]"):
+            predict(fit, x, t)
 
 
 def test_predict_dimension_mismatch():

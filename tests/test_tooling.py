@@ -173,3 +173,27 @@ def test_no_module_imports_a_private_name_of_another():
                 imported.extend(f"{name}: {node.module}.{alias.name}" for alias in node.names
                                 if alias.name.startswith("_"))
     assert imported == []
+
+
+def calls_by_function(tree, callee):
+    """The innermost function (or '<module>') around each call of `callee`, by name."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == callee or getattr(func, "attr", None) == callee:
+                    found.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_model_fits_are_built_in_one_place():
+    # every solver returns one coefficient vector that `solver._model_fit` turns
+    # into a fit; an artifact is the only other source of one
+    built = [f"{name}:{owner}" for name, tree in module_trees()
+             for owner in calls_by_function(tree, "ModelFit")]
+    assert sorted(built) == ["artifact.py:fit_from_dict", "solver.py:_model_fit"]
