@@ -329,7 +329,7 @@ def load_long_csv(path, rescale: bool = True) -> LongitudinalDataset:
         if not np.isfinite(values).all():
             _raise_first_bad_row(fh, path, len(header), numeric, "NaN or inf found")
 
-    sids = np.char.strip(table[f"c{col_idx['subject']}"].astype(str))
+    sids = [sid.strip() for sid in table[f"c{col_idx['subject']}"]]
     return from_arrays(sids, values[:, 0], values[:, 1], values[:, 2:],
                        covariate_names=tuple(cov_names), rescale=rescale)
 

@@ -41,8 +41,8 @@ design keeps what it alone determines: the cold start from G[:m, :m] = C'C
 (`cold_constants`, which `lambda1_max` reads too and which refuses
 unidentified constants), inv(tril(C'C)) with each block's G_kk and rows of G
 (`sweep_tables`), and the block factorizations of each (lambda2, Omega) from
-the G_kk (`block_factors`).  A zero block whose ||g_k||/n stays at most
-lambda1 is skipped after that one test.
+the G_kk (`block_factors`).  The sweep updates x in place through the views
+c and theta_k; `_solve_block_subproblem` holds the only zero test.
 Cross-validation sums the held-out designs' own Grams into each training
 Gram and the refit's (`tuning.tune_cv`).  g = A'y - G x and
 e'e = y'y - x'A'y - x'g are recomputed at the start of each fit and every
@@ -196,12 +196,6 @@ def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
     return [BlockFactor(w_k, v_k) for w_k, v_k in zip(w, v)]
 
 
-def _zero_minimizes(norm_z: float, lambda1: float) -> bool:
-    """theta = 0 solves the block subproblem: ||z|| <= lambda1."""
-    # relative slack keeps boundary roundoff (lambda1 == lambda1_max) at zero
-    return norm_z <= lambda1 * (1.0 + 1e-12)
-
-
 def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
                             s0: float = 0.0) -> np.ndarray:
     """Exact minimizer of 0.5 theta'M theta - z'theta + lambda1 ||theta||_2.
@@ -228,7 +222,8 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
     if lambda1 <= 0.0:
         return factor.solve(z)
     norm_z = math.sqrt(z.dot(z))
-    if _zero_minimizes(norm_z, lambda1):
+    # relative slack keeps boundary roundoff (lambda1 == lambda1_max) at zero
+    if norm_z <= lambda1 * (1.0 + 1e-12):
         return np.zeros_like(z)
     w, v = factor.w, factor.v
     zt = v.T.dot(z)
@@ -350,11 +345,13 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     then one exact solve per spline block, all in covariance form: the fit
     reads only `design.gram`, the Gram of [A y] for A = [C Z_1 ... Z_p], and
     the tables and factorizations that every fit on the design shares
-    (`sweep_tables`, `block_factors`), and keeps g = A'e and e'e.  The
-    constants move by dc = inv(tril(C'C)) g[:m], the step of the sequential
-    pass.  Block k solves with u_k = g_k + G_kk theta_k, then a step Delta
-    moves g by d = G[block k rows]' Delta and e'e by -2 Delta' g_k +
-    Delta' d_k.  g = A'y - G x and e'e = y'y - x'A'y - x'g are recomputed for
+    (`sweep_tables`, `block_factors`), and keeps g = A'e and e'e.  It
+    updates the parameters x in place, through the views c = x[:m] and
+    theta_k.  The constants move by dc = inv(tril(C'C)) g[:m], the step of
+    the sequential pass.  Block k solves with u_k = g_k + G_kk theta_k (the
+    solve holds the only zero test), then a step Delta moves g by
+    d = G[block k rows]' Delta and e'e by -2 Delta' g_k + Delta' d_k.
+    g = A'y - G x and e'e = y'y - x'A'y - x'g are recomputed for
     the parameters x at the start and every RESIDUAL_REFRESH_EVERY sweeps.  `init`
     warm-starts the parameters (e.g. along a lambda1 path); the default
     start is theta = 0 with `design.cold_constants` = solve(C'C, (A'y)[:m]).
@@ -368,9 +365,8 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     omega = basis.omega
     lam1, lam2 = penalty.lambda1, penalty.lambda2
 
-    c, gram = design.cold_constants.copy(), design.gram
+    m, gram, blocks = len(design.cold_constants), design.gram, design.block_slices
     G, aty, yty = gram[:-1, :-1], gram[:-1, -1], float(gram[-1, -1])
-    m, blocks = len(c), design.block_slices
     c_rows = G[:m]
     gauss_seidel, g_kk, g_rows = design.sweep_tables
     key = (lam2, omega.tobytes())
@@ -379,11 +375,11 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     factors = design.block_factors[key]
 
     if init is not None:
-        # (beta0, mu), or mu alone when C has no intercept column
-        c = np.append(float(init.beta0), init.mu)[-m:]
-        theta = list(init.theta)
+        # (beta0, mu, theta), or (mu, theta) when C has no intercept column
+        x = np.concatenate([[init.beta0], init.mu, init.theta.ravel()])[p + 1 - m:]
     else:
-        theta = list(np.zeros((p, basis.q)))
+        x = np.concatenate([design.cold_constants, np.zeros(p * basis.q)])
+    c, theta = x[:m], [x[cols] for cols in blocks]
 
     # per-block caches: norm (0.0 for a zero block, the block solve's warm
     # start) and penalty, updated with every accepted block
@@ -392,7 +388,6 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
 
     def refresh():
         """g = A'e = A'y - G x and e'e = y'y - x'A'y - x'g for the parameters x."""
-        x = np.concatenate([c, *theta])
         g = aty - G.dot(x)
         return g, yty - float(x.dot(aty)) - float(x.dot(g))
 
@@ -426,17 +421,12 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
         for k in range(p):
             nrm_old = norms[k]
             gk, th_old = g[blocks[k]], theta[k]
-            if nrm_old > 0.0:
-                # Z_k' r_k / n for the partial residual r_k = e + Z_k theta_k
-                z = (gk + g_kk[k].dot(th_old)) / n
-            else:
-                z = gk / n
-                if _zero_minimizes(math.sqrt(z.dot(z)), lam1):
-                    continue        # a zero block that stays zero
+            # Z_k' r_k / n for the partial residual r_k = e + Z_k theta_k
+            z = (gk + g_kk[k].dot(th_old)) / n if nrm_old > 0.0 else gk / n
             th_new = _solve_block_subproblem(factors[k], z, lam1, nrm_old)
             nrm_new = math.sqrt(th_new.dot(th_new))
             if nrm_old == 0.0 and nrm_new == 0.0:
-                continue
+                continue            # a zero block that stays zero
             # exact block minimization cannot increase the objective; this
             # guards against floating-point drift in the running g and e'e:
             # a step that raises it is halved, at most 20 times, then reverted.
@@ -453,7 +443,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
                 nrm_new = math.sqrt(th_new.dot(th_new))
             else:
                 continue  # revert: keep th_old, g and e'e
-            theta[k] = th_new
+            th_old[:] = th_new
             norms[k] = nrm_new
             pen[k] = pen_new
             ee = ee_new
@@ -465,8 +455,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             converged = True
             break
 
-    return _model_fit(design, basis, np.concatenate([c, *theta]), trace, sweeps, converged,
-                      METHOD_TV_SELECT, penalty)
+    return _model_fit(design, basis, x, trace, sweeps, converged, METHOD_TV_SELECT, penalty)
 
 
 def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,
@@ -553,10 +542,12 @@ def _active_set_polish(x, hess, grad, off, p, q, lam1, kkt_bound):
     objective along the step, not the difference of two objective values,
     whose roundoff hides the last Newton steps.  Stops when the active set
     is unchanged and the step is at roundoff, or when no step is accepted.
+    Returns the number of passes of its loop that it ran.
     """
     th = x[off:].reshape(p, q)                 # view: block writes update x
     sl = [slice(off + k * q, off + (k + 1) * q) for k in range(p)]
-    for _ in range(POLISH_MAX_ITER):
+    passes = 0
+    for passes in range(1, POLISH_MAX_ITER + 1):
         g = grad(x)
         changed = False
         for k in range(p):
@@ -614,6 +605,7 @@ def _active_set_polish(x, hess, grad, off, p, q, lam1, kkt_bound):
         x[free] += s
         if not changed and np.abs(s).max() <= 4.0 * _EPS * (1.0 + np.abs(x[free]).max()):
             break
+    return passes
 
 
 def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyConfig,
@@ -630,7 +622,8 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
     initial gradient scale; an iterate that FISTA cannot certify (too
     ill-conditioned for a first-order method) is polished by an active-set
     Newton method started from it, and a point that still fails the
-    certificate raises `OracleNonconvergenceError`.  Passing `grad_tol`
+    certificate raises `OracleNonconvergenceError`.  The fit's `iterations`
+    is FISTA's iterations plus the polish's passes.  Passing `grad_tol`
     additionally demands a small prox-gradient residual of FISTA and
     tightens the certificate to `grad_tol`, so the iterate itself is
     accurate, not just the objective.  Intended for small problems.
@@ -732,7 +725,7 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
     kkt_bound = (ORACLE_KKT_TOL if grad_tol is None else min(ORACLE_KKT_TOL, grad_tol)) * grad_ref
     kkt = _oracle_kkt_residual(smooth_grad(x), theta_of(x), off, lam1)
     if not stalled or kkt > kkt_bound:
-        _active_set_polish(x, hess, smooth_grad, off, p, q, lam1, kkt_bound)
+        it += _active_set_polish(x, hess, smooth_grad, off, p, q, lam1, kkt_bound)
         kkt = _oracle_kkt_residual(smooth_grad(x), theta_of(x), off, lam1)
         if kkt > kkt_bound:
             raise OracleNonconvergenceError(

@@ -177,6 +177,16 @@ def test_no_data_rows(tmp_path):
         load_long_csv(write_csv(tmp_path / "d.csv", "subject,time,y,x1\n\n\n"))
 
 
+def test_load_keeps_ids_equal_up_to_a_trailing_nul(tmp_path):
+    # as from_arrays does: a fixed-width str array would drop the NUL and merge them
+    text = "subject,time,y,x1\na,0,1.0,0.5\na\x00,1,2.0,1.5\na,2,3.0,2.5\na\x00,3,4.0,3.5\n"
+    ds = load_long_csv(write_csv(tmp_path / "d.csv", text))
+    want = from_arrays(["a", "a\x00", "a", "a\x00"], [0.0, 1.0, 2.0, 3.0],
+                       [1.0, 2.0, 3.0, 4.0], [[0.5], [1.5], [2.5], [3.5]])
+    assert ds.subject_ids == want.subject_ids == ("a", "a\x00")
+    assert ds.bounds.tolist() == want.bounds.tolist() == [0, 2, 4]
+
+
 def test_invalid_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "d.csv"
     path.write_bytes(BASIC.replace("b,4,1.0", "b,4,\xff1.0").encode("latin-1"))

@@ -4,7 +4,8 @@ The benchmark's span targets must name functions that exist in the package:
 `perfbench/spans.py` wraps each target by `vars(owner)[attr]`, and its
 describers read what the targets return; a rename in `src/` would otherwise
 surface only when a traced benchmark run crashes, and a panel pass must make
-the calls that the traced run's span-count check expects of its outputs.
+the calls that the traced run's span-count check expects of its outputs and
+reproduce the benchmark's recorded reference outputs.
 The package's imports must match its declared runtime dependencies, and
 importing it must not pull in scipy, whose import would dominate start-up, nor
 the process pool, which only `simulate --parallel` uses.  A private helper
@@ -15,6 +16,7 @@ package module imports is not private.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -108,6 +110,18 @@ def test_panel_pass_makes_the_calls_its_outputs_imply(tmp_path):
     implied = workloads.PanelWorkload().summarize({"workdir": d}, exits, []).implied_spans
     counts = spans.span_counts(tracer.spans)
     assert {name: counts.get(name, 0) for name in implied} == implied
+
+
+def test_panel_pass_matches_the_recorded_reference(tmp_path):
+    # one benchmark panel-cli pass on input set 0, checked as the benchmark checks it
+    workloads = load_perfbench("workloads")
+    with open(workloads.reference_path("panel-cli"), encoding="utf-8") as fh:
+        reference = json.load(fh)["input_sets"]["0"]["summary"]
+    workload = workloads.PanelWorkload()
+    state = workload.prepare(0, str(tmp_path / "panel"))
+    out = workload.summarize(state, workload.run_pass(state), [])
+    assert out.failures == 0
+    assert workload.compare(out.summary, reference) == []
 
 
 def test_import_leaves_scipy_unloaded():
