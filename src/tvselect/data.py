@@ -230,10 +230,17 @@ def design_gram(design: DesignBlocks) -> np.ndarray:
 
 
 def _finite_gram(gram: np.ndarray) -> np.ndarray:
-    """The Gram made read-only; one whose entries overflow raises `DegenerateDesignError`."""
+    """The Gram made read-only; one whose entries overflow raises `DegenerateDesignError`.
+
+    So does a nonzero response whose squares underflow: y'y below the least
+    normal float while A'y is not zero.
+    """
     if not np.isfinite(gram).all():
         raise DegenerateDesignError("the design's Gram matrix is not finite: y or a covariate "
                                     "is too large in magnitude for its squares to be summed")
+    if gram[-1, -1] < np.finfo(float).tiny and gram[:-1, -1].any():
+        raise DegenerateDesignError("the response y is too small in magnitude for its squares "
+                                    "to be summed; rescale it")
     gram.setflags(write=False)
     return gram
 

@@ -116,6 +116,8 @@ class ScenarioSpec:
             raise ConfigurationError("rho and alpha must lie in (-1, 1)")
         if self.error_model == ERROR_STUDENT_T and self.t_df <= 2:
             raise ConfigurationError("student-t errors need t_df > 2 for variance scaling")
+        if self.s_v < 0 or self.s_c < 0:
+            raise ConfigurationError("s_v and s_c must be non-negative")
         if self.s_v > MAX_TEMPLATES:
             raise ConfigurationError(f"s_v={self.s_v} exceeds the {MAX_TEMPLATES} "
                                      "available deviation templates")

@@ -55,7 +55,9 @@ screen-refit and `fit_oracle`'s Newton polish read the smooth part's Hessian
 on their columns from the same Gram (`smooth_hessian`), and a singular
 system gets its minimum-norm solution.
 `fit_oracle`, the independent reference, computes its value, gradient and
-KKT certificate on the design rows, which it stacks from `design.Z`.
+KKT certificate on the design rows, which it stacks from `design.Z`.  Its
+FISTA stage only brings the iterate near the optimum; the Newton polish runs
+until the KKT certificate holds, the oracle's one stopping rule.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ SECULAR_ULPS = 4.0
 _EPS = float(np.finfo(float).eps)
 SCREEN_REFIT_LAMBDA2 = 1e-4
 ORACLE_KKT_TOL = 1e-8
+ORACLE_HANDOFF_TOL = 1e-2
 POLISH_MAX_ITER = 100
 POLISH_MAX_HALVINGS = 60
 
@@ -524,32 +527,38 @@ def _oracle_kkt_residual(g, theta, off, lam1):
 
 
 def _active_set_polish(x, hess, grad, off, p, q, lam1, kkt_bound):
-    """Active-set Newton polish of a first-order iterate x, in place.
+    """Active-set Newton polish of a first-order iterate x, in place, until KKT holds.
 
     A proximal Newton method (Lee, Sun & Saunders 2014) restricted to the
     nonzero blocks, with glmnet's KKT checks on the zero ones (Friedman,
-    Hastie & Tibshirani 2010).  Before each step, an active block that zero
-    minimizes with the rest fixed is set to zero, and an inactive block
-    whose KKT violation ||g_k|| - lambda1 exceeds `kkt_bound` enters with a
-    block proximal-gradient step.  The Newton step minimizes the smooth
-    restriction of the objective to the unpenalized coordinates and the
-    active blocks: the Hessian adds lambda1/||theta_k|| (I - u u'),
-    u = theta_k/||theta_k||, to the data and curvature terms of `hess`.  The
-    step is the system's minimum-norm solution, so it has no component
-    along a flat direction (a block's ones vector, a duplicated column),
-    where the system is singular.  A block that the step turns past zero
-    stops at zero.  The Armijo line search measures the exact change of the
-    objective along the step, not the difference of two objective values,
-    whose roundoff hides the last Newton steps.  Stops when the active set
-    is unchanged and the step is at roundoff, or when no step is accepted.
-    Returns the number of passes of its loop that it ran.
+    Hastie & Tibshirani 2010).  Each pass opens with the certificate: it
+    returns the number of passes taken as soon as `_oracle_kkt_residual` is
+    at most `kkt_bound`, so a certified start returns 0 untouched.  Then an
+    active block that zero minimizes with the rest fixed is set to zero,
+    and an inactive block whose KKT violation ||g_k|| - lambda1 exceeds
+    `kkt_bound` enters with a block proximal-gradient step.  The Newton step
+    minimizes the smooth restriction of the objective to the unpenalized
+    coordinates and the active blocks: the Hessian adds
+    lambda1/||theta_k|| (I - u u'), u = theta_k/||theta_k||, to the data and
+    curvature terms of `hess`.  The step is the system's minimum-norm
+    solution, so it has no component along a flat direction (a block's
+    ones vector, a duplicated column), where the system is singular.  A
+    block that the step turns past zero stops at zero.  The Armijo line
+    search measures the exact change of the objective along the step, not
+    the difference of two objective values, whose roundoff hides the last
+    Newton steps; a step that no halving accepts is below roundoff.  Raises
+    `OracleNonconvergenceError` when POLISH_MAX_ITER passes leave the
+    certificate unmet.
     """
     th = x[off:].reshape(p, q)                 # view: block writes update x
     sl = [slice(off + k * q, off + (k + 1) * q) for k in range(p)]
-    passes = 0
-    for passes in range(1, POLISH_MAX_ITER + 1):
+    for passes in range(POLISH_MAX_ITER + 1):
         g = grad(x)
-        changed = False
+        kkt = _oracle_kkt_residual(g, th, off, lam1)
+        if kkt <= kkt_bound:
+            return passes
+        if passes == POLISH_MAX_ITER:
+            break
         for k in range(p):
             gk, hkk = g[sl[k]], hess[sl[k], sl[k]]
             if th[k].any():
@@ -563,7 +572,6 @@ def _active_set_polish(x, hess, grad, off, p, q, lam1, kkt_bound):
                     continue
                 lip_k = float(np.linalg.eigvalsh(hkk)[-1])
                 th[k] = -((norm_g - lam1) / (lip_k * norm_g)) * gk
-            changed = True
             g = grad(x)
         act = [k for k in range(p) if th[k].any()]
         free = np.concatenate([np.arange(off)] + [np.arange(sl[k].start, sl[k].stop)
@@ -598,35 +606,26 @@ def _active_set_polish(x, hess, grad, off, p, q, lam1, kkt_bound):
             if change <= 1e-4 * t * slope:
                 break
             t *= 0.5
-        else:
-            if changed:
-                continue
-            break
         x[free] += s
-        if not changed and np.abs(s).max() <= 4.0 * _EPS * (1.0 + np.abs(x[free]).max()):
-            break
-    return passes
+    raise OracleNonconvergenceError(
+        f"active-set Newton polish left KKT residual {kkt:.3e} above the "
+        f"certificate bound {kkt_bound:.3e}")
 
 
 def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyConfig,
-               tol: float = 1e-10, max_iter: int = 5_000,
-               grad_tol: float | None = None) -> ModelFit:
+               max_iter: int = 5_000) -> ModelFit:
     """Reference solver for the convex objective, independent of `fit_bcd`.
 
     Runs accelerated proximal gradient from theta = 0 and the constants'
     minimum-norm least squares (FISTA with gradient-angle restarts, exact
     group proximal map, backtracking from the exact spectral step of
-    `smooth_hessian`) for at most `max_iter` iterations, until the monotone
-    best objective stalls below `tol` over a whole window.  The returned point must also pass a
-    first-order KKT certificate, a residual of at most 1e-8 times the
-    initial gradient scale; an iterate that FISTA cannot certify (too
-    ill-conditioned for a first-order method) is polished by an active-set
-    Newton method started from it, and a point that still fails the
-    certificate raises `OracleNonconvergenceError`.  The fit's `iterations`
-    is FISTA's iterations plus the polish's passes.  Passing `grad_tol`
-    additionally demands a small prox-gradient residual of FISTA and
-    tightens the certificate to `grad_tol`, so the iterate itself is
-    accurate, not just the objective.  Intended for small problems.
+    `smooth_hessian`) until its prox-gradient residual is at most
+    ORACLE_HANDOFF_TOL times the initial gradient scale, or for `max_iter`
+    iterations.  The active-set Newton polish takes it from there and
+    stops on the only stopping rule that certifies the fit: a first-order
+    KKT residual of at most ORACLE_KKT_TOL times that gradient scale, or
+    `OracleNonconvergenceError`.  The fit's `iterations` is FISTA's
+    iterations plus the polish's passes.  Intended for small problems.
     """
     y = design.y
     n, p, q = design.n, design.p, basis.q
@@ -655,12 +654,6 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
             g[off:] += (2.0 * lam2) * (theta_of(c) @ omega).ravel()
         return g
 
-    def total(c):
-        val = smooth_value(c)
-        if lam1 > 0.0:
-            val += lam1 * float(np.sum(np.linalg.norm(theta_of(c), axis=1)))
-        return val
-
     def prox(c, step):
         if lam1 <= 0.0:
             return c.copy()
@@ -679,12 +672,7 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
     t_acc = 1.0
     # exact spectral bound keeps steps long; backtracking is a safety net
     lip = float(np.linalg.eigvalsh(hess)[-1]) * (1.0 + 1e-9) + 1e-12
-    q_prev = total(x)
-    best_x, best_q = x.copy(), q_prev
     grad_ref = 1.0 + float(np.linalg.norm(smooth_grad(x)))
-    window = 500
-    history = [q_prev]
-    stalled = False
     for it in range(1, max_iter + 1):
         g = smooth_grad(momentum)
         f_m = smooth_value(momentum)
@@ -696,7 +684,6 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
             lip *= 2.0
             if lip > 1e18:
                 raise OracleNonconvergenceError("backtracking failed: Lipschitz bound overflow")
-        grad_map = lip * float(np.linalg.norm(diff))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         momentum = cand + ((t_acc - 1.0) / t_next) * (cand - x)
         t_acc = t_next
@@ -704,35 +691,13 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
             # adaptive restart when momentum turns against the gradient
             momentum = cand.copy()
             t_acc = 1.0
-        q_cand = total(cand)
-        if q_cand < best_q:
-            best_x, best_q = cand.copy(), q_cand
-        history.append(best_q)
-        x, q_prev = cand, q_cand
-        if grad_map == 0.0 and q_cand <= best_q:
-            stalled = True          # float64-exact prox fixed point
+        x = cand
+        if lip * float(np.linalg.norm(diff)) <= ORACLE_HANDOFF_TOL * grad_ref:
             break
-        # the monotone best objective stalling over a whole window catches
-        # slow tails that a per-iteration change test would miss
-        if it >= window:
-            window_drop = (history[it - window] - best_q) / (1.0 + best_q)
-            if window_drop < tol and (grad_tol is None or grad_map <= grad_tol * grad_ref):
-                stalled = True
-                break
-    if best_q < q_prev:
-        x = best_x
 
-    kkt_bound = (ORACLE_KKT_TOL if grad_tol is None else min(ORACLE_KKT_TOL, grad_tol)) * grad_ref
-    kkt = _oracle_kkt_residual(smooth_grad(x), theta_of(x), off, lam1)
-    if not stalled or kkt > kkt_bound:
-        it += _active_set_polish(x, hess, smooth_grad, off, p, q, lam1, kkt_bound)
-        kkt = _oracle_kkt_residual(smooth_grad(x), theta_of(x), off, lam1)
-        if kkt > kkt_bound:
-            raise OracleNonconvergenceError(
-                f"active-set Newton polish left KKT residual {kkt:.3e} above the "
-                f"certificate bound {kkt_bound:.3e}")
-
-    return _model_fit(design, basis, x, [total(x)], it, True, METHOD_TV_SELECT, penalty)
+    it += _active_set_polish(x, hess, smooth_grad, off, p, q, lam1, ORACLE_KKT_TOL * grad_ref)
+    value = smooth_value(x) + lam1 * float(np.linalg.norm(theta_of(x), axis=1).sum())
+    return _model_fit(design, basis, x, [value], it, True, METHOD_TV_SELECT, penalty)
 
 
 def predict(fit: ModelFit, x, t):

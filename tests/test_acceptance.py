@@ -76,7 +76,7 @@ def test_criterion_1_oracle_equivalence():
         pen = PenaltyConfig(lambda1=rng.uniform(0, 1) * lambda1_max(design),
                             lambda2=rng.uniform(0, 1))
         fit = fit_bcd(design, basis, pen, SolverOptions(tol=1e-12, max_iter=5000))
-        orc = fit_oracle(design, basis, pen, tol=1e-10)
+        orc = fit_oracle(design, basis, pen)
         qo = objective(design, orc)
         worst = max(worst, abs(objective(design, fit) - qo) / (1 + qo))
     elapsed = time.time() - t0

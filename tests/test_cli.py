@@ -622,6 +622,19 @@ def test_simulate_rejects_empty_test_set_exit_code_2(tmp_path, capsys):
     assert "n_test" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--s-vary", "-1"), ("--s-const", "-2")])
+def test_simulate_rejects_a_negative_structure_count_exit_code_2(tmp_path, capsys, flag,
+                                                                 value):
+    # s_v = -1 set mu0[-1] through a negative index; s_c = -2 overlapped s_vary and s_zero
+    counts = {"--s-vary": "1", "--s-const": "1", flag: value}
+    rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4", "--covariates", "6",
+               "--s-vary", counts["--s-vary"], "--s-const", counts["--s-const"], "--q", "6",
+               "--replications", "1", "--out", str(tmp_path / "sim"), "--parallel", "1",
+               "--test-subjects", "20", "--methods", "tv-select"])
+    assert rc == 2
+    assert "s_v and s_c must be non-negative" in capsys.readouterr().err
+
+
 def test_simulate_echo_holds_the_library_default_grid(tmp_path):
     out = tmp_path / "sim"
     rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
@@ -866,6 +879,24 @@ def test_non_finite_gram_exit_code_2(train_csv, tmp_path, capsys, column, flags)
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "not finite" in err and "Traceback" not in err
+    assert not (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--lambda1", "0.05", "--lambda2", "1e-4"],
+    ["tune"],
+], ids=["fit", "tune"])
+@pytest.mark.parametrize("factor", [1e-300, 1e-160])
+def test_response_whose_squares_underflow_exit_code_2(train_csv, tmp_path, capsys, command,
+                                                       factor):
+    # y'y underflowed (to 0, or to a subnormal): fit printed objective=0 or 6.2e-321 and
+    # exited 0, and tune picked best_lambda1=0 over a surface of -inf
+    path = scale_column(train_csv, 2, factor, tmp_path / "small.csv")
+    out = tmp_path / "o"
+    rc = main([*command, "--data", str(path), "--out", str(out), "--knots", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "response y is too small" in err and "Traceback" not in err
     assert not (out / "fit.json").exists()
 
 

@@ -303,7 +303,7 @@ def test_bcd_matches_oracle_small_instance(intercept):
     l1max = lambda1_max(design)
     pen = PenaltyConfig(lambda1=0.3 * l1max, lambda2=0.2)
     fit = fit_bcd(design, basis, pen, TIGHT)
-    orc = fit_oracle(design, basis, pen, tol=1e-12)
+    orc = fit_oracle(design, basis, pen)
     qb, qo = objective(design, fit), objective(design, orc)
     assert abs(qb - qo) / (1 + qo) < 1e-6
 
@@ -882,7 +882,7 @@ def test_unknown_method_rejected():
 def test_oracle_unpenalized_matches_direct_least_squares():
     rng = np.random.default_rng(21)
     _, basis, design = make_instance(rng, N=16, n_i=3, p=2, q=4)
-    fit = fit_oracle(design, basis, PenaltyConfig(0.0, 0.0), tol=1e-13, grad_tol=1e-10)
+    fit = fit_oracle(design, basis, PenaltyConfig(0.0, 0.0))
     cols = [np.ones((design.n, 1)), design.X] + list(design.Z)
     A = np.hstack(cols)
     coef, *_ = np.linalg.lstsq(A, design.y, rcond=None)
@@ -909,7 +909,7 @@ def test_oracle_never_worse_than_bcd():
         l1max = lambda1_max(design)
         pen = PenaltyConfig(rng.uniform(0, 1) * l1max, rng.uniform(0, 1))
         bcd = fit_bcd(design, basis, pen, TIGHT)
-        orc = fit_oracle(design, basis, pen, tol=1e-12)
+        orc = fit_oracle(design, basis, pen)
         assert objective(design, orc) <= objective(design, bcd) + 1e-9
 
 
@@ -942,7 +942,7 @@ def test_oracle_certifies_ill_conditioned_instance(lambda1_share):
     pen = PenaltyConfig(lambda1_share * lambda1_max(design), 0.95)
     # curvature term far above the data curvature (near 1): FISTA stalls
     assert 2.0 * pen.lambda2 * np.linalg.eigvalsh(basis.omega)[-1] > 1000.0
-    orc = fit_oracle(design, basis, pen, tol=1e-10)
+    orc = fit_oracle(design, basis, pen)
     kkt, grad_ref = oracle_certificate(design, basis, orc)
     assert kkt <= 1e-8 * grad_ref
     assert objective(design, orc) <= objective(design, fit_bcd(design, basis, pen, TIGHT)) + 1e-9
@@ -965,6 +965,34 @@ def test_oracle_certifies_a_duplicated_covariate():
     kkt, grad_ref = oracle_certificate(collinear, basis, orc)
     assert kkt <= 1e-8 * grad_ref
     assert orc.iterations > 50          # FISTA's cap plus the polish's passes
+    # the polish stops on the certificate, not at POLISH_MAX_ITER passes
+    assert orc.iterations < 50 + solver.POLISH_MAX_ITER
+
+
+@pytest.mark.parametrize("intercept", [True, False])
+def test_polish_of_a_certified_point_takes_no_pass(intercept):
+    rng = np.random.default_rng(28)
+    _, basis, design = make_instance(rng, N=20, n_i=4, p=3, q=6)
+    design = replace(design, intercept_included=intercept)
+    pen = PenaltyConfig(0.3 * lambda1_max(design), 0.2)
+    orc = fit_oracle(design, basis, pen)
+    x = np.concatenate([[orc.beta0], orc.mu, orc.theta.ravel()])[1 - intercept:]
+    A = np.hstack([_constant_design(design), *design.Z])
+    off = len(x) - design.p * basis.q
+    _, hess = smooth_hessian(design, basis.omega, pen.lambda2, range(design.p))
+
+    def grad(c):
+        g = -(A.T @ (design.y - A @ c)) / design.n
+        g[off:] += 2.0 * pen.lambda2 * (c[off:].reshape(design.p, -1) @ basis.omega).ravel()
+        return g
+
+    start = np.zeros_like(x)
+    start[:off] = np.linalg.lstsq(A[:, :off], design.y, rcond=None)[0]
+    bound = solver.ORACLE_KKT_TOL * (1.0 + float(np.linalg.norm(grad(start))))
+    polished = x.copy()
+    assert solver._active_set_polish(polished, hess, grad, off, design.p, basis.q,
+                                     pen.lambda1, bound) == 0
+    assert np.array_equal(polished, x)
 
 
 def test_oracle_raises_when_it_cannot_certify(monkeypatch):

@@ -211,3 +211,19 @@ def test_model_fits_are_built_in_one_place():
     built = [f"{name}:{owner}" for name, tree in module_trees()
              for owner in calls_by_function(tree, "ModelFit")]
     assert sorted(built) == ["artifact.py:fit_from_dict", "solver.py:_model_fit"]
+
+
+def test_the_oracle_stays_independent_of_the_sweep():
+    # fit_oracle certifies fit_bcd, so neither it, its polish nor its KKT residual
+    # may reach the sweep's block solve, factorizations or tables
+    tree = dict(module_trees())["solver.py"]
+    oracle = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("fit_oracle", "_active_set_polish", "_oracle_kkt_residual")}
+    assert len(oracle) == 3
+    calls = [f"{name}->{callee}" for name, node in oracle.items()
+             for callee in ("fit_bcd", "_solve_block_subproblem", "precompute_block_factors")
+             if calls_by_function(node, callee)]
+    reads = [f"{name}->{ref}" for name, node in oracle.items() for sub in ast.walk(node)
+             for ref in (getattr(sub, "attr", None), getattr(sub, "id", None))
+             if ref in ("sweep_tables", "block_factors")]
+    assert calls == [] and reads == []
