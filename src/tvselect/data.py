@@ -160,7 +160,9 @@ class DesignBlocks:
         c_sq = ctc.diagonal()
         if (c_sq == 0.0).any():
             k_bad = int(np.argmin(c_sq)) - self.intercept_included
-            raise DegenerateColumnError(f"covariate column {k_bad} has zero norm")
+            raise DegenerateColumnError(
+                f"covariate column {k_bad} has zero norm: it is zero, or too small in "
+                "magnitude for its squares to be summed; rescale it")
         eig = np.linalg.eigvalsh(ctc)
         if eig[0] <= CONSTANT_GRAM_RCOND * eig[-1]:
             design_name = "[1 X]" if self.intercept_included else "X"

@@ -55,9 +55,9 @@ screen-refit and `fit_oracle`'s Newton polish read the smooth part's Hessian
 on their columns from the same Gram (`smooth_hessian`), and a singular
 system gets its minimum-norm solution.
 `fit_oracle`, the independent reference, computes its value, gradient and
-KKT certificate on the design rows, which it stacks from `design.Z`.  Its
-FISTA stage only brings the iterate near the optimum; the Newton polish runs
-until the KKT certificate holds, the oracle's one stopping rule.
+KKT certificate on the design rows, which it stacks from `design.Z`.  From
+theta = 0 and the constants' least squares, the active-set Newton polish
+runs until the KKT certificate holds, the oracle's one stopping rule.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ SECULAR_ULPS = 4.0
 _EPS = float(np.finfo(float).eps)
 SCREEN_REFIT_LAMBDA2 = 1e-4
 ORACLE_KKT_TOL = 1e-8
-ORACLE_HANDOFF_TOL = 1e-2
 POLISH_MAX_ITER = 100
 POLISH_MAX_HALVINGS = 60
 
@@ -527,18 +526,20 @@ def _oracle_kkt_residual(g, theta, off, lam1):
 
 
 def _active_set_polish(x, hess, grad, off, p, q, lam1, kkt_bound):
-    """Active-set Newton polish of a first-order iterate x, in place, until KKT holds.
+    """Active-set Newton polish of a start x, in place, until KKT holds.
 
     A proximal Newton method (Lee, Sun & Saunders 2014) restricted to the
     nonzero blocks, with glmnet's KKT checks on the zero ones (Friedman,
-    Hastie & Tibshirani 2010).  Each pass opens with the certificate: it
-    returns the number of passes taken as soon as `_oracle_kkt_residual` is
-    at most `kkt_bound`, so a certified start returns 0 untouched.  Then an
-    active block that zero minimizes with the rest fixed is set to zero,
-    and an inactive block whose KKT violation ||g_k|| - lambda1 exceeds
-    `kkt_bound` enters with a block proximal-gradient step.  The Newton step
-    minimizes the smooth restriction of the objective to the unpenalized
-    coordinates and the active blocks: the Hessian adds
+    Hastie & Tibshirani 2010).  `fit_oracle` starts it from theta = 0 and
+    the constants' least squares, so the blocks enter through these checks.
+    Each pass opens with the certificate: it returns the number of passes
+    taken as soon as `_oracle_kkt_residual` is at most `kkt_bound`, so a
+    certified start returns 0 untouched.  Then an active block that zero
+    minimizes with the rest fixed is set to zero, and an inactive block
+    whose KKT violation ||g_k|| - lambda1 exceeds `kkt_bound` enters with a
+    block proximal-gradient step.  The Newton step minimizes the smooth
+    restriction of the objective to the unpenalized coordinates and the
+    active blocks: the Hessian adds
     lambda1/||theta_k|| (I - u u'), u = theta_k/||theta_k||, to the data and
     curvature terms of `hess`.  The step is the system's minimum-norm
     solution, so it has no component along a flat direction (a block's
@@ -612,20 +613,17 @@ def _active_set_polish(x, hess, grad, off, p, q, lam1, kkt_bound):
         f"certificate bound {kkt_bound:.3e}")
 
 
-def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyConfig,
-               max_iter: int = 5_000) -> ModelFit:
+def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis,
+               penalty: PenaltyConfig) -> ModelFit:
     """Reference solver for the convex objective, independent of `fit_bcd`.
 
-    Runs accelerated proximal gradient from theta = 0 and the constants'
-    minimum-norm least squares (FISTA with gradient-angle restarts, exact
-    group proximal map, backtracking from the exact spectral step of
-    `smooth_hessian`) until its prox-gradient residual is at most
-    ORACLE_HANDOFF_TOL times the initial gradient scale, or for `max_iter`
-    iterations.  The active-set Newton polish takes it from there and
-    stops on the only stopping rule that certifies the fit: a first-order
-    KKT residual of at most ORACLE_KKT_TOL times that gradient scale, or
-    `OracleNonconvergenceError`.  The fit's `iterations` is FISTA's
-    iterations plus the polish's passes.  Intended for small problems.
+    Starts from theta = 0 and the constants' minimum-norm least squares and
+    runs the active-set Newton polish from there.  It stops on the only
+    stopping rule that certifies the fit, a first-order KKT residual on the
+    design rows of at most ORACLE_KKT_TOL times the gradient scale
+    1 + ||gradient at the start||, or raises `OracleNonconvergenceError`.
+    The fit's `iterations` is the polish's passes.  Intended for small
+    problems.
     """
     y = design.y
     n, p, q = design.n, design.p, basis.q
@@ -637,67 +635,19 @@ def fit_oracle(design: DesignBlocks, basis: CenteredSplineBasis, penalty: Penalt
     off = C.shape[1]
     _, hess = smooth_hessian(design, omega, lam2, range(p))
 
-    def theta_of(c):
-        return c[off:].reshape(p, q)
-
-    def smooth_value(c):
-        e = y - A @ c
-        val = 0.5 / n * float(e @ e)
-        if lam2 > 0.0:
-            th = theta_of(c)
-            val += lam2 * float(np.sum((th @ omega) * th))
-        return val
-
     def smooth_grad(c):
         g = -(A.T @ (y - A @ c)) / n
         if lam2 > 0.0:
-            g[off:] += (2.0 * lam2) * (theta_of(c) @ omega).ravel()
+            g[off:] += (2.0 * lam2) * (c[off:].reshape(p, q) @ omega).ravel()
         return g
-
-    def prox(c, step):
-        if lam1 <= 0.0:
-            return c.copy()
-        out = c.copy()
-        th = out[off:].reshape(p, q)
-        norms = np.linalg.norm(th, axis=1)
-        scale = np.where(norms > step * lam1,
-                         1.0 - step * lam1 / np.maximum(norms, 1e-300), 0.0)
-        th *= scale[:, None]
-        return out
 
     x = np.zeros(off + p * q)
     x[:off] = np.linalg.lstsq(C, y, rcond=None)[0]
-
-    momentum = x.copy()
-    t_acc = 1.0
-    # exact spectral bound keeps steps long; backtracking is a safety net
-    lip = float(np.linalg.eigvalsh(hess)[-1]) * (1.0 + 1e-9) + 1e-12
     grad_ref = 1.0 + float(np.linalg.norm(smooth_grad(x)))
-    for it in range(1, max_iter + 1):
-        g = smooth_grad(momentum)
-        f_m = smooth_value(momentum)
-        while True:
-            cand = prox(momentum - g / lip, 1.0 / lip)
-            diff = cand - momentum
-            if smooth_value(cand) <= f_m + float(g @ diff) + 0.5 * lip * float(diff @ diff) + 1e-15:
-                break
-            lip *= 2.0
-            if lip > 1e18:
-                raise OracleNonconvergenceError("backtracking failed: Lipschitz bound overflow")
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        momentum = cand + ((t_acc - 1.0) / t_next) * (cand - x)
-        t_acc = t_next
-        if float(g @ (cand - x)) > 0.0:
-            # adaptive restart when momentum turns against the gradient
-            momentum = cand.copy()
-            t_acc = 1.0
-        x = cand
-        if lip * float(np.linalg.norm(diff)) <= ORACLE_HANDOFF_TOL * grad_ref:
-            break
-
-    it += _active_set_polish(x, hess, smooth_grad, off, p, q, lam1, ORACLE_KKT_TOL * grad_ref)
-    value = smooth_value(x) + lam1 * float(np.linalg.norm(theta_of(x), axis=1).sum())
-    return _model_fit(design, basis, x, [value], it, True, METHOD_TV_SELECT, penalty)
+    passes = _active_set_polish(x, hess, smooth_grad, off, p, q, lam1, ORACLE_KKT_TOL * grad_ref)
+    e = y - A @ x
+    value = 0.5 / n * float(e @ e) + _penalty_value(x[off:].reshape(p, q), penalty, omega)
+    return _model_fit(design, basis, x, [value], passes, True, METHOD_TV_SELECT, penalty)
 
 
 def predict(fit: ModelFit, x, t):

@@ -37,6 +37,7 @@ DEFAULT_LAMBDA1_COUNT = 20
 DEFAULT_LAMBDA1_MIN_RATIO = 1e-3
 DEFAULT_LAMBDA2_GRID = tuple(np.logspace(0.0, -4.0, 5))   # 1 .. 1e-4, descending
 TIE_RTOL = 1e-12
+LAMBDA1_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,19 @@ class TuningResult:
 def default_grid(design: DesignBlocks, gamma: float = 0.5,
                  lambda1_count: int = DEFAULT_LAMBDA1_COUNT,
                  lambda2_values=DEFAULT_LAMBDA2_GRID) -> TuningGrid:
-    """Log-spaced lambda1 path from lambda1_max down to DEFAULT_LAMBDA1_MIN_RATIO of it."""
+    """Log-spaced lambda1 path from lambda1_max down to DEFAULT_LAMBDA1_MIN_RATIO of it.
+
+    Raises `DegenerateDesignError` when lambda1_max is roundoff, at most
+    LAMBDA1_ROUNDOFF times a nonzero max_k ||Z_k'y|| / n: the constant
+    effects alone fit the response.  An all-zero response gets the grid (0,).
+    """
     top = lambda1_max(design)
+    aty = design.gram[:-1, -1]
+    scale = max(float(np.linalg.norm(aty[cols])) for cols in design.block_slices) / design.n
+    if 0.0 < scale and top <= LAMBDA1_ROUNDOFF * scale:
+        raise DegenerateDesignError(
+            f"the constant effects fit the response to roundoff (lambda1_max {top:.1e} "
+            f"against max_k ||Z_k'y||/n {scale:.1e}), so there is no lambda1 path to tune")
     if top <= 0.0:
         lam1 = tuple(np.zeros(1))
     else:

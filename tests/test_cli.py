@@ -858,6 +858,22 @@ def test_response_the_same_in_every_row_refused(train_csv, tmp_path, capsys, com
     assert not (tmp_path / "o" / "fit.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["tune"],
+    ["tune", "--criterion", "cv", "--cv-folds", "2"],
+], ids=["tune", "tune-cv"])
+def test_constants_that_fit_the_response_leave_no_path_to_tune(tmp_path, capsys, command):
+    # one de-meaned subject of 4 rows and 3 covariates: [X] fits y exactly, lambda1_max
+    # is roundoff, and tune exited 0 with a roundoff best_lambda1
+    path = make_training_csv(tmp_path / "one.csv", np.random.default_rng(0), N=1, n_i=4)
+    out = tmp_path / "o"
+    rc = main([*command, "--data", str(path), "--out", str(out), "--knots", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "fit the response to roundoff" in err
+    assert not (out / "fit.json").exists()
+
+
 def scale_column(path, column, factor, out):
     lines = path.read_text(encoding="utf-8").splitlines()
     rows = [ln.split(",") for ln in lines[1:]]
@@ -897,6 +913,25 @@ def test_response_whose_squares_underflow_exit_code_2(train_csv, tmp_path, capsy
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "response y is too small" in err and "Traceback" not in err
+    assert not (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("command", [["fit", "--lambda1", "0.05"], ["tune"]], ids=["fit", "tune"])
+@pytest.mark.parametrize("flags", [["--no-standardize"], ["--no-standardize", "--no-demean"]],
+                         ids=["demeaned", "raw"])
+@pytest.mark.parametrize("factor, message", [
+    (1e-160, "rank-deficient"),           # the squares of x1 are subnormal
+    (1e-300, "too small in magnitude"),   # they underflow to 0: "has zero norm" alone
+], ids=["1e-160", "1e-300"])
+def test_covariate_whose_squares_underflow_exit_code_2(tmp_path, capsys, command, flags,
+                                                        factor, message):
+    train = make_training_csv(tmp_path / "train.csv", np.random.default_rng(31), N=30)
+    path = scale_column(train, 3, factor, tmp_path / "small.csv")
+    out = tmp_path / "o"
+    rc = main([*command, "--data", str(path), "--out", str(out), "--knots", "2", *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
     assert not (out / "fit.json").exists()
 
 

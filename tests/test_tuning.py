@@ -14,7 +14,7 @@ from tvselect.data import (
     subset_subjects,
 )
 from tvselect import data, tuning
-from tvselect.errors import ConfigurationError, SingularBlockError
+from tvselect.errors import ConfigurationError, DegenerateDesignError, SingularBlockError
 from tvselect.solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
@@ -161,6 +161,15 @@ def test_ebic_zero_rss_sentinel():
     d0 = replace(design, y=y_zero, intercept_included=False)
     fit = fit_bcd(d0, basis, PenaltyConfig(0.1, 0.0), SolverOptions())
     assert ebic(fit, d0, 0.5) == float("-inf")
+
+
+def test_default_grid_refuses_a_response_the_constants_fit():
+    rng = np.random.default_rng(6)
+    _, _, design = make_dataset(rng)
+    assert default_grid(replace(design, y=np.zeros(design.n))).lambda1_values == (0.0,)
+    fitted = replace(design, y=1.5 + design.X @ rng.standard_normal(design.p))
+    with pytest.raises(DegenerateDesignError, match="fit the response to roundoff"):
+        default_grid(fitted)
 
 
 def test_tune_single_point_grid():
