@@ -107,7 +107,7 @@ def fit_from_dict(payload: dict) -> tuple[ModelFit, PreprocessState, tuple | Non
             n_train=int(payload["n_train"]),
         )
         state, names = _read_preprocessing(payload.get("preprocessing"), fit.p)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed {FORMAT_NAME} artifact: {type(exc).__name__}: {exc}") from exc
     return fit, state, names
 

@@ -28,7 +28,7 @@ TIME_QUANTILES = "quantile"
 
 @dataclass(frozen=True)
 class SplineConfig:
-    """Basis configuration: q = num_internal_knots + degree + 1 functions."""
+    """Basis configuration: q = num_internal_knots + degree + 1 >= 2 functions."""
 
     degree: int = 3
     num_internal_knots: int = 4
@@ -45,6 +45,9 @@ class SplineConfig:
             raise ConfigurationError(
                 f"knot_placement must be '{EQUALLY_SPACED}' or '{TIME_QUANTILES}'"
             )
+        if self.q < 2:
+            raise ConfigurationError("degree 0 with no interior knots gives q=1 basis function, "
+                                     "which centering makes identically zero; need q >= 2")
 
     @property
     def q(self) -> int:
@@ -69,7 +72,10 @@ def _interior_knots(config: SplineConfig, observed_times) -> np.ndarray:
         raise DegenerateDesignError("quantile knot placement needs observed times")
     probs = np.arange(1, K + 1) / (K + 1)
     knots = np.quantile(times, probs)
-    knots = np.clip(knots, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    if knots[0] <= 0.0 or knots[-1] >= 1.0:
+        raise DegenerateDesignError(
+            "observed times put a quantile knot at an end of [0,1], where too many rows "
+            "share the first or the last time; use fewer or equally spaced knots")
     if np.unique(knots).size < K:
         raise DegenerateDesignError(
             f"observed times yield only {np.unique(knots).size} distinct quantile knots, need {K}"

@@ -4,8 +4,8 @@ Every command accepts its options as flags or bundled in a JSON config file
 (`--config`); on conflict the file wins with a warning.  The fully resolved
 configuration is echoed next to the outputs so any run can be reproduced
 from its output directory alone.  Exit codes: 0 success, 1 numerical
-failure, 2 usage or I/O errors.  Numeric CSV output uses 17 significant
-digits so values round-trip exactly.
+failure, 2 usage or I/O errors (`errors.UsageError` or `OSError`).  Numeric
+CSV output uses 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -21,19 +21,7 @@ import numpy as np
 from . import artifact
 from .basis import EQUALLY_SPACED, TIME_QUANTILES, SplineConfig, build_basis
 from .data import build_design, demean_within_subject, load_long_csv, standardize
-from .errors import (
-    ArtifactMismatchError,
-    ConfigurationError,
-    DegenerateColumnError,
-    DegenerateDesignError,
-    DimensionError,
-    DomainError,
-    OracleNonconvergenceError,
-    ParseError,
-    SingularBlockError,
-    StudyError,
-    TuningError,
-)
+from .errors import DegenerateColumnError, ParseError, TVSelectError, UsageError
 from .simulate import (
     CURVE_GRID_SIZE,
     StudyOptions,
@@ -53,11 +41,6 @@ from .solver import (
 )
 from .structure import classify, threshold
 from .tuning import DEFAULT_LAMBDA2_GRID, TuningGrid, default_grid, tune_cv, tune_ebic
-
-USAGE_ERRORS = (ParseError, ConfigurationError, ArtifactMismatchError,
-                DegenerateDesignError, DegenerateColumnError, OSError)
-NUMERICAL_ERRORS = (SingularBlockError, OracleNonconvergenceError, TuningError,
-                    StudyError, DimensionError, DomainError)
 
 FMT = "%.17g"
 # ScenarioSpec fields `simulate` takes from flags; unset is None (a number) or "" (a name)
@@ -278,6 +261,14 @@ def cmd_tune(cfg) -> int:
     return 0
 
 
+def _refuse_rows(out, ids, times, reason, summary) -> int:
+    """Exit code 2, with the refused rows named by subject and time in prediction_errors.csv."""
+    report = os.path.join(out, "prediction_errors.csv")
+    _write_csv(report, ("subject", "time", "reason"), (ids, times, [reason] * len(ids)))
+    print(f"error: {len(ids)} rows have {summary}; see {report}", file=sys.stderr)
+    return 2
+
+
 def cmd_predict(cfg) -> int:
     out = cfg["out"]
     fit, prep, names = artifact.load_fit(cfg["artifact"])
@@ -291,15 +282,13 @@ def cmd_predict(cfg) -> int:
     ids = dataset.row_subject_ids()
     bad = ~((0.0 <= t01) & (t01 <= 1.0))
     if bad.any():
-        report = os.path.join(out, "prediction_errors.csv")
-        n_bad = int(bad.sum())
-        _write_csv(report, ("subject", "time", "reason"),
-                   (ids[bad], raw_times[bad], ["time outside the fitted [0,1] range"] * n_bad))
-        print(f"error: {n_bad} rows have times outside the model's range; "
-              f"see {report}", file=sys.stderr)
-        return 2
-
+        return _refuse_rows(out, ids[bad], raw_times[bad], "time outside the fitted [0,1] range",
+                            "times outside the model's range")
     pred = predict(fit, X, t01)
+    bad = ~np.isfinite(pred)
+    if bad.any():
+        return _refuse_rows(out, ids[bad], raw_times[bad], "prediction is not finite",
+                            "predictions that are not finite")
     _write_csv(os.path.join(out, "predictions.csv"),
                ("subject", "time", "time01", "prediction"), (ids, raw_times, t01, pred))
     print(f"wrote {len(pred)} predictions")
@@ -474,10 +463,10 @@ def main(argv=None) -> int:
         os.makedirs(cfg["out"], exist_ok=True)
         _echo_config(cfg["out"], args.command, cfg)
         return COMMANDS[args.command](cfg)
-    except USAGE_ERRORS as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except (TVSelectError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -1,24 +1,39 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The class alone says what a failure means.  A `UsageError` is a property
+of the input or the options: it aborts a tuning grid, whose points all
+share one design, and the CLI exits 2.  Any other `TVSelectError`, and
+numpy's `LinAlgError`, is a numerical failure: a tuning grid records it
+for its point and goes on, and the CLI exits 1.
+"""
 
 
 class TVSelectError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigurationError(TVSelectError):
+class UsageError(TVSelectError):
+    """The input or the options cannot be used, whatever the fit."""
+
+
+class ConfigurationError(UsageError):
     """Invalid configuration value (degree, knot count, grid, folds, ...)."""
 
 
-class DegenerateDesignError(TVSelectError):
+class DegenerateDesignError(UsageError):
     """The observed design cannot support the requested construction."""
 
 
-class DegenerateColumnError(TVSelectError):
+class DegenerateColumnError(UsageError):
     """A covariate column is constant or identically zero."""
 
 
-class ParseError(TVSelectError):
+class ParseError(UsageError):
     """Malformed input file; message names the offending row/column."""
+
+
+class ArtifactMismatchError(UsageError):
+    """A stored fit artifact is incompatible with the supplied data."""
 
 
 class DimensionError(TVSelectError):
@@ -39,10 +54,6 @@ class OracleNonconvergenceError(TVSelectError):
 
 class TuningError(TVSelectError):
     """No grid point produced a usable fit."""
-
-
-class ArtifactMismatchError(TVSelectError):
-    """A stored fit artifact is incompatible with the supplied data."""
 
 
 class StudyError(TVSelectError):

@@ -192,9 +192,16 @@ def smooth_hessian(design: DesignBlocks, omega: np.ndarray, lambda2: float, bloc
 
 def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
                              lambda2: float) -> list[BlockFactor]:
-    """One factorization of G_kk/n + 2*lambda2*Omega per block, G_kk from `sweep_tables`."""
-    w, v = np.linalg.eigh(np.stack(design.sweep_tables[1]) / design.n
-                          + 2.0 * lambda2 * basis.omega)
+    """One factorization of G_kk/n + 2*lambda2*Omega per block, G_kk from `sweep_tables`.
+
+    A lambda2 so large that the sum overflows raises `ConfigurationError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = np.stack(design.sweep_tables[1]) / design.n + 2.0 * lambda2 * basis.omega
+    if not np.isfinite(stacked).all():
+        raise ConfigurationError(f"lambda2={lambda2:g} is too large: G_kk/n + 2 lambda2 Omega "
+                                 "is not finite")
+    w, v = np.linalg.eigh(stacked)
     return [BlockFactor(w_k, v_k) for w_k, v_k in zip(w, v)]
 
 
@@ -251,7 +258,8 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
         if slope <= 0.0:
             break
         step = h * (math.sqrt(h) - 1.0) / slope
-        if (abs(step) <= SECULAR_ULPS * _EPS * s
+        # s = 0 is never the root; a step of 0 there means the slope overflowed
+        if (0.0 < s and abs(step) <= SECULAR_ULPS * _EPS * s
                 or hi_checked and hi - lo <= SECULAR_ULPS * _EPS * hi):
             return v.dot(zt / (w + lambda1 / s))
         s_next = s + step

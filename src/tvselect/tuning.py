@@ -17,7 +17,8 @@ import numpy as np
 
 from .basis import CenteredSplineBasis
 from .data import DesignBlocks, LongitudinalDataset, build_design, subset_subjects
-from .errors import ConfigurationError, DegenerateDesignError, TuningError, TVSelectError
+from .errors import (ConfigurationError, DegenerateDesignError, TuningError, TVSelectError,
+                     UsageError)
 from .solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
@@ -155,6 +156,7 @@ def _fit_grid(design, basis, grid, options, method):
     """All grid fits on one design, warm-started down the lambda1 path at fixed lambda2.
 
     Returns the fits and each failed fit's reason, keyed by grid index (i, j).
+    A `UsageError` aborts the grid instead.
     """
     fits = {}
     failures = {}
@@ -169,8 +171,8 @@ def _fit_grid(design, basis, grid, options, method):
                     fit = fit_baseline(design, basis, method, pen, options, init=warm)
                 fits[(i, j)] = fit
                 warm = fit
-            except DegenerateDesignError:
-                raise       # a property of the design: every grid point would fail
+            except UsageError:
+                raise       # a property of the design or options: every point would fail
             except (TVSelectError, np.linalg.LinAlgError) as exc:
                 # numerical failure: keep scanning; the result records the point
                 failures[(i, j)] = f"{type(exc).__name__}: {exc}"

@@ -41,6 +41,16 @@ def test_invalid_configs_rejected():
         SplineConfig.from_q(3, degree=3)
 
 
+def test_single_basis_function_refused():
+    # the one degree-0 function on [0,1] is the constant 1, which centering
+    # makes identically zero: the block system then has no positive eigenvalue
+    with pytest.raises(ConfigurationError, match="q=1"):
+        SplineConfig(degree=0, num_internal_knots=0)
+    with pytest.raises(ConfigurationError, match="q=1"):
+        SplineConfig.from_q(1, degree=0)
+    assert SplineConfig(degree=0, num_internal_knots=1).q == 2
+
+
 def test_bernstein_endpoint_values(bernstein):
     assert np.allclose(bernstein.eval_raw(0.0), [1, 0, 0, 0])
     assert np.allclose(bernstein.eval_raw(1.0), [0, 0, 0, 1])
@@ -189,6 +199,18 @@ def test_quantile_knots_degenerate_design():
         build_basis(cfg, observed_times=np.full(100, 0.5))
     with pytest.raises(DegenerateDesignError):
         build_basis(cfg, observed_times=[])
+
+
+@pytest.mark.parametrize("end", [0.0, 1.0])
+def test_quantile_knot_at_an_end_refused(end):
+    # a quarter of the times at one end put the first (last) of 4 quantile knots
+    # on it; clipped to the neighbouring float, a knot at 5e-324 made every basis
+    # value NaN
+    times = np.concatenate([np.full(25, end), np.linspace(0.0, 1.0, 75)])
+    cfg = SplineConfig(degree=3, num_internal_knots=4, knot_placement=TIME_QUANTILES)
+    with pytest.raises(DegenerateDesignError, match="quantile knot at an end"):
+        build_basis(cfg, observed_times=times)
+    assert np.isfinite(build_basis(cfg, observed_times=times[15:]).omega).all()
 
 
 def test_build_from_interior_round_trip(cubic_q8):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tvselect import artifact, cli, tuning
+from tvselect import artifact, cli, solver, tuning
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.cli import main
 from tvselect.data import PreprocessState, build_design, from_arrays, load_long_csv, standardize
@@ -152,6 +152,23 @@ def test_malformed_artifact_fields_raise_parse_error(train_csv, path, value):
     owner[key] = value
     with pytest.raises(ParseError):
         artifact.fit_from_dict(payload)
+
+
+@pytest.mark.parametrize("field", ["n_train", "iterations"])
+@pytest.mark.parametrize("command", ["classify", "predict"])
+def test_artifact_count_that_is_infinite_exit_code_2(train_csv, tmp_path, capsys, field,
+                                                     command):
+    # int(inf) raised OverflowError, which escaped main as a traceback
+    _, payload = fitted_payload(train_csv)
+    payload[field] = float("inf")
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ParseError, match="OverflowError"):
+        artifact.fit_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    argv = [command, "--artifact", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv + (["--data", str(train_csv)] if command == "predict" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["classify", "predict"])
@@ -451,6 +468,23 @@ def test_prediction_errors_quote_subject_ids(train_csv, tmp_path):
     with open(out_pred / "prediction_errors.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[1] == ['d,"e"', "-1", "time outside the fitted [0,1] range"]
+
+
+def test_predictions_that_overflow_exit_code_2(train_csv, tmp_path, capsys):
+    # x1 = 1.7e308 standardizes past the largest float: predictions.csv held inf, exit 0
+    out_fit = tmp_path / "fit_out"
+    main(["fit", "--data", str(train_csv), "--out", str(out_fit), "--knots", "2"])
+    big = tmp_path / "big.csv"
+    big.write_text("subject,time,y,x1,x2,x3\nz,5.0,0,1.7e308,0,0\nz,6.0,0,0,0,0\n",
+                   encoding="utf-8")
+    out_pred = tmp_path / "pred_out"
+    assert main(["predict", "--artifact", str(out_fit / "fit.json"),
+                 "--data", str(big), "--out", str(out_pred)]) == 2
+    err = capsys.readouterr().err
+    assert "error: 1 rows have predictions that are not finite" in err
+    report = (out_pred / "prediction_errors.csv").read_text()
+    assert report == 'subject,time,reason\nz,5,prediction is not finite\n'
+    assert not (out_pred / "predictions.csv").exists()
 
 
 def test_classify_command(train_csv, tmp_path):
@@ -895,6 +929,88 @@ def test_non_finite_gram_exit_code_2(train_csv, tmp_path, capsys, column, flags)
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "not finite" in err and "Traceback" not in err
+    assert not (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--lambda1", "0.05", "--lambda2", "1e308"],
+    ["tune", "--lambda1-grid", "0.05", "--lambda2-grid", "1e308,1e-4"],
+], ids=["fit", "tune"])
+def test_lambda2_that_overflows_exit_code_2(train_csv, tmp_path, capsys, command):
+    # 2 lambda2 Omega overflowed: eigh raised "Eigenvalues did not converge"
+    out = tmp_path / "o"
+    rc = main([*command, "--data", str(train_csv), "--out", str(out), "--knots", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "lambda2" in err and "Traceback" not in err
+    assert not (out / "fit.json").exists()
+    assert main(["fit", "--data", str(train_csv), "--out", str(tmp_path / "ok"),
+                 "--knots", "2", "--lambda1", "0.05", "--lambda2", "1e300"]) == 0
+
+
+def test_single_basis_function_exit_code_2(train_csv, tmp_path, capsys, monkeypatch):
+    # centering zeroes the one degree-0 function: exit 1, "block system has no
+    # positive eigenvalues"
+    monkeypatch.setattr(cli, "fit_bcd", refuse_to_fit)
+    out = tmp_path / "o"
+    rc = main(["fit", "--data", str(train_csv), "--out", str(out), "--degree", "0",
+               "--knots", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "q=1" in err and "Traceback" not in err
+    assert not (out / "fit.json").exists()
+
+
+def test_zero_covariate_exit_code_2_from_every_command(train_csv, tmp_path, capsys):
+    # every fit on the design refuses the column; with an explicit grid, tune
+    # recorded each grid point as failed and exited 1: "all 2 grid fits failed"
+    path = scale_column(train_csv, 3, 0.0, tmp_path / "zero.csv")
+    grid = ["--lambda1-grid", "0.1,0.01", "--lambda2-grid", "0.01"]
+    for j, command in enumerate([["fit"], ["tune"], ["tune", *grid],
+                                 ["tune", "--criterion", "cv", *grid]]):
+        out = tmp_path / f"o{j}"
+        rc = main([*command, "--data", str(path), "--out", str(out), "--knots", "2",
+                   "--no-standardize", "--no-demean"])
+        err = capsys.readouterr().err
+        assert (rc, err) == (2, "error: covariate column 0 has zero norm: it is zero, or too "
+                                "small in magnitude for its squares to be summed; rescale it\n")
+        assert not (out / "fit.json").exists()
+
+
+def test_quantile_knot_at_the_first_time_exit_code_2(tmp_path, capsys):
+    # every subject is seen at t = 0, 1/4, ..., 1, so the first of 9 quantile knots
+    # is t = 0; it was clipped to 5e-324, the basis was NaN, and fit blamed y or a
+    # covariate: "the design's Gram matrix is not finite"
+    rng = np.random.default_rng(0)
+    rows = ["subject,time,y,x1,x2"]
+    for i in range(30):
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            x = rng.standard_normal(2)
+            rows.append(f"s{i},{t},{x[0] * np.sin(6 * t) - x[1]},{x[0]},{x[1]}")
+    path = tmp_path / "regular.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["fit", "--data", str(path), "--knot-placement", "quantile"]
+    assert main([*argv, "--out", str(tmp_path / "k4"), "--knots", "4"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "k9"), "--knots", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: observed times put a quantile knot at an end of [0,1]")
+    assert not (tmp_path / "k9" / "fit.json").exists()
+
+
+@pytest.mark.parametrize("command", [["fit"], ["fit", "--method", "vc-ridge"]],
+                         ids=["tv-select", "vc-ridge"])
+def test_linalg_error_in_a_fit_exit_code_1(train_csv, tmp_path, capsys, monkeypatch, command):
+    # numpy's LinAlgError escaped main as a traceback
+    def factorization_fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected: Eigenvalues did not converge")
+
+    monkeypatch.setattr(solver, "precompute_block_factors", factorization_fails)
+    out = tmp_path / "o"
+    rc = main([*command, "--data", str(train_csv), "--out", str(out), "--knots", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: injected") and "Traceback" not in err
     assert not (out / "fit.json").exists()
 
 

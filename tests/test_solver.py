@@ -266,6 +266,19 @@ def test_block_solve_without_root_raises():
             _solve_block_subproblem(factor, z, 1.0, s0)
 
 
+def test_block_solve_bisects_when_the_slope_overflows():
+    # at s = 0 the slope sum a_i w_i / lambda1^3 overflows, so the Newton step
+    # is 0; the stop test took it for convergence and divided lambda1 by s = 0
+    w = np.array([1e290, 1e300])
+    z = np.array([1.0, 1.0])
+    lam1 = 1e-4
+    with np.errstate(over="ignore"):
+        theta = _solve_block_subproblem(BlockFactor(w, np.eye(2)), z, lam1)
+    scaled = theta * 1e290                  # ||theta|| ~ 1e-290: its square underflows
+    grad = w * theta - z + lam1 * scaled / np.linalg.norm(scaled)
+    assert np.isfinite(theta).all() and np.abs(grad).max() <= 1e-12
+
+
 # ------------------------------------------------------------------ fit_bcd
 
 

@@ -230,3 +230,35 @@ def test_the_oracle_stays_independent_of_the_sweep():
              if ref in ("sweep_tables", "block_factors", "gram", "cold_constants")]
     assert calls == [] and reads == []
     assert len(calls_by_function(oracle["fit_oracle"], "smooth_hessian")) == 1
+
+
+def test_errors_module_holds_the_one_failure_policy():
+    # what a failure means follows from its class alone: every package error
+    # is a TVSelectError, and the five usage classes (exit 2, abort a grid)
+    # are exactly the subclasses of UsageError
+    from tvselect import errors
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__}
+    assert [c.__name__ for c in classes if not issubclass(c, errors.TVSelectError)] == []
+    assert sorted(c.__name__ for c in classes if issubclass(c, errors.UsageError)) == [
+        "ArtifactMismatchError", "ConfigurationError", "DegenerateColumnError",
+        "DegenerateDesignError", "ParseError", "UsageError"]
+
+
+def handled_names(function):
+    """Each class an `except` clause inside `function` names, by its last dotted part."""
+    names = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names.extend(getattr(t, "id", None) or t.attr for t in types)
+    return names
+
+
+@pytest.mark.parametrize("module, function", [("cli.py", "main"), ("tuning.py", "_fit_grid")])
+def test_failure_handlers_name_only_the_policy_classes(module, function):
+    # a concrete error class in these handlers would be a second, hand-kept policy
+    tree = dict(module_trees())[module]
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    names = handled_names(node)
+    assert names and set(names) <= {"UsageError", "TVSelectError", "OSError", "LinAlgError"}

@@ -14,7 +14,8 @@ from tvselect.data import (
     subset_subjects,
 )
 from tvselect import data, tuning
-from tvselect.errors import ConfigurationError, DegenerateDesignError, SingularBlockError
+from tvselect.errors import (ConfigurationError, DegenerateColumnError, DegenerateDesignError,
+                             SingularBlockError)
 from tvselect.solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
@@ -395,6 +396,45 @@ def test_programming_error_in_grid_fit_propagates(monkeypatch):
     monkeypatch.setattr(tuning, "fit_bcd", broken_fit)
     with pytest.raises(TypeError, match="bug in the solver"):
         tune_ebic(design, basis, TuningGrid((0.2, 0.05), (0.01,)))
+
+
+@pytest.mark.parametrize("error", [DegenerateColumnError, ConfigurationError])
+@pytest.mark.parametrize("criterion", ["ebic", "cv"])
+def test_usage_error_in_grid_fit_aborts_the_grid(monkeypatch, error, criterion):
+    # every grid point shares the design and the options, so the first usage
+    # error ends the tuning; a DegenerateColumnError used to be recorded per point
+    rng = np.random.default_rng(17)
+    ds, basis, design = make_dataset(rng, N=10, n_i=4, p=2, q=6, mu=(1.0,))
+    calls = []
+
+    def refusing_fit(*args, **kwargs):
+        calls.append(args)
+        raise error("refused by the design")
+
+    monkeypatch.setattr(tuning, "fit_bcd", refusing_fit)
+    grid = TuningGrid((0.2, 0.05), (0.1, 0.01))
+    with pytest.raises(error, match="refused by the design"):
+        if criterion == "ebic":
+            tune_ebic(design, basis, grid)
+        else:
+            tune_cv(ds, basis, grid, n_folds=2, seed=0)
+    assert len(calls) == 1
+
+
+def test_linalg_error_in_grid_fit_is_recorded(monkeypatch):
+    rng = np.random.default_rng(17)
+    _, basis, design = make_dataset(rng, N=10, n_i=4, p=2, q=6, mu=(1.0,))
+    real_fit = tuning.fit_bcd
+
+    def fit_failing(design, basis, penalty, *args, **kwargs):
+        if penalty.lambda2 == 0.1:
+            raise np.linalg.LinAlgError("injected")
+        return real_fit(design, basis, penalty, *args, **kwargs)
+
+    monkeypatch.setattr(tuning, "fit_bcd", fit_failing)
+    res = tune_ebic(design, basis, TuningGrid((0.2, 0.05), (0.1, 0.01)))
+    assert res.failed_points == ((0, 0, "LinAlgError: injected"), (1, 0, "LinAlgError: injected"))
+    assert res.best_lambda2 == 0.01
 
 
 def test_tune_cv_marks_point_failed_in_one_fold(monkeypatch):
