@@ -203,8 +203,13 @@ def build_basis(config: SplineConfig, observed_times=None) -> CenteredSplineBasi
     return build_basis_from_interior(config, interior)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")   # a non-finite basis is refused
 def build_basis_from_interior(config: SplineConfig, interior_knots) -> CenteredSplineBasis:
-    """Assemble a basis around explicitly given interior knots."""
+    """Assemble a basis around explicitly given interior knots.
+
+    Knots so close together that the means or Omega are not finite (a stored
+    first knot of 3e-301) raise `ConfigurationError`.
+    """
     d = config.degree
     interior = np.asarray(interior_knots, dtype=float)
     if interior.size != config.num_internal_knots:
@@ -235,6 +240,9 @@ def build_basis_from_interior(config: SplineConfig, interior_knots) -> CenteredS
         d2_coefs.setflags(write=False)
     else:
         omega = np.zeros((q, q))
+    if not (np.isfinite(means).all() and np.isfinite(omega).all()):
+        raise ConfigurationError(f"interior knots {interior.tolist()} give a basis whose means "
+                                 "or curvature matrix is not finite")
 
     means.setflags(write=False)
     omega.setflags(write=False)

@@ -311,7 +311,7 @@ def cmd_simulate(cfg) -> int:
     overrides = {k: cfg[k] for k in SCENARIO_FLAGS if cfg.get(k) not in (None, "")}
     spec = make_scenario(cfg["scenario"], N=cfg["subjects"], n_i=cfg["obs_per_subject"],
                          p=cfg["covariates"], s_v=cfg["s_vary"], s_c=cfg["s_const"],
-                         q=cfg["q"], seed=cfg["seed"], **overrides)
+                         q=cfg["q"], **overrides)
     lam2 = _descending(cfg["lambda2_grid"], StudyOptions().lambda2_values)
     # re-echo with the resolved values (presets, forced fields and the grid)
     resolved = dict(cfg)
@@ -327,6 +327,10 @@ def cmd_simulate(cfg) -> int:
     workers = min(cfg["parallel"], cfg["replications"])
     print(f"{cfg['replications']} replications in {time.perf_counter() - start:.0f}s "
           f"({workers} worker{'s' if workers > 1 else ''})", file=sys.stderr)
+    if reports[0].n_failures:
+        print(f"warning: {reports[0].n_failures} of {cfg['replications']} replications "
+              f"failed; metrics.csv averages the other {reports[0].n_replications}",
+              file=sys.stderr)
     _write_csv(os.path.join(out, "metrics.csv"),
                ("scenario", "config", "method", "metric", "mean", "se"),
                zip(*(row for rep in reports for row in rep.rows())))

@@ -4,7 +4,9 @@ The class alone says what a failure means.  A `UsageError` is a property
 of the input or the options: it aborts a tuning grid, whose points all
 share one design, and the CLI exits 2.  Any other `TVSelectError`, and
 numpy's `LinAlgError`, is a numerical failure: a tuning grid records it
-for its point and goes on, and the CLI exits 1.
+for its point and goes on, and the CLI exits 1.  A simulation study records
+either kind, and only these, as a failed replication, since each
+replication draws its own data; any other exception ends the study.
 """
 
 

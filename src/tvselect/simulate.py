@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import SplineConfig, build_basis
 from .data import LongitudinalDataset, PreprocessState, build_design, from_arrays, standardize
-from .errors import ConfigurationError, StudyError
+from .errors import ConfigurationError, StudyError, TVSelectError
 from .solver import (
     METHOD_GROUP_LASSO,
     METHOD_SCREEN_REFIT,
@@ -92,7 +92,6 @@ class ScenarioSpec:
     s_v: int = 6
     s_c: int = 6
     q: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -243,8 +242,8 @@ def _draw_errors(spec: ScenarioSpec, t: np.ndarray, rng) -> np.ndarray:
     return spec.sigma * (eps @ chol.T).ravel()
 
 
-def generate(spec: ScenarioSpec, truth: TrueStructure | None = None,
-             seed=None) -> LongitudinalDataset:
+def generate(spec: ScenarioSpec, truth: TrueStructure | None = None, *,
+             seed) -> LongitudinalDataset:
     """Draw one longitudinal dataset from the scenario's data-generating process.
 
     Returned covariates are raw; standardize before fitting to mirror the
@@ -252,7 +251,7 @@ def generate(spec: ScenarioSpec, truth: TrueStructure | None = None,
     """
     if truth is None:
         truth = make_truth(spec)
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     N, n_i, p = spec.N, spec.n_i, spec.p
     n = N * n_i
 
@@ -277,8 +276,7 @@ def generate(spec: ScenarioSpec, truth: TrueStructure | None = None,
     return from_arrays(sids, times, y, X, rescale=False)
 
 
-def score_fit(fit: ModelFit, truth: TrueStructure, spec: ScenarioSpec,
-              prep: PreprocessState = PreprocessState(),
+def score_fit(fit: ModelFit, truth: TrueStructure, prep: PreprocessState = PreprocessState(),
               test_set: LongitudinalDataset | None = None) -> dict:
     """All single-replication metrics; coefficient errors on the raw scale.
 
@@ -361,8 +359,7 @@ class StudyOptions:
     smoothing levels for the 1/(2n)-scaled loss sit near 1e-6..1e-3.
     """
 
-    methods: tuple = (METHOD_TV_SELECT, METHOD_VC_RIDGE,
-                      METHOD_GROUP_LASSO, METHOD_SCREEN_REFIT)
+    methods: tuple = METHODS
     gamma: float = 0.5
     lambda1_count: int = 20
     lambda2_values: tuple = tuple(np.logspace(0.0, -6.0, 5))
@@ -446,7 +443,7 @@ def _run_replication(payload):
     prep, fits = _fit_replication(spec, truth, train_ss, opts)
     metrics, selected = {}, {}
     for method, fit in fits.items():
-        metrics[method] = score_fit(fit, truth, spec, prep, test_set=test)
+        metrics[method] = score_fit(fit, truth, prep, test_set=test)
         selected[method] = tuple(sorted(select_vary(fit)))
     return metrics, selected
 
@@ -455,8 +452,10 @@ def run_study(spec: ScenarioSpec, R: int, seed: int = 0, parallelism: int = 1,
               options: StudyOptions = StudyOptions()) -> list[MetricsReport]:
     """Replicated paired comparison of the configured methods; one report per method.
 
-    Individual replication failures are tolerated up to
-    MAX_FAILURE_FRACTION, then the study errors out.  Replications run in
+    `seed` is the study's only seed.  A replication that raises a package
+    error or `LinAlgError` is recorded as failed (`n_failures`); more than
+    MAX_FAILURE_FRACTION of R raise `StudyError`, and any other exception
+    propagates.  Replications run in
     min(parallelism, R) processes, serially when that is 1.  Aggregation is
     deterministic and independent of `parallelism`.
     """
@@ -502,7 +501,7 @@ def run_study(spec: ScenarioSpec, R: int, seed: int = 0, parallelism: int = 1,
 def _run_replication_safe(payload):
     try:
         return _run_replication(payload)
-    except Exception as exc:   # recorded by run_study, which enforces the cap
+    except (TVSelectError, np.linalg.LinAlgError) as exc:   # recorded; run_study caps them
         return f"{type(exc).__name__}: {exc}"
 
 

@@ -90,6 +90,7 @@ SCREEN_REFIT_LAMBDA2 = 1e-4
 ORACLE_KKT_TOL = 1e-8
 POLISH_MAX_ITER = 100
 POLISH_MAX_HALVINGS = 60
+LOST_DIRECTION_SHARE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,9 @@ class BlockFactor:
     is a structural nullvector of every Z_k and of Omega; the block matrix
     is singular by construction.  Eigenvalues below a relative cutoff are
     truncated and `solve` returns the minimum-norm solution, which is the
-    representative the group penalty selects anyway.
+    representative the group penalty selects anyway.  `refusal` is empty
+    unless the cutoff also dropped a direction the data see; then it is the
+    message a nonzero block solve raises (`precompute_block_factors`).
     """
 
     def __init__(self, w: np.ndarray, v: np.ndarray):
@@ -170,6 +173,7 @@ class BlockFactor:
         self._inv_w = np.where(self.w > 0.0, 1.0 / np.where(self.w > 0.0, self.w, 1.0), 0.0)
         self.w_pos_min = float(self.w[self.w > 0.0].min())
         self.v = v
+        self.refusal = ""
 
     def solve(self, z: np.ndarray) -> np.ndarray:
         return self.v.dot(self.v.T.dot(z) * self._inv_w)
@@ -194,15 +198,29 @@ def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
                              lambda2: float) -> list[BlockFactor]:
     """One factorization of G_kk/n + 2*lambda2*Omega per block, G_kk from `sweep_tables`.
 
-    A lambda2 so large that the sum overflows raises `ConfigurationError`.
+    A lambda2 so large that the sum overflows raises `ConfigurationError`.  The
+    cutoff should drop only the ones vector, null in both terms.  Omega is also
+    null on the linear functions, which the data see; once 2 lambda2 Omega
+    outweighs G_kk/n by about 1e12 the cutoff drops them too, and the block's
+    optimum is lost.  So a truncated eigenvector carrying more than
+    LOST_DIRECTION_SHARE of G_kk/n's trace gives the factor a refusal naming
+    lambda2.  The computed ones vector, mixed with its neighbours by
+    roundoff, carries under 1e-7 of it.
     """
+    g_kk = np.stack(design.sweep_tables[1]) / design.n
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = np.stack(design.sweep_tables[1]) / design.n + 2.0 * lambda2 * basis.omega
+        stacked = g_kk + 2.0 * lambda2 * basis.omega
     if not np.isfinite(stacked).all():
         raise ConfigurationError(f"lambda2={lambda2:g} is too large: G_kk/n + 2 lambda2 Omega "
                                  "is not finite")
     w, v = np.linalg.eigh(stacked)
-    return [BlockFactor(w_k, v_k) for w_k, v_k in zip(w, v)]
+    factors = [BlockFactor(w_k, v_k) for w_k, v_k in zip(w, v)]
+    seen = np.einsum("kij,kij->kj", v, g_kk @ v)        # v' (G_kk/n) v per eigenvector
+    for k, (factor, seen_k) in enumerate(zip(factors, seen)):
+        if (seen_k[factor.w == 0.0] > LOST_DIRECTION_SHARE * seen_k.sum()).any():
+            factor.refusal = (f"lambda2={lambda2:g} is too large: 2 lambda2 Omega swamps the "
+                              f"data of covariate {k + 1}, whose linear trend is lost to roundoff")
+    return factors
 
 
 def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
@@ -226,14 +244,17 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
     and then step, the next would be about step^3 / prev^2; when that is
     within 4 ulp of s + step and s + step lies inside (lo, hi), it returns
     theta at s + step without evaluating h there.  A step from the right is
-    no guide: it can land far left of the root.
+    no guide: it can land far left of the root.  A block that is not zero
+    raises the factor's `refusal`, if it has one, as a `ConfigurationError`.
     """
-    if lambda1 <= 0.0:
-        return factor.solve(z)
     norm_z = math.sqrt(z.dot(z))
     # relative slack keeps boundary roundoff (lambda1 == lambda1_max) at zero
-    if norm_z <= lambda1 * (1.0 + 1e-12):
+    if lambda1 > 0.0 and norm_z <= lambda1 * (1.0 + 1e-12):
         return np.zeros_like(z)
+    if factor.refusal:
+        raise ConfigurationError(factor.refusal)
+    if lambda1 <= 0.0:
+        return factor.solve(z)
     w, v = factor.w, factor.v
     zt = v.T.dot(z)
     a = zt * zt

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,23 @@ def test_artifact_count_that_is_infinite_exit_code_2(train_csv, tmp_path, capsys
     assert main(argv + (["--data", str(train_csv)] if command == "predict" else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "predict"])
+def test_artifact_basis_that_is_not_finite_exit_code_2(train_csv, tmp_path, capsys, command):
+    # a first interior knot of 3e-301 passed the knot checks; rebuilding the
+    # basis warned "overflow encountered in divide" and left Omega non-finite
+    _, payload = fitted_payload(train_csv)
+    payload["basis"]["interior_knots"][0] = 3e-301
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    argv = [command, "--artifact", str(path), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv + (["--data", str(train_csv)] if command == "predict" else []))
+    assert rc == 2 and [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["classify", "predict"])
@@ -647,6 +665,28 @@ def test_simulate_scenario_f_echo(tmp_path):
     assert echo["amplitude"] == 0.5
 
 
+def test_simulate_warns_of_failed_replications(tmp_path, capsys, monkeypatch):
+    # the means average around a failed replication, so stderr says how many failed
+    from tvselect import simulate
+    real = simulate._run_replication
+
+    def flaky(payload):
+        if payload[1] == 0:
+            raise SingularBlockError("synthetic failure")
+        return real(payload)
+
+    monkeypatch.setattr(simulate, "_run_replication", flaky)
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
+               "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "6",
+               "--replications", "10", "--out", str(out), "--parallel", "1",
+               "--test-subjects", "20", "--methods", "tv-select", "--lambda2-grid", "1e-6"])
+    assert rc == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert warnings == ["warning: 1 of 10 replications failed; metrics.csv averages the other 9"]
+    assert (out / "metrics.csv").exists()
+
+
 def test_simulate_rejects_empty_test_set_exit_code_2(tmp_path, capsys):
     rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
                "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "6",
@@ -946,6 +986,19 @@ def test_lambda2_that_overflows_exit_code_2(train_csv, tmp_path, capsys, command
     assert not (out / "fit.json").exists()
     assert main(["fit", "--data", str(train_csv), "--out", str(tmp_path / "ok"),
                  "--knots", "2", "--lambda1", "0.05", "--lambda2", "1e300"]) == 0
+
+
+@pytest.mark.parametrize("lambda2", ["1e9", "1e12"])
+def test_lambda2_that_swamps_the_data_exit_code_2(train_csv, tmp_path, capsys, lambda2):
+    # the block factors' cutoff dropped the linear directions that Omega leaves
+    # unpenalized and the data see: exit 1, "block stationarity equation has no root"
+    out = tmp_path / "o"
+    rc = main(["fit", "--data", str(train_csv), "--out", str(out), "--lambda1", "0.002",
+               "--knots", "4", "--lambda2", lambda2])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"lambda2={float(lambda2):g} " in err
+    assert "Traceback" not in err and not (out / "fit.json").exists()
 
 
 def test_single_basis_function_exit_code_2(train_csv, tmp_path, capsys, monkeypatch):

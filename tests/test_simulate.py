@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tvselect import simulate
 from tvselect.basis import SplineConfig, build_basis
 from tvselect.data import build_design, demean_within_subject, standardize
-from tvselect.errors import ConfigurationError, StudyError
+from tvselect.errors import ConfigurationError, SingularBlockError, StudyError
 from tvselect.solver import (METHOD_TV_SELECT, ModelFit, PenaltyConfig, SolverOptions, fit_bcd,
                              predict)
 from tvselect.simulate import (
@@ -146,16 +148,16 @@ def test_analytic_second_derivatives_vs_central_differences():
 
 
 def test_generate_shapes_and_regular_times():
-    spec = make_scenario("C", N=7, n_i=5, p=10, s_v=2, s_c=2, seed=3)
-    ds = generate(spec)
+    spec = make_scenario("C", N=7, n_i=5, p=10, s_v=2, s_c=2)
+    ds = generate(spec, seed=3)
     assert ds.n_subjects == 7
     assert ds.n_total == 35
     assert np.allclose(ds.subjects[0].times, [0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_generate_deterministic_in_seed():
-    spec = make_scenario("A", N=6, n_i=4, p=8, s_v=2, s_c=2, seed=11)
-    a, b = generate(spec), generate(spec)
+    spec = make_scenario("A", N=6, n_i=4, p=8, s_v=2, s_c=2)
+    a, b = generate(spec, seed=11), generate(spec, seed=11)
     ya, _, _ = a.stacked()
     yb, _, _ = b.stacked()
     assert np.array_equal(ya, yb)
@@ -166,8 +168,7 @@ def test_generate_deterministic_in_seed():
 
 def test_student_t_errors_scaled_to_sigma():
     # empirical variance of the scaled t3 draws over 1e6 samples within 2%
-    spec = make_scenario("D", N=200_000, n_i=5, p=3, s_v=0, s_c=0,
-                         sigma=1.3, seed=5)
+    spec = make_scenario("D", N=200_000, n_i=5, p=3, s_v=0, s_c=0, sigma=1.3)
     truth = make_truth(spec)
     rng = np.random.default_rng(5)
     from tvselect.simulate import _draw_errors
@@ -178,7 +179,7 @@ def test_student_t_errors_scaled_to_sigma():
 
 def test_heteroscedastic_profile():
     spec = make_scenario("D", N=100_000, n_i=2, p=3, s_v=0, s_c=0,
-                         error_model=ERROR_HETEROSCEDASTIC, seed=6)
+                         error_model=ERROR_HETEROSCEDASTIC)
     from tvselect.simulate import _draw_errors
     rng = np.random.default_rng(6)
     t = np.full(spec.n_total, 0.25)      # sd = sigma * (1 + 0.5 sin(pi/2)) = 1.5
@@ -187,8 +188,7 @@ def test_heteroscedastic_profile():
 
 
 def test_ar1_within_subject_correlation():
-    spec = make_scenario("C", N=150_000, n_i=2, p=3, s_v=0, s_c=0,
-                         alpha=0.6, seed=7)
+    spec = make_scenario("C", N=150_000, n_i=2, p=3, s_v=0, s_c=0, alpha=0.6)
     from tvselect.simulate import _draw_errors
     rng = np.random.default_rng(7)
     t = np.tile([0.0, 1.0], spec.N)
@@ -201,9 +201,9 @@ def test_noiseless_constants_recovered_after_demeaning():
     # sigma -> 0 with time-varying covariates: de-meaning is exact for the
     # constant part and the constants-only fit recovers mu0 exactly
     spec = make_scenario("E", N=60, n_i=5, p=6, s_v=0, s_c=3,
-                         sigma=1e-12, sigma_x2=0.5, seed=9)
+                         sigma=1e-12, sigma_x2=0.5)
     truth = make_truth(spec)
-    ds = demean_within_subject(generate(spec, truth))
+    ds = demean_within_subject(generate(spec, truth, seed=9))
     basis = build_basis(SplineConfig.from_q(6))
     design = build_design(ds, basis)
     fit = fit_bcd(design, basis, PenaltyConfig(1e3, 0.0),
@@ -216,7 +216,7 @@ def test_noiseless_constants_recovered_after_demeaning():
 
 def quartic_truth_and_fit():
     """Template 5 is a quartic: exactly representable in a degree-4 basis."""
-    spec = make_scenario("A", N=30, n_i=4, p=4, s_v=1, s_c=2, seed=1)
+    spec = make_scenario("A", N=30, n_i=4, p=4, s_v=1, s_c=2)
     truth_base = make_truth(spec)
     truth = type(truth_base)(
         mu0=truth_base.mu0, template_ids=(4,), amplitude=1.0,
@@ -237,7 +237,7 @@ def quartic_truth_and_fit():
 
 def test_score_fit_perfect_fit():
     spec, truth, fit = quartic_truth_and_fit()
-    m = score_fit(fit, truth, spec)
+    m = score_fit(fit, truth)
     assert m["ise"] < 1e-12
     assert m["re"] < 1e-10
     assert m["class_acc"] == 1.0
@@ -248,7 +248,7 @@ def test_score_fit_perfect_fit():
 
 def test_score_fit_all_zero_fit():
     # all-zero fit vs truth with s_c=6, mu0=+-1, p=100: MSE_mu = 6/100
-    spec = make_scenario("A", N=10, n_i=4, p=100, s_v=0, s_c=6, seed=2)
+    spec = make_scenario("A", N=10, n_i=4, p=100, s_v=0, s_c=6)
     truth = make_truth(spec)
     basis = build_basis(SplineConfig.from_q(8))
     fit = ModelFit(beta0=0.0, mu=np.zeros(100),
@@ -256,7 +256,7 @@ def test_score_fit_all_zero_fit():
                    objective_trace=np.zeros(1), iterations=1, converged=True,
                    method=METHOD_TV_SELECT, penalty=PenaltyConfig(0.0, 0.0),
                    basis=basis, intercept=False, n_train=1000)
-    m = score_fit(fit, truth, spec)
+    m = score_fit(fit, truth)
     assert m["mse_mu"] == pytest.approx(0.06, abs=1e-15)
     assert m["mse_mu_act"] == pytest.approx(1.0, abs=1e-15)
     assert m["tpr_vary"] == 1.0      # vacuous: no true varying effects
@@ -272,24 +272,24 @@ def test_score_fit_selection_rates():
                    objective_trace=fit.objective_trace, iterations=1, converged=True,
                    method=fit.method, penalty=fit.penalty, basis=fit.basis,
                    intercept=False, n_train=fit.n_train)
-    m = score_fit(bad, truth, spec)
+    m = score_fit(bad, truth)
     assert m["tpr_vary"] == 1.0
     assert m["fpr_vary"] == pytest.approx(1.0 / 3.0)
 
 
 def test_score_fit_mspe_on_test_set():
     spec, truth, fit = quartic_truth_and_fit()
-    test = generate(type(spec)(**{**spec.__dict__, "N": 40, "seed": 77}), truth)
-    m = score_fit(fit, truth, spec, test_set=test)
+    test = generate(replace(spec, N=40), truth, seed=77)
+    m = score_fit(fit, truth, test_set=test)
     # perfect coefficient fit: MSPE equals the noise variance, here sigma=1
     assert m["mspe"] == pytest.approx(1.0, rel=0.25)
 
 
 def test_score_fit_maps_test_rows_through_the_training_record():
     spec, truth, fit = quartic_truth_and_fit()
-    test = generate(type(spec)(**{**spec.__dict__, "N": 40, "seed": 77}), truth)
-    prep = standardize(generate(spec, truth)).preprocessing
-    m = score_fit(fit, truth, spec, prep, test_set=test)
+    test = generate(replace(spec, N=40), truth, seed=77)
+    prep = standardize(generate(spec, truth, seed=1)).preprocessing
+    m = score_fit(fit, truth, prep, test_set=test)
     pred = predict(fit, (test.X - prep.center) / prep.scale, test.times)
     assert m["mspe"] == float(np.mean((test.y - pred) ** 2))
     assert m["mse_mu"] == float(np.sum((fit.mu / prep.scale - truth.mu0) ** 2)) / fit.p
@@ -443,7 +443,7 @@ def test_run_study_tolerates_minority_failures(monkeypatch):
     def flaky(payload):
         spec, r, seed, opts = payload
         if r == 0:
-            raise RuntimeError("synthetic failure")
+            raise SingularBlockError("synthetic failure")
         return real(payload)
 
     monkeypatch.setattr(sim, "_run_replication", flaky)
@@ -452,11 +452,33 @@ def test_run_study_tolerates_minority_failures(monkeypatch):
     assert all(rep.n_replications == 11 for rep in reports)
 
 
+def test_run_study_propagates_an_error_outside_the_failure_policy(monkeypatch):
+    # only a package error or LinAlgError is a failed replication; a bug ends the study
+    import tvselect.simulate as sim
+    real = sim._run_replication
+
+    def buggy(payload):
+        spec, r, seed, opts = payload
+        if r == 0:
+            raise RuntimeError("synthetic bug")
+        return real(payload)
+
+    monkeypatch.setattr(sim, "_run_replication", buggy)
+    with pytest.raises(RuntimeError, match="synthetic bug"):
+        run_study(SMALL, R=12, seed=3, options=FAST)
+
+
+def test_scenario_carries_no_seed():
+    # run_study's seed is the study's only seed: a spec never held one it would ignore
+    with pytest.raises(TypeError, match="seed"):
+        make_scenario("A", N=30, n_i=4, p=6, s_v=1, s_c=1, seed=7)
+
+
 def test_run_study_errors_on_excess_failures(monkeypatch):
     import tvselect.simulate as sim
 
     def always_fail(payload):
-        raise RuntimeError("synthetic failure")
+        raise SingularBlockError("synthetic failure")
 
     monkeypatch.setattr(sim, "_run_replication", always_fail)
     with pytest.raises(StudyError):

@@ -112,16 +112,24 @@ def test_panel_pass_makes_the_calls_its_outputs_imply(tmp_path):
     assert {name: counts.get(name, 0) for name in implied} == implied
 
 
-def test_panel_pass_matches_the_recorded_reference(tmp_path):
-    # one benchmark panel-cli pass on input set 0, checked as the benchmark checks it
+def pass_against_reference(name, workdir):
+    """Failures and reference mismatches of one benchmark pass on input set 0."""
     workloads = load_perfbench("workloads")
-    with open(workloads.reference_path("panel-cli"), encoding="utf-8") as fh:
+    with open(workloads.reference_path(name), encoding="utf-8") as fh:
         reference = json.load(fh)["input_sets"]["0"]["summary"]
-    workload = workloads.PanelWorkload()
-    state = workload.prepare(0, str(tmp_path / "panel"))
+    workload = workloads.WORKLOADS[name]
+    state = workload.prepare(0, workdir)
     out = workload.summarize(state, workload.run_pass(state), [])
-    assert out.failures == 0
-    assert workload.compare(out.summary, reference) == []
+    return out.failures, workload.compare(out.summary, reference)
+
+
+def test_panel_pass_matches_the_recorded_reference(tmp_path):
+    assert pass_against_reference("panel-cli", str(tmp_path / "panel")) == (0, [])
+
+
+def test_desk_study_pass_matches_the_recorded_reference(tmp_path):
+    # the study path from run_study's seed down, checked as the benchmark checks it
+    assert pass_against_reference("desk-study", str(tmp_path)) == (0, [])
 
 
 def test_import_leaves_scipy_unloaded():
@@ -255,7 +263,8 @@ def handled_names(function):
     return names
 
 
-@pytest.mark.parametrize("module, function", [("cli.py", "main"), ("tuning.py", "_fit_grid")])
+@pytest.mark.parametrize("module, function", [("cli.py", "main"), ("tuning.py", "_fit_grid"),
+                                              ("simulate.py", "_run_replication_safe")])
 def test_failure_handlers_name_only_the_policy_classes(module, function):
     # a concrete error class in these handlers would be a second, hand-kept policy
     tree = dict(module_trees())[module]
