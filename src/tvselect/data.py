@@ -114,8 +114,8 @@ class DesignBlocks:
 
     What the design alone determines is formed on first use and shared by its
     fits: `gram` (the Gram of [A y], A = [C Z_1 ... Z_p]), `cold_constants`,
-    `sweep_tables` and `block_factors`.  A `replace` copy forms its own;
-    `with_gram` sets the Gram.
+    `sweep_tables`, `block_factors` and `rotated_gram`.  A `replace` copy
+    forms its own; `with_gram` sets the Gram.
     """
 
     y: np.ndarray
@@ -124,6 +124,8 @@ class DesignBlocks:
     intercept_included: bool
     # (lambda2, Omega bytes) -> the block factorizations, filled by `solver.fit_bcd`
     block_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the same key -> `solver.rotated_gram` of those factors, for the last key swept only
+    rotated_gram: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -176,17 +178,16 @@ class DesignBlocks:
 
     @cached_property
     def sweep_tables(self) -> tuple:
-        """(inv(tril(C'C)), [G_kk], [G[block k rows]]) from `gram`, read by each BCD sweep.
+        """(inv(tril(C'C)), [G_kk]) from `gram`: the BCD sweep's and the block factors' tables.
 
         One Gauss-Seidel pass over the constants is forward substitution with
         tril(C'C), so inv(tril(C'C)) makes it one product.  Each block's G_kk
-        is a contiguous copy; its rows of G = A'A are views.
+        is a contiguous copy.
         """
         m, G = self.p + self.intercept_included, self.gram[:-1, :-1]
         gauss_seidel = np.linalg.inv(np.tril(G[:m, :m]))
         gauss_seidel.setflags(write=False)
-        g_kk = [np.ascontiguousarray(G[cols, cols]) for cols in self.block_slices]
-        return gauss_seidel, g_kk, [G[cols] for cols in self.block_slices]
+        return gauss_seidel, [np.ascontiguousarray(G[cols, cols]) for cols in self.block_slices]
 
     def with_gram(self, gram: np.ndarray) -> DesignBlocks:
         """A copy whose `gram` is the given Gram of [A y], such as a sum of fold Grams.

@@ -13,42 +13,58 @@ turns into a `ModelFit`.  One sweep updates every column of C by exact
 one-dimensional least squares, and every spline block theta_k by exactly
 minimizing its convex subproblem
 
-    (1/2n) ||r_k - Z_k theta||^2 + lambda2 theta' Omega theta + lambda1 ||theta||_2
+    (1/2n) ||r_k - Z_k theta||^2 + lambda2 theta' Omega theta + lambda1 ||theta||_2.
 
-in the precomputed eigenbasis of G_k + 2*lambda2*Omega.  A block is set to
-exact zero precisely when ||Z_k' r_k / n||_2 <= lambda1 (the subdifferential
-condition at zero); otherwise the block norm s solves the secular equation
-h(s) = 1, found by a safeguarded Newton iteration on h(s)^(-1/2) that stops
-when a step or the bracket falls within 4 ulp of s, or when two steps from
-the left of the root predict the next one below that.  The iteration starts
-from the block's current norm, which along a lambda1 path and in every later
-sweep is close to the new root.
+The sweep runs on rotated coefficients R'x, R = blockdiag(I_m, V_1, ...,
+V_p), where V_k is the eigenbasis of G_kk/n + 2*lambda2*Omega with
+eigenvalues w (`precompute_block_factors`).  There block k's quadratic is
+diag(w), so in t = V_k' theta its subproblem is
+
+    (1/2) sum_i w_i t_i^2 - zt't + lambda1 ||t||_2,   zt = V_k' Z_k' r_k / n,
+
+and ||t|| = ||theta||.  A block is set to exact zero precisely when
+||zt||_2 <= lambda1 (the subdifferential condition at zero); otherwise the
+block norm s solves the secular equation h(s) = 1, found by a safeguarded
+Newton iteration on h(s)^(-1/2) that stops when a step or the bracket falls
+within 4 ulp of s, or when two steps from the left of the root predict the
+next one below that.  The iteration starts from the block's current norm,
+which along a lambda1 path and in every later sweep is close to the new
+root.  The directions whose eigenvalue the factorization truncates (the
+ones vector, null in Z_k and in Omega) carry only roundoff of zt, so the
+solve drops them and theta has no component along them at any lambda1.
 Exact block minimization keeps the objective monotone and drives the iterate
 to the global minimum of the convex problem, which the reference solver
 `fit_oracle` certifies.
 
 The sweep runs in covariance form, as glmnet does (Friedman, Hastie &
 Tibshirani 2010, JSS, section 2.2), for the constants and the spline blocks
-alike.  A fit reads only `design.gram`, the Gram of [A y] for A = [C Z_1
-... Z_p] (G = A'A, A'y and y'y), formed once per design in row chunks, and
-keeps g = A'e and e'e for the residual e in place of e itself.  A
-coordinate or block reads its correlation with its partial residual from g
-and G, and a step Delta on its columns moves g by G[its rows]' Delta and
-e'e by -2 Delta' g_k + Delta' G_kk Delta, where G_kk Delta is read from
-G[its rows]' Delta.  The Gauss-Seidel pass over the m constants is forward
-substitution with tril(C'C), so it is one product with inv(tril(C'C)).  The
-design keeps what it alone determines: the cold start from G[:m, :m] = C'C
-(`cold_constants`, which `lambda1_max` reads too and which refuses
-unidentified constants), inv(tril(C'C)) with each block's G_kk and rows of G
-(`sweep_tables`), and the block factorizations of each (lambda2, Omega) from
-the G_kk (`block_factors`).  The sweep updates x in place through the views
-c and theta_k; `_solve_block_subproblem` holds the only zero test.
-Cross-validation sums the held-out designs' own Grams into each training
-Gram and the refit's (`tuning.tune_cv`).  g = A'y - G x and
-e'e = y'y - x'A'y - x'g are recomputed at the start of each fit and every
-50 sweeps, to cap floating-point drift.  Each block's norm and penalty
-value are cached between updates, so a sweep's objective is a sum of
-cached terms.
+alike.  A fit reads only the Gram of [A y] (`design.gram`: G = A'A, A'y and
+y'y, formed once per design in row chunks), rotated and divided by n once
+per design and lambda2 into R'GR/n, R'A'y/n and y'y/n (`rotated_gram`), and
+keeps g = R'A'e/n for the residual e in place of e itself, and one running
+objective.  A coordinate or block reads its correlation with its partial
+residual from g and R'GR/n, and a step Delta on its coordinates moves g by
+(R'GR/n)[its rows]' Delta.  A block step t_old -> t_new changes the
+objective by
+
+    (1/2) sum_i w_i (t_new,i^2 - t_old,i^2) - zt'Delta + lambda1 (||t_new|| - ||t_old||),
+
+which the step's halving guard and the running objective read: no rotation
+in or out and no Omega product per update.  R leaves the m constants as
+they are; the Gauss-Seidel pass over them is forward substitution with
+tril(C'C), so it is one product with inv(tril(C'C)).  The design keeps what
+it alone determines: the cold start from G[:m, :m] = C'C (`cold_constants`,
+which `lambda1_max` reads too and which refuses unidentified constants),
+inv(tril(C'C)) and each block's G_kk (`sweep_tables`), the block
+factorizations of each (lambda2, Omega) from the G_kk (`block_factors`), and
+the rotated Gram of the one it last swept (`design.rotated_gram`), so that
+memory does not grow with a lambda2 grid.  The sweep updates R'x in place
+through the views c and t_k; `_solve_block_subproblem` holds the only zero
+test.  Cross-validation sums the held-out designs' own Grams into each
+training Gram and the refit's (`tuning.tune_cv`).  g = (R'A'y - R'GR R'x)/n
+and the objective, from e'e = y'y - x'A'y - x'A'e and theta = V_k t_k, are
+recomputed at the start of each fit and every 50 sweeps, to cap
+floating-point drift.  x is rotated back once, for the fit.
 
 The block factorizations read each G_kk from `sweep_tables`.  The
 screen-refit and `fit_oracle`'s Newton polish read the smooth part's Hessian
@@ -152,15 +168,20 @@ class ModelFit:
 
 
 class BlockFactor:
-    """Eigendecomposition of G_k + 2*lambda2*Omega.
+    """Eigendecomposition of G_kk/n + 2*lambda2*Omega, the coordinates block k is swept in.
 
     The centered basis functions sum to zero pointwise, so the ones vector
     is a structural nullvector of every Z_k and of Omega; the block matrix
     is singular by construction.  Eigenvalues below a relative cutoff are
-    truncated and `solve` returns the minimum-norm solution, which is the
-    representative the group penalty selects anyway.  `refusal` is empty
-    unless the cutoff also dropped a direction the data see; then it is the
-    message a nonzero block solve raises (`precompute_block_factors`).
+    truncated: `kept` is 0.0 on their directions and 1.0 on the others, and
+    the block solve drops the truncated directions, which gives the
+    minimum-norm solution, the representative the group penalty selects
+    anyway.  In `w` a truncated eigenvalue reads as the least kept one,
+    which keeps the solve's quotients zt / (w + lambda1/s) finite where zt
+    is 0; `inv_w` is 0 there.  `refusal` is empty unless the cutoff also
+    dropped a direction the data see; then it is the message a nonzero
+    block solve raises, and `kept` keeps every direction for the zero test
+    (`precompute_block_factors`).
     """
 
     def __init__(self, w: np.ndarray, v: np.ndarray):
@@ -168,15 +189,15 @@ class BlockFactor:
         if w[-1] <= 0.0:
             raise SingularBlockError(
                 f"block system has no positive eigenvalues (max {w[-1]:.3e})")
-        cutoff = 1e-12 * w[-1]
-        self.w = np.where(w > cutoff, w, 0.0)
-        self._inv_w = np.where(self.w > 0.0, 1.0 / np.where(self.w > 0.0, self.w, 1.0), 0.0)
-        self.w_pos_min = float(self.w[self.w > 0.0].min())
+        kept = w > 1e-12 * w[-1]
+        self.w_pos_min = float(w[kept].min())
+        self.w = np.where(kept, w, self.w_pos_min)
+        self.kept = kept.astype(float)
+        self.inv_w = self.kept / self.w
+        self.zero = np.zeros_like(self.w)     # the solve's one zero block, read-only
+        self.zero.setflags(write=False)
         self.v = v
         self.refusal = ""
-
-    def solve(self, z: np.ndarray) -> np.ndarray:
-        return self.v.dot(self.v.T.dot(z) * self._inv_w)
 
 
 def smooth_hessian(design: DesignBlocks, omega: np.ndarray, lambda2: float, blocks) -> tuple:
@@ -217,46 +238,74 @@ def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
     factors = [BlockFactor(w_k, v_k) for w_k, v_k in zip(w, v)]
     seen = np.einsum("kij,kij->kj", v, g_kk @ v)        # v' (G_kk/n) v per eigenvector
     for k, (factor, seen_k) in enumerate(zip(factors, seen)):
-        if (seen_k[factor.w == 0.0] > LOST_DIRECTION_SHARE * seen_k.sum()).any():
+        if (seen_k[factor.kept == 0.0] > LOST_DIRECTION_SHARE * seen_k.sum()).any():
             factor.refusal = (f"lambda2={lambda2:g} is too large: 2 lambda2 Omega swamps the "
                               f"data of covariate {k + 1}, whose linear trend is lost to roundoff")
+            factor.kept[:] = 1.0
     return factors
 
 
-def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
-                            s0: float = 0.0) -> np.ndarray:
-    """Exact minimizer of 0.5 theta'M theta - z'theta + lambda1 ||theta||_2.
+def rotated_gram(design: DesignBlocks, factors) -> tuple:
+    """The Gram of [A y] over n in the sweep's coordinates, for the block factors of one lambda2.
 
-    Zero iff ||z|| <= lambda1; otherwise theta = (M + (lambda1/s) I)^{-1} z
-    where the norm s solves h(s) = sum_i a_i / (w_i s + lambda1)^2 = 1, with
-    a_i = zt_i^2 in the eigenbasis (w, V) of M.  h is decreasing in s, so the
-    root is unique, and g(s) = h(s)^{-1/2} is concave and increasing (More &
-    Sorensen's trust-region secular equation).  Newton on g - 1 starts at
-    s = min(s0, hi), a guess of the norm such as the block's current one.
-    Started left of the root, Newton approaches it monotonically without
-    passing it.  Started right of it, one step lands left of the root, because
-    the concave g lies below its tangent, and from there the iteration is
-    monotone again.  A bracket [lo, hi] catches roundoff and a step below 0: a
-    Newton point outside it is replaced by bisection, and an upper end never
-    evaluated is doubled until h(hi) <= 1.  The iteration stops at s when its
-    step or the checked bracket is within 4 ulp of s.  Left of the root it
-    converges quadratically, so after two Newton steps from the left, prev
-    and then step, the next would be about step^3 / prev^2; when that is
-    within 4 ulp of s + step and s + step lies inside (lo, hi), it returns
-    theta at s + step without evaluating h there.  A step from the right is
-    no guide: it can land far left of the root.  A block that is not zero
-    raises the factor's `refusal`, if it has one, as a `ConfigurationError`.
+    For R = blockdiag(I_m, V_1, ..., V_p), returns R'GR/n as one contiguous
+    array, so that each block's rows are a contiguous view, then R'A'y/n,
+    y'y/n and each block's diagonal block (R'GR/n)_kk as a contiguous copy.
     """
-    norm_z = math.sqrt(z.dot(z))
+    gram, n = design.gram, design.n
+    G, aty = gram[:-1, :-1] / n, gram[:-1, -1] / n
+    for cols, factor in zip(design.block_slices, factors):
+        G[:, cols] = G[:, cols].dot(factor.v)
+        aty[cols] = factor.v.T.dot(aty[cols])
+    for cols, factor in zip(design.block_slices, factors):
+        G[cols] = factor.v.T.dot(G[cols])
+    for arr in (G, aty):
+        arr.setflags(write=False)
+    return G, aty, float(gram[-1, -1]) / n, [np.ascontiguousarray(G[cols, cols])
+                                           for cols in design.block_slices]
+
+
+def _solve_block_subproblem(factor: BlockFactor, zt: np.ndarray, lambda1: float,
+                            s0: float = 0.0) -> np.ndarray:
+    """Exact minimizer t of 0.5 sum_i w_i t_i^2 - zt't + lambda1 ||t||_2, in block coordinates.
+
+    zt is V'z for the block's correlation z with its partial residual, and
+    theta = V t.  Its components on the truncated directions are dropped
+    first (`BlockFactor.kept`).  Then t is zero iff ||zt|| <= lambda1;
+    otherwise t = zt / (w + lambda1/s), zt * w^+ when lambda1 = 0, where the
+    norm s solves h(s) = sum_i a_i / (w_i s + lambda1)^2 = 1 over the kept
+    directions, a_i = zt_i^2.  h is decreasing in s, from
+    h(0) = ||zt||^2 / lambda1^2 > 1, so the root is unique, and
+    g(s) = h(s)^(-1/2) is concave and increasing (More & Sorensen's
+    trust-region secular equation).  Newton on g - 1 starts at
+    s = min(s0, hi), a guess of the norm such as the block's current one;
+    from s = 0 its first step is (||zt|| - lambda1) ||zt||^2 / sum_i a_i w_i,
+    the closed form of h (sqrt(h) - 1) / (-h'/2) there, which no tiny
+    lambda1 overflows.  Started left of the root, Newton approaches it
+    monotonically without passing it.  Started right of it, one step lands
+    left of the root, because the concave g lies below its tangent, and from
+    there the iteration is monotone again.  A bracket [lo, hi] catches
+    roundoff and a step below 0: a Newton point outside it is replaced by
+    bisection, and an upper end never evaluated is doubled until
+    h(hi) <= 1.  The iteration stops at s when its step or the checked
+    bracket is within 4 ulp of s.  Left of the root it converges
+    quadratically, so after two Newton steps from the left, prev and then
+    step, the next would be about step^3 / prev^2; when that is within 4 ulp
+    of s + step and s + step lies inside (lo, hi), it returns t at s + step
+    without evaluating h there.  A step from the right is no guide: it can
+    land far left of the root.  A block that is not zero raises the factor's
+    `refusal`, if it has one, as a `ConfigurationError`.
+    """
+    zt = zt * factor.kept
+    norm_z = math.sqrt(zt.dot(zt))
     # relative slack keeps boundary roundoff (lambda1 == lambda1_max) at zero
     if lambda1 > 0.0 and norm_z <= lambda1 * (1.0 + 1e-12):
-        return np.zeros_like(z)
+        return factor.zero
     if factor.refusal:
         raise ConfigurationError(factor.refusal)
     if lambda1 <= 0.0:
-        return factor.solve(z)
-    w, v = factor.w, factor.v
-    zt = v.T.dot(z)
+        return zt * factor.inv_w
+    w = factor.w
     a = zt * zt
     aw = a * w
     lo, hi = 0.0, (norm_z - lambda1) / factor.w_pos_min
@@ -264,32 +313,38 @@ def _solve_block_subproblem(factor: BlockFactor, z: np.ndarray, lambda1: float,
     s = min(s0, hi)
     prev = 0.0                # the last Newton step, when it was taken from the left
     for _ in range(SECULAR_MAX_ITER):
-        r = 1.0 / (w * s + lambda1)
-        r2 = r * r
-        h = float(a.dot(r2))
-        if h > 1.0:
-            lo = s
-            if s == hi:
-                hi *= 2.0
+        if s == 0.0:
+            slope = float(aw.sum())
+            if slope <= 0.0:
+                break
+            step = norm_z * norm_z * (norm_z - lambda1) / slope
         else:
-            if s == 0.0:
-                return np.zeros_like(z)
-            hi, hi_checked = s, True
-        slope = float(aw.dot(r2 * r))     # g'(s) = h^(-3/2) * slope
-        if slope <= 0.0:
-            break
-        step = h * (math.sqrt(h) - 1.0) / slope
-        # s = 0 is never the root; a step of 0 there means the slope overflowed
-        if (0.0 < s and abs(step) <= SECULAR_ULPS * _EPS * s
-                or hi_checked and hi - lo <= SECULAR_ULPS * _EPS * hi):
-            return v.dot(zt / (w + lambda1 / s))
+            d = w + lambda1 / s
+            r = (1.0 / s) / d                 # 1 / (w s + lambda1)
+            r2 = r * r
+            h = float(a.dot(r2))
+            if h > 1.0:
+                lo = s
+                if s == hi:
+                    hi *= 2.0
+            else:
+                hi, hi_checked = s, True
+            slope = float(aw.dot(r2 * r))     # g'(s) = h^(-3/2) * slope
+            if slope <= 0.0:
+                break
+            step = h * (math.sqrt(h) - 1.0) / slope
+            if (abs(step) <= SECULAR_ULPS * _EPS * s
+                    or hi_checked and hi - lo <= SECULAR_ULPS * _EPS * hi):
+                return zt / d
         s_next = s + step
         if s_next >= hi and not hi_checked:
             s, prev = hi, 0.0
         elif lo < s_next < hi:
-            # two steps from the left predict the next below the 4-ulp stop
-            if step > 0.0 and step ** 3 <= SECULAR_ULPS * _EPS * s_next * prev * prev:
-                return v.dot(zt / (w + lambda1 / s_next))
+            # two steps from the left predict the next below the 4-ulp stop;
+            # step^3 / prev^2 through the ratio, since step^3 underflows at tiny scales
+            ratio = step / prev if prev > 0.0 else math.inf
+            if step > 0.0 and step * (ratio * ratio) <= SECULAR_ULPS * _EPS * s_next:
+                return zt / (w + lambda1 / s_next)
             s, prev = s_next, max(step, 0.0)
         else:
             s, prev = 0.5 * (lo + hi), 0.0
@@ -324,29 +379,29 @@ def lambda1_max(design: DesignBlocks) -> float:
     return max(float(np.linalg.norm(g[cols])) for cols in design.block_slices) / design.n
 
 
-def _block_penalty(th: np.ndarray, nrm: float, lam1: float, lam2: float,
-                   omega: np.ndarray) -> float:
-    """lambda1 ||th|| + lambda2 th' Omega th given nrm = ||th||, exactly 0.0 for a zero block."""
-    if nrm == 0.0:
-        return 0.0
-    if lam2 == 0.0:
-        return lam1 * nrm
-    return lam1 * nrm + lam2 * float(th.dot(omega).dot(th))
-
-
 def _penalty_value(theta, penalty: PenaltyConfig, omega: np.ndarray) -> float:
+    """lambda1 sum_k ||theta_k|| + lambda2 sum_k theta_k' Omega theta_k, summed block by block."""
+    lam1, lam2 = penalty.lambda1, penalty.lambda2
     val = 0.0
     for th in theta:
-        val += _block_penalty(th, math.sqrt(th @ th), penalty.lambda1, penalty.lambda2, omega)
+        nrm = math.sqrt(th @ th)
+        if nrm == 0.0:
+            continue
+        val += lam1 * nrm if lam2 == 0.0 else lam1 * nrm + lam2 * float(th.dot(omega).dot(th))
     return val
 
 
 def _predictor(X: np.ndarray, B: np.ndarray, beta0: float, mu: np.ndarray, theta) -> np.ndarray:
-    """beta0 + X mu + sum_k x_k * (B theta_k), B = Btilde(t) at each row, skipping zero blocks."""
-    pred = beta0 + X @ mu
-    for xk, th in zip(X.T, theta):
-        if th.any():
-            pred = pred + xk * (B @ th)
+    """beta0 + X mu + sum_k x_k * (B theta_k), B = Btilde(t) at each row, skipping zero blocks.
+
+    A row whose prediction overflows gets a non-finite value without a
+    warning; callers that need finite predictions check them (`cli`).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = beta0 + X @ mu
+        for xk, th in zip(X.T, theta):
+            if th.any():
+                pred = pred + xk * (B @ th)
     return pred
 
 
@@ -373,78 +428,82 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
 
     Each sweep is one Gauss-Seidel loop over the columns of the constant
     design C = [1 X] (intercept = column 0; X alone without an intercept),
-    then one exact solve per spline block, all in covariance form: the fit
-    reads only `design.gram`, the Gram of [A y] for A = [C Z_1 ... Z_p], and
-    the tables and factorizations that every fit on the design shares
-    (`sweep_tables`, `block_factors`), and keeps g = A'e and e'e.  It
-    updates the parameters x in place, through the views c = x[:m] and
-    theta_k.  The constants move by dc = inv(tril(C'C)) g[:m], the step of
-    the sequential pass.  Block k solves with u_k = g_k + G_kk theta_k (the
-    solve holds the only zero test), then a step Delta moves g by
-    d = G[block k rows]' Delta and e'e by -2 Delta' g_k + Delta' d_k.
-    g = A'y - G x and e'e = y'y - x'A'y - x'g are recomputed for
-    the parameters x at the start and every RESIDUAL_REFRESH_EVERY sweeps.  `init`
-    warm-starts the parameters (e.g. along a lambda1 path); the default
-    start is theta = 0 with `design.cold_constants` = solve(C'C, (A'y)[:m]).
-    Non-convergence within max_iter is reported via `converged`, not raised.
-    Raises `DegenerateDesignError` when C has condition number 1e6 or more,
-    so the constants are not identified.
+    then one exact solve per spline block, all in covariance form on the
+    rotated coefficients xt = R'x, R = blockdiag(I_m, V_1, ..., V_p): the fit
+    reads only the rotated Gram of [A y] over n (`rotated_gram`, built from
+    `design.gram` and the block factors once per lambda2) and the tables
+    every fit on the design shares (`sweep_tables`, `block_factors`), and
+    keeps g = R'A'e/n and the objective.  It updates xt in place, through
+    the views c = xt[:m] and t_k.  The constants move by
+    dc = inv(tril(C'C)) n g[:m], the step of the sequential pass.  Block k
+    solves with zt = g_k + (R'GR/n)_kk t_k (the solve holds the only zero
+    test); the step Delta is accepted when it changes the objective by
+    0.5 sum w (t_new^2 - t_old^2) - zt'Delta + lambda1 (||t_new|| - ||t_old||)
+    <= 0, and then moves g by (R'GR/n)[block k rows]' Delta.
+    g = (R'A'y - R'GR xt)/n and the objective are recomputed at the start
+    and every RESIDUAL_REFRESH_EVERY sweeps.  `init` warm-starts the parameters (e.g.
+    along a lambda1 path); the default start is theta = 0 with
+    `design.cold_constants` = solve(C'C, (A'y)[:m]).  Non-convergence within
+    max_iter is reported via `converged`, not raised.  Raises
+    `DegenerateDesignError` when C has condition number 1e6 or more, so the
+    constants are not identified.
     """
     n, p = design.n, design.p
     if basis.q != design.q:
         raise DimensionError(f"basis has q={basis.q}, design has q={design.q}")
     omega = basis.omega
-    lam1, lam2 = penalty.lambda1, penalty.lambda2
+    lam1 = penalty.lambda1
 
-    m, gram, blocks = len(design.cold_constants), design.gram, design.block_slices
-    G, aty, yty = gram[:-1, :-1], gram[:-1, -1], float(gram[-1, -1])
-    c_rows = G[:m]
-    gauss_seidel, g_kk, g_rows = design.sweep_tables
-    key = (lam2, omega.tobytes())
+    m, blocks = len(design.cold_constants), design.block_slices
+    gauss_seidel = design.sweep_tables[0]
+    key = (penalty.lambda2, omega.tobytes())
     if key not in design.block_factors:
-        design.block_factors[key] = precompute_block_factors(design, basis, lam2)
+        design.block_factors[key] = precompute_block_factors(design, basis, penalty.lambda2)
     factors = design.block_factors[key]
+    if key not in design.rotated_gram:
+        design.rotated_gram.clear()         # one live rotated Gram: the last lambda2 swept
+        design.rotated_gram[key] = rotated_gram(design, factors)
+    G, aty, yty, g_kk = design.rotated_gram[key]
+    c_rows, g_rows = G[:m], [G[cols] for cols in blocks]
 
     if init is not None:
         # (beta0, mu, theta), or (mu, theta) when C has no intercept column
         x = np.concatenate([[init.beta0], init.mu, init.theta.ravel()])[p + 1 - m:]
+        for cols, factor in zip(blocks, factors):
+            x[cols] = factor.v.T.dot(x[cols])
     else:
         x = np.concatenate([design.cold_constants, np.zeros(p * basis.q)])
     c, theta = x[:m], [x[cols] for cols in blocks]
-
-    # per-block caches: norm (0.0 for a zero block, the block solve's warm
-    # start) and penalty, updated with every accepted block
+    # each block's norm (0.0 for a zero block, the block solve's warm start)
     norms = [math.sqrt(th @ th) for th in theta]
-    pen = [_block_penalty(th, nrm, lam1, lam2, omega) for th, nrm in zip(theta, norms)]
+
+    def rotated_back():
+        x_back = x.copy()
+        for cols, factor in zip(blocks, factors):
+            x_back[cols] = factor.v.dot(x[cols])
+        return x_back
 
     def refresh():
-        """g = A'e = A'y - G x and e'e = y'y - x'A'y - x'g for the parameters x."""
+        """g = (R'A'y - R'GR xt)/n and the objective, e'e/n = y'y/n - xt'(R'A'y/n + g)."""
         g = aty - G.dot(x)
-        return g, yty - float(x.dot(aty)) - float(x.dot(g))
+        loss = 0.5 * (yty - float(x.dot(aty)) - float(x.dot(g)))
+        return g, loss + _penalty_value(rotated_back()[m:].reshape(p, -1), penalty, omega)
 
-    g, ee = refresh()
-
-    def current_objective():
-        # summed in block order from 0.0 (not sum()), the same float as _penalty_value
-        val = 0.0
-        for pen_k in pen:
-            val += pen_k
-        return 0.5 / n * ee + val
-
-    trace = [current_objective()]
+    g, obj = refresh()
+    trace = [obj]
     converged = False
     sweeps = 0
     for sweep in range(1, options.max_iter + 1):
         sweeps = sweep
         if sweep % RESIDUAL_REFRESH_EVERY == 0:
-            g, ee = refresh()
+            g, obj = refresh()
 
         # one Gauss-Seidel pass over the constants (c_j moves by its column's
         # correlation with the running residual over c_j'c_j) is forward
         # substitution with tril(C'C): dc = inv(tril(C'C)) C'e in one product
-        dc = gauss_seidel.dot(g[:m])
+        dc = n * gauss_seidel.dot(g[:m])
         dg = dc.dot(c_rows)
-        ee += float(dg[:m].dot(dc)) - 2.0 * float(dc.dot(g[:m]))
+        obj += 0.5 * float(dg[:m].dot(dc)) - float(dc.dot(g[:m]))
         g -= dg
         c += dc
 
@@ -452,41 +511,38 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
         for k in range(p):
             nrm_old = norms[k]
             gk, th_old = g[blocks[k]], theta[k]
-            # Z_k' r_k / n for the partial residual r_k = e + Z_k theta_k
-            z = (gk + g_kk[k].dot(th_old)) / n if nrm_old > 0.0 else gk / n
+            # V_k' Z_k' r_k / n for the partial residual r_k = e + Z_k theta_k
+            z = gk + g_kk[k].dot(th_old) if nrm_old > 0.0 else gk
             th_new = _solve_block_subproblem(factors[k], z, lam1, nrm_old)
             nrm_new = math.sqrt(th_new.dot(th_new))
             if nrm_old == 0.0 and nrm_new == 0.0:
                 continue            # a zero block that stays zero
             # exact block minimization cannot increase the objective; this
-            # guards against floating-point drift in the running g and e'e:
-            # a step that raises it is halved, at most 20 times, then reverted.
-            # Delta' G_kk Delta reads G[block k rows]' Delta, g's own update
-            base = 0.5 / n * ee + pen[k]
+            # guards against roundoff in the solve: a step that raises it is
+            # halved, at most 20 times, then reverted
+            w = factors[k].w
             for _ in range(21):
                 step = th_new - th_old
-                dg = step.dot(g_rows[k])
-                pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
-                ee_new = ee + float(dg[blocks[k]].dot(step)) - 2.0 * float(step.dot(gk))
-                if 0.5 / n * ee_new + pen_new <= base:
+                change = (0.5 * float(step.dot(w * (th_new + th_old))) - float(step.dot(z))
+                          + lam1 * (nrm_new - nrm_old))
+                if change <= 0.0:
                     break
                 th_new = th_old + 0.5 * step
                 nrm_new = math.sqrt(th_new.dot(th_new))
             else:
-                continue  # revert: keep th_old, g and e'e
+                continue  # revert: keep th_old, g and the objective
             th_old[:] = th_new
             norms[k] = nrm_new
-            pen[k] = pen_new
-            ee = ee_new
-            g -= dg
+            obj += change
+            g -= step.dot(g_rows[k])
 
-        q_new = current_objective()
-        trace.append(q_new)
-        if abs(q_new - trace[-2]) / (1.0 + trace[-2]) < options.tol:
+        trace.append(obj)
+        if abs(obj - trace[-2]) / (1.0 + trace[-2]) < options.tol:
             converged = True
             break
 
-    return _model_fit(design, basis, x, trace, sweeps, converged, METHOD_TV_SELECT, penalty)
+    return _model_fit(design, basis, rotated_back(), trace, sweeps, converged,
+                      METHOD_TV_SELECT, penalty)
 
 
 def _joint_refit(design: DesignBlocks, basis: CenteredSplineBasis, selected,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from tvselect.errors import (
     DimensionError,
     DomainError,
     OracleNonconvergenceError,
-    SingularBlockError,
 )
 from tvselect.simulate import StudyOptions, fit_study_methods, generate, make_scenario
 from tvselect.solver import (
@@ -32,10 +32,10 @@ from tvselect.solver import (
     ModelFit,
     PenaltyConfig,
     SolverOptions,
-    _block_penalty,
     _constant_design,
     _joint_refit,
     _oracle_kkt_residual,
+    _penalty_value,
     _predictor,
     _solve_block_subproblem,
     fit_baseline,
@@ -131,6 +131,11 @@ def test_update_mu_k_zero_column():
         fit_bcd(degenerate, basis, PenaltyConfig(0.1, 0.01), SolverOptions())
 
 
+def solve_in_block_coordinates(factor, z, lambda1, s0=0.0):
+    """The block solve for a correlation z in the block's own coordinates, rotated back."""
+    return factor.v @ _solve_block_subproblem(factor, factor.v.T @ z, lambda1, s0)
+
+
 # the vc-ridge block update: lambda1 = 0 leaves the ridge smoother (G_k + 2 lambda2 Omega)^+ z
 
 
@@ -151,7 +156,7 @@ def test_ridge_smooth_identity_gram():
     Z = Q_mat * np.sqrt(n)
     factor = BlockFactor(*np.linalg.eigh(Z.T @ Z / n))
     r = rng.standard_normal(n)
-    assert np.allclose(_solve_block_subproblem(factor, Z.T @ r / n, 0.0), Z.T @ r / n,
+    assert np.allclose(solve_in_block_coordinates(factor, Z.T @ r / n, 0.0), Z.T @ r / n,
                        atol=1e-12)
 
 
@@ -162,7 +167,7 @@ def test_ridge_smooth_solves_linear_system():
     factor = precompute_block_factors(design, basis, lam2)[1]
     r = rng.standard_normal(design.n)
     rhs = design.Z[1].T @ r / design.n
-    theta = _solve_block_subproblem(factor, rhs, 0.0)
+    theta = solve_in_block_coordinates(factor, rhs, 0.0)
     G = design.Z[1].T @ design.Z[1] / design.n
     lhs = (G + 2 * lam2 * basis.omega) @ theta
     assert np.linalg.norm(lhs - rhs) < 1e-10
@@ -174,15 +179,15 @@ EPS = np.finfo(float).eps
 
 
 def brentq_block_solve(factor, z, lambda1):
-    """Reference block solve: bracketed brentq on the secular equation."""
+    """Reference block solve: bracketed brentq on the secular equation, kept directions only."""
     brentq = pytest.importorskip("scipy.optimize").brentq
+    w, v = factor.w, factor.v
+    zt = (v.T @ z) * factor.kept
     if lambda1 <= 0.0:
-        return factor.solve(z)
-    norm_z = float(np.linalg.norm(z))
+        return v @ (zt * factor.inv_w)
+    norm_z = float(np.linalg.norm(zt))
     if norm_z <= lambda1 * (1.0 + 1e-12):
         return np.zeros_like(z)
-    w, v = factor.w, factor.v
-    zt = v.T @ z
     zt2 = zt * zt
 
     def excess(s):
@@ -237,8 +242,11 @@ def test_block_solve_matches_brentq_reference(seed, log_eigs, lam1, delta, start
         s0 = {"zero": 0.0, "huge": 1e300}[start]
     else:
         s0 = norm_ref * 10.0 ** start
-    theta = _solve_block_subproblem(factor, z, lam1, s0)
+    theta = solve_in_block_coordinates(factor, z, lam1, s0)
     assert theta.any() == ref.any()
+    # the solve drops z's component along the computed null vector, which
+    # eigh mixes with the next eigenvector by up to eps ||M|| / w_1
+    z = factor.v @ ((factor.v.T @ z) * factor.kept)
     norm_z = math.sqrt(z @ z)
     if not ref.any():
         assert norm_z <= lam1 * (1.0 + 1e-12)
@@ -254,21 +262,34 @@ def test_block_solve_matches_brentq_reference(seed, log_eigs, lam1, delta, start
                                     + 64 * EPS * np.linalg.norm(M, 2) * norm_th)
 
 
-def test_block_solve_without_root_raises():
-    # a null-direction component larger than lambda1 keeps h(s) above 1 for
-    # every s: the stationarity equation has no root and must not return,
-    # from any start
+@pytest.mark.parametrize("lam1", [1.0, 1e-16, 1e-300, 0.0])
+def test_block_solve_drops_the_null_directions(lam1):
+    # a component along the truncated null direction is roundoff of a
+    # correlation the data cannot carry: with it the stationarity equation had
+    # no root, and a tiny lambda1 put lambda1/s into theta along it.  From
+    # any start the solve gives what it gives without that component, and
+    # lambda1 = 1e-16 or 1e-300 gives the lambda1 = 0 fit
     M, V, rng = block_with_null_vector(7, [0.0, 1.0, 2.0])
     factor = BlockFactor(*np.linalg.eigh(M))
-    z = 2.0 * V[:, 0] + 0.1 * V[:, 1:] @ rng.standard_normal(3)
+    assert factor.kept.tolist() == [0.0, 1.0, 1.0, 1.0]
+    z_seen = 2.0 * V[:, 1:] @ rng.standard_normal(3)
+    z = z_seen + 2.0 * V[:, 0]
+    want = solve_in_block_coordinates(factor, z_seen, lam1)
     for s0 in (0.0, 0.5, 1e300):
-        with pytest.raises(SingularBlockError):
-            _solve_block_subproblem(factor, z, 1.0, s0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = solve_in_block_coordinates(factor, z, lam1, s0)
+        assert np.linalg.norm(theta - want) <= 1e-13 * np.linalg.norm(want)
+        assert abs(V[:, 0] @ theta) <= 1e-14 * np.linalg.norm(theta)
+    if lam1 < 1e-15:
+        ridge = solve_in_block_coordinates(factor, z, 0.0)
+        assert np.linalg.norm(want - ridge) <= 1e-13 * np.linalg.norm(ridge)
 
 
 def test_block_solve_bisects_when_the_slope_overflows():
-    # at s = 0 the slope sum a_i w_i / lambda1^3 overflows, so the Newton step
-    # is 0; the stop test took it for convergence and divided lambda1 by s = 0
+    # at s = 0 the slope sum a_i w_i / lambda1^3 overflows: its Newton step
+    # was 0, which the stop test took for convergence, dividing lambda1 by
+    # s = 0; the step from 0 is now taken in closed form
     w = np.array([1e290, 1e300])
     z = np.array([1.0, 1.0])
     lam1 = 1e-4
@@ -341,6 +362,26 @@ def test_cached_objective_trace_matches_recomputed_objective(lam1_share, lam2):
     _, basis, design = make_instance(rng, N=10, n_i=4, p=6, q=8)
     pen = PenaltyConfig(lam1_share * lambda1_max(design), lam2)
     fit = fit_bcd(design, basis, pen, SolverOptions(tol=1e-16, max_iter=60))
+    assert fit.iterations > RESIDUAL_REFRESH_EVERY
+    assert np.diff(fit.objective_trace).max() <= 1e-12
+    assert fit.objective_trace[-1] == pytest.approx(objective(design, fit), rel=1e-12)
+
+
+@pytest.mark.parametrize("path", [METHOD_VC_RIDGE, METHOD_GROUP_LASSO, "warm-start"])
+def test_objective_trace_ends_at_the_objective_on_every_path(path):
+    # lambda1 = 0 (vc-ridge), lambda2 = 0 (group-lasso) and a fit warm-started
+    # from another lambda1 share the sweep's one running objective, refreshed
+    # from the rotated Gram at sweep 50; each trace ends at the objective
+    # recomputed on the design rows
+    rng = np.random.default_rng(17)
+    _, basis, design = make_instance(rng, N=10, n_i=4, p=6, q=8)
+    options = SolverOptions(tol=1e-16, max_iter=60)
+    pen = PenaltyConfig(0.3 * lambda1_max(design), 0.05)
+    if path == "warm-start":
+        warm = fit_bcd(design, basis, replace(pen, lambda1=0.5 * lambda1_max(design)), options)
+        fit = fit_bcd(design, basis, pen, options, init=warm)
+    else:
+        fit = fit_baseline(design, basis, path, pen, options)
     assert fit.iterations > RESIDUAL_REFRESH_EVERY
     assert np.diff(fit.objective_trace).max() <= 1e-12
     assert fit.objective_trace[-1] == pytest.approx(objective(design, fit), rel=1e-12)
@@ -637,12 +678,12 @@ def row_form_bcd(design, basis, penalty, options):
         for k in range(p):
             th_old, nrm_old = theta[k], norms[k]
             r = e + Z[k] @ th_old
-            th_new = _solve_block_subproblem(factors[k], Z[k].T @ r / n, lam1, nrm_old)
+            th_new = solve_in_block_coordinates(factors[k], Z[k].T @ r / n, lam1, nrm_old)
             nrm_new = math.sqrt(th_new @ th_new)
             if nrm_old == 0.0 and nrm_new == 0.0:
                 continue
             e_new = r - Z[k] @ th_new
-            pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
+            pen_new = _penalty_value([th_new], penalty, omega)
             ee_new = float(e_new @ e_new)
             base = 0.5 / n * ee + pen[k]
             cand = 0.5 / n * ee_new + pen_new
@@ -651,7 +692,7 @@ def row_form_bcd(design, basis, penalty, options):
                 th_new = th_old + 0.5 * (th_new - th_old)
                 nrm_new = math.sqrt(th_new @ th_new)
                 e_new = r - Z[k] @ th_new
-                pen_new = _block_penalty(th_new, nrm_new, lam1, lam2, omega)
+                pen_new = _penalty_value([th_new], penalty, omega)
                 ee_new = float(e_new @ e_new)
                 cand = 0.5 / n * ee_new + pen_new
                 tries += 1
