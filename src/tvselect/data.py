@@ -113,19 +113,18 @@ class DesignBlocks:
     """Stacked y, X and B = Btilde(t) at each row; no spline block Z_k = diag(x_k) B is stored.
 
     What the design alone determines is formed on first use and shared by its
-    fits: `gram` (the Gram of [A y], A = [C Z_1 ... Z_p]), `cold_constants`,
-    `sweep_tables`, `block_factors` and `rotated_gram`.  A `replace` copy
-    forms its own; `with_gram` sets the Gram.
+    fits: `gram` (the Gram of [A y], A = [C Z_1 ... Z_p]) and `cold_constants`.
+    `solver_slot` belongs to the solver, which keeps there what it derives
+    from the Gram for the last penalty it used; this module never reads it.
+    A `replace` copy forms its own and starts with an empty slot; `with_gram`
+    sets the Gram.
     """
 
     y: np.ndarray
     X: np.ndarray                    # (n, p)
     B: np.ndarray                    # (n, q): Btilde(t) at each row
     intercept_included: bool
-    # (lambda2, Omega bytes) -> the block factorizations, filled by `solver.fit_bcd`
-    block_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the same key -> `solver.rotated_gram` of those factors, for the last key swept only
-    rotated_gram: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    solver_slot: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -175,19 +174,6 @@ class DesignBlocks:
         c = np.linalg.solve(ctc, gram[:m, -1])
         c.setflags(write=False)
         return c
-
-    @cached_property
-    def sweep_tables(self) -> tuple:
-        """(inv(tril(C'C)), [G_kk]) from `gram`: the BCD sweep's and the block factors' tables.
-
-        One Gauss-Seidel pass over the constants is forward substitution with
-        tril(C'C), so inv(tril(C'C)) makes it one product.  Each block's G_kk
-        is a contiguous copy.
-        """
-        m, G = self.p + self.intercept_included, self.gram[:-1, :-1]
-        gauss_seidel = np.linalg.inv(np.tril(G[:m, :m]))
-        gauss_seidel.setflags(write=False)
-        return gauss_seidel, [np.ascontiguousarray(G[cols, cols]) for cols in self.block_slices]
 
     def with_gram(self, gram: np.ndarray) -> DesignBlocks:
         """A copy whose `gram` is the given Gram of [A y], such as a sum of fold Grams.
@@ -421,18 +407,23 @@ def standardize(dataset: LongitudinalDataset, binary_columns=()) -> Longitudinal
     """Scale each covariate column to pooled mean 0, variance 1.
 
     Columns named in `binary_columns` are passed through untouched
-    (center 0, scale 1).  Degenerate (zero-variance) columns raise.
+    (center 0, scale 1).  Degenerate (zero-variance) columns raise, and so do
+    columns whose mean or variance overflows.
     """
     binary = set(binary_columns)
     unknown = binary - set(dataset.covariate_names)
     if unknown:
         raise DegenerateColumnError(f"unknown binary column(s): {sorted(unknown)}")
     _, X, _ = dataset.stacked()
-    center = X.mean(axis=0)
-    scale = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):     # refused below
+        center = X.mean(axis=0)
+        scale = X.std(axis=0)
     for k, name in enumerate(dataset.covariate_names):
         if name in binary:
             center[k], scale[k] = 0.0, 1.0
+        elif not (math.isfinite(center[k]) and math.isfinite(scale[k])):
+            raise DegenerateColumnError(f"covariate '{name}' is too large in magnitude for its "
+                                        "pooled mean and variance; rescale it")
         elif scale[k] == 0.0:
             raise DegenerateColumnError(f"covariate '{name}' has zero pooled variance")
     state = replace(dataset.preprocessing, center=center, scale=scale)

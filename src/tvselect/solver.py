@@ -40,8 +40,8 @@ The sweep runs in covariance form, as glmnet does (Friedman, Hastie &
 Tibshirani 2010, JSS, section 2.2), for the constants and the spline blocks
 alike.  A fit reads only the Gram of [A y] (`design.gram`: G = A'A, A'y and
 y'y, formed once per design in row chunks), rotated and divided by n once
-per design and lambda2 into R'GR/n, R'A'y/n and y'y/n (`rotated_gram`), and
-keeps g = R'A'e/n for the residual e in place of e itself, and one running
+per design and (lambda2, Omega) into R'GR/n, R'A'y/n and y'y/n, and keeps
+g = R'A'e/n for the residual e in place of e itself, and one running
 objective.  A coordinate or block reads its correlation with its partial
 residual from g and R'GR/n, and a step Delta on its coordinates moves g by
 (R'GR/n)[its rows]' Delta.  A block step t_old -> t_new changes the
@@ -53,20 +53,20 @@ which the step's halving guard and the running objective read: no rotation
 in or out and no Omega product per update.  R leaves the m constants as
 they are; the Gauss-Seidel pass over them is forward substitution with
 tril(C'C), so it is one product with inv(tril(C'C)).  The design keeps what
-it alone determines: the cold start from G[:m, :m] = C'C (`cold_constants`,
-which `lambda1_max` reads too and which refuses unidentified constants),
-inv(tril(C'C)) and each block's G_kk (`sweep_tables`), the block
-factorizations of each (lambda2, Omega) from the G_kk (`block_factors`), and
-the rotated Gram of the one it last swept (`design.rotated_gram`), so that
-memory does not grow with a lambda2 grid.  The sweep updates R'x in place
-through the views c and t_k; `_solve_block_subproblem` holds the only zero
-test.  Cross-validation sums the held-out designs' own Grams into each
-training Gram and the refit's (`tuning.tune_cv`).  g = (R'A'y - R'GR R'x)/n
-and the objective, from e'e = y'y - x'A'y - x'A'e and theta = V_k t_k, are
-recomputed at the start of each fit and every 50 sweeps, to cap
-floating-point drift.  x is rotated back once, for the fit.
+it alone determines, the cold start from G[:m, :m] = C'C (`cold_constants`,
+which `lambda1_max` reads too and which refuses unidentified constants).
+One function, `_sweep_tables`, forms the rest of what a sweep reads for one
+(lambda2, Omega): the block factorizations, inv(tril(C'C)) and the rotated
+Gram.  The design's one slot keeps the tables of the last (lambda2, Omega)
+swept, so that memory does not grow with a lambda2 grid.  The sweep updates
+R'x in place through the views c and t_k; `_solve_block_subproblem` holds
+the only zero test.  Cross-validation sums the held-out designs' own Grams
+into each training Gram and the refit's (`tuning.tune_cv`).
+g = (R'A'y - R'GR R'x)/n and the objective, from e'e = y'y - x'A'y - x'A'e
+and theta = V_k t_k, are recomputed at the start of each fit and every 50
+sweeps, to cap floating-point drift.  x is rotated back once, for the fit.
 
-The block factorizations read each G_kk from `sweep_tables`.  The
+The block factorizations read each G_kk from `design.gram`.  The
 screen-refit and `fit_oracle`'s Newton polish read the smooth part's Hessian
 on their columns from the same Gram (`smooth_hessian`), and a singular
 system gets its minimum-norm solution.
@@ -217,7 +217,7 @@ def smooth_hessian(design: DesignBlocks, omega: np.ndarray, lambda2: float, bloc
 
 def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
                              lambda2: float) -> list[BlockFactor]:
-    """One factorization of G_kk/n + 2*lambda2*Omega per block, G_kk from `sweep_tables`.
+    """One factorization of G_kk/n + 2*lambda2*Omega per block, G_kk from `design.gram`.
 
     A lambda2 so large that the sum overflows raises `ConfigurationError`.  The
     cutoff should drop only the ones vector, null in both terms.  Omega is also
@@ -228,7 +228,7 @@ def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
     lambda2.  The computed ones vector, mixed with its neighbours by
     roundoff, carries under 1e-7 of it.
     """
-    g_kk = np.stack(design.sweep_tables[1]) / design.n
+    g_kk = np.stack([design.gram[cols, cols] for cols in design.block_slices]) / design.n
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = g_kk + 2.0 * lambda2 * basis.omega
     if not np.isfinite(stacked).all():
@@ -245,24 +245,36 @@ def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
     return factors
 
 
-def rotated_gram(design: DesignBlocks, factors) -> tuple:
-    """The Gram of [A y] over n in the sweep's coordinates, for the block factors of one lambda2.
+def _sweep_tables(design: DesignBlocks, basis: CenteredSplineBasis, lambda2: float) -> tuple:
+    """Everything a sweep reads for one design and one (lambda2, Omega), formed once.
 
-    For R = blockdiag(I_m, V_1, ..., V_p), returns R'GR/n as one contiguous
-    array, so that each block's rows are a contiguous view, then R'A'y/n,
-    y'y/n and each block's diagonal block (R'GR/n)_kk as a contiguous copy.
+    Returns the block factors (`precompute_block_factors`), inv(tril(C'C))
+    for the Gauss-Seidel pass over the constants, and the Gram of [A y] over
+    n in the sweep's coordinates: for R = blockdiag(I_m, V_1, ..., V_p),
+    R'GR/n as one contiguous array, so that each block's rows are a
+    contiguous view, then R'A'y/n, y'y/n and each block's diagonal block
+    (R'GR/n)_kk as a contiguous copy.  The design's one slot
+    (`DesignBlocks.solver_slot`) keeps the tables of the last
+    (lambda2, Omega) asked for, so memory does not grow with a lambda2 grid.
     """
-    gram, n = design.gram, design.n
+    key, slot = (lambda2, basis.omega.tobytes()), design.solver_slot
+    if key in slot:
+        return slot[key]
+    slot.clear()
+    factors = precompute_block_factors(design, basis, lambda2)
+    gram, n, m = design.gram, design.n, design.p + design.intercept_included
+    gauss_seidel = np.linalg.inv(np.tril(gram[:m, :m]))
     G, aty = gram[:-1, :-1] / n, gram[:-1, -1] / n
     for cols, factor in zip(design.block_slices, factors):
         G[:, cols] = G[:, cols].dot(factor.v)
         aty[cols] = factor.v.T.dot(aty[cols])
     for cols, factor in zip(design.block_slices, factors):
         G[cols] = factor.v.T.dot(G[cols])
-    for arr in (G, aty):
+    for arr in (gauss_seidel, G, aty):
         arr.setflags(write=False)
-    return G, aty, float(gram[-1, -1]) / n, [np.ascontiguousarray(G[cols, cols])
-                                           for cols in design.block_slices]
+    slot[key] = (factors, gauss_seidel, G, aty, float(gram[-1, -1]) / n,
+                 [np.ascontiguousarray(G[cols, cols]) for cols in design.block_slices])
+    return slot[key]
 
 
 def _solve_block_subproblem(factor: BlockFactor, zt: np.ndarray, lambda1: float,
@@ -430,10 +442,10 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     design C = [1 X] (intercept = column 0; X alone without an intercept),
     then one exact solve per spline block, all in covariance form on the
     rotated coefficients xt = R'x, R = blockdiag(I_m, V_1, ..., V_p): the fit
-    reads only the rotated Gram of [A y] over n (`rotated_gram`, built from
-    `design.gram` and the block factors once per lambda2) and the tables
-    every fit on the design shares (`sweep_tables`, `block_factors`), and
-    keeps g = R'A'e/n and the objective.  It updates xt in place, through
+    reads only the tables of its (lambda2, Omega) (`_sweep_tables`: the block
+    factors, inv(tril(C'C)) and the rotated Gram of [A y] over n, formed from
+    `design.gram` once while the design's slot holds them), and keeps
+    g = R'A'e/n and the objective.  It updates xt in place, through
     the views c = xt[:m] and t_k.  The constants move by
     dc = inv(tril(C'C)) n g[:m], the step of the sequential pass.  Block k
     solves with zt = g_k + (R'GR/n)_kk t_k (the solve holds the only zero
@@ -455,15 +467,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     lam1 = penalty.lambda1
 
     m, blocks = len(design.cold_constants), design.block_slices
-    gauss_seidel = design.sweep_tables[0]
-    key = (penalty.lambda2, omega.tobytes())
-    if key not in design.block_factors:
-        design.block_factors[key] = precompute_block_factors(design, basis, penalty.lambda2)
-    factors = design.block_factors[key]
-    if key not in design.rotated_gram:
-        design.rotated_gram.clear()         # one live rotated Gram: the last lambda2 swept
-        design.rotated_gram[key] = rotated_gram(design, factors)
-    G, aty, yty, g_kk = design.rotated_gram[key]
+    factors, gauss_seidel, G, aty, yty, g_kk = _sweep_tables(design, basis, penalty.lambda2)
     c_rows, g_rows = G[:m], [G[cols] for cols in blocks]
 
     if init is not None:

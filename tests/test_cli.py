@@ -1126,6 +1126,22 @@ def test_covariate_whose_squares_underflow_exit_code_2(tmp_path, capsys, command
     assert not (out / "fit.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["fit", "--lambda1", "0.05"], ["tune"]], ids=["fit", "tune"])
+@pytest.mark.parametrize("factor", [1e160, 1e300])
+def test_covariate_whose_variance_overflows_exit_code_2(train_csv, tmp_path, capsys, command,
+                                                        factor):
+    # standardizing printed numpy's "overflow encountered in square", and the
+    # zero columns it left were then reported as constant within every subject
+    path = scale_column(train_csv, 3, factor, tmp_path / "big.csv")
+    out = tmp_path / "o"
+    rc = main([*command, "--data", str(path), "--out", str(out), "--knots", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: covariate 'x1' is too large in magnitude") and "rescale" in err
+    assert not (out / "fit.json").exists()
+
+
 def test_utf8_byte_order_mark_is_skipped(train_csv, tmp_path, capsys):
     text = train_csv.read_text(encoding="utf-8")
     bom = tmp_path / "bom.csv"

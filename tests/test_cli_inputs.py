@@ -12,7 +12,8 @@ one command through `cli.main`:
 - subject ids quoted, or given a trailing NUL;
 - a number of the artifact scaled by 10^+-160, 10^+-300, -1 or 0, a field
   given a string, or a field dropped;
-- extreme --lambda1, --lambda2, --degree and --knots values.
+- extreme --lambda1, --lambda2, --degree and --knots values, and a
+  --max-iter of 0, 1 or the default 500.
 
 `main` must return 0 with finite values in every output (a `surface.csv`
 cell may be NaN only for a grid point that a `warning:` line reports as
@@ -237,6 +238,7 @@ command_options = st.fixed_dictionaries({
     "degree": st.sampled_from(["0", "1", "3", "9"]),
     "knots": st.sampled_from(["0", "1", "2", "40"]),
     "placement": st.sampled_from(["equal", "quantile"]),
+    "max_iter": st.sampled_from(["0", "1", "500"]),
     "flags": st.lists(st.sampled_from(["--no-standardize", "--no-demean"]), unique=True),
     "grid": st.booleans(),
 })
@@ -249,7 +251,8 @@ def argv_for(opts, data, artifact, out):
         return argv + (["--data", data] if command == "predict" else [])
     argv = ["fit" if command == "fit" else "tune", "--data", data, "--out", out,
             "--degree", opts["degree"], "--knots", opts["knots"],
-            "--knot-placement", opts["placement"], *opts["flags"]]
+            "--knot-placement", opts["placement"], "--max-iter", opts["max_iter"],
+            *opts["flags"]]
     if command == "fit":
         return argv + ["--lambda1", opts["lambda1"], "--lambda2", opts["lambda2"]]
     argv += ["--lambda2-grid", f"{opts['lambda2']},1e-4"]

@@ -38,6 +38,7 @@ from tvselect.solver import (
     _penalty_value,
     _predictor,
     _solve_block_subproblem,
+    _sweep_tables,
     fit_baseline,
     fit_bcd,
     fit_oracle,
@@ -513,15 +514,20 @@ def test_non_finite_gram_is_refused():
 
 
 def test_design_gram_is_formed_once_per_design(monkeypatch):
-    # every method of a study replication reads the one Gram of its design,
-    # its one cold start (one eigen check of C'C) and one factor set per
-    # lambda2: the tv-select grid's, which vc-ridge reuses, and lambda2 = 0,
-    # shared by group-lasso and screen-refit
-    calls, factors, eigen_checks = [], [], []
+    # every method of a study replication reads the one Gram of its design and
+    # its one cold start (one eigen check of C'C); the design keeps the sweep
+    # tables of the last lambda2 swept only, so the tv-select grid forms one
+    # factor set per lambda2, group-lasso and screen-refit share the one of
+    # lambda2 = 0, and vc-ridge forms the grid's again
+    calls, factors, eigen_checks, factored = [], [], [], []
 
     def counted(design):
         calls.append(design.n)
         return real(design)
+
+    def counted_factors(design, basis, lambda2):
+        factored.append(lambda2)
+        return real_factors(design, basis, lambda2)
 
     class CountedFactor(BlockFactor):
         def __init__(self, w, v):
@@ -536,7 +542,9 @@ def test_design_gram_is_formed_once_per_design(monkeypatch):
     basis = build_basis(SplineConfig.from_q(spec.q))
     design = build_design(standardize(generate(spec, seed=5)), basis)
     real, real_eigvalsh = data.design_gram, np.linalg.eigvalsh
+    real_factors = solver.precompute_block_factors
     monkeypatch.setattr(data, "design_gram", counted)
+    monkeypatch.setattr(solver, "precompute_block_factors", counted_factors)
     monkeypatch.setattr(solver, "BlockFactor", CountedFactor)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     opts = StudyOptions(lambda1_count=3, lambda2_values=(1e-2, 1e-4), n_test=50)
@@ -544,8 +552,9 @@ def test_design_gram_is_formed_once_per_design(monkeypatch):
     assert sorted(fits) == sorted(opts.methods)
     assert all(fit.method == method for method, fit in fits.items())
     assert calls == [design.n]
-    assert len(factors) == (len(opts.lambda2_values) + 1) * design.p
-    assert sorted(lam2 for lam2, _ in design.block_factors) == [0.0, 1e-4, 1e-2]
+    assert len(factors) == (2 * len(opts.lambda2_values) + 1) * design.p
+    assert factored == [1e-2, 1e-4, 0.0, 1e-2, 1e-4]
+    assert list(design.solver_slot) == [(1e-4, basis.omega.tobytes())]
     assert eigen_checks == [(design.p + 1, design.p + 1)]
     with pytest.raises(ValueError):
         design.gram[0, 0] = 1.0
@@ -554,7 +563,7 @@ def test_design_gram_is_formed_once_per_design(monkeypatch):
 
 
 def test_replaced_design_forms_its_own_gram():
-    # a copy forms its own Gram, cold start and factors, never its source's
+    # a copy forms its own Gram, cold start and sweep tables, never its source's
     rng = np.random.default_rng(43)
     _, basis, design = make_instance(rng)
     pen = PenaltyConfig(0.1, 0.01)
@@ -563,11 +572,13 @@ def test_replaced_design_forms_its_own_gram():
     no_intercept = replace(design, intercept_included=False)
     scaled = design.with_gram(2.0 * design.gram)
     for copy in (no_intercept, scaled):
-        assert copy.block_factors == {} and "cold_constants" not in vars(copy)
+        assert copy.solver_slot == {} and "cold_constants" not in vars(copy)
         fit_bcd(copy, basis, pen)
         assert len(copy.cold_constants) == design.p + copy.intercept_included
-        (key, mine), = copy.block_factors.items()
-        assert all(a is not b for a, b in zip(mine, design.block_factors[key]))
+        (key, mine), = copy.solver_slot.items()
+        theirs = design.solver_slot[key]
+        assert all(a is not b for a, b in zip(mine[0], theirs[0]))      # block factors
+        assert all(a is not b for a, b in zip(mine[1:4], theirs[1:4]))  # and arrays
     assert np.array_equal(no_intercept.gram, design_gram(no_intercept))
     assert no_intercept.gram.shape[0] == design.gram.shape[0] - 1
     assert np.array_equal(scaled.cold_constants, np.linalg.solve(
@@ -598,8 +609,22 @@ def test_fits_from_the_design_cache_match_fits_on_a_fresh_design(method):
         assert got.beta0 == want.beta0 and np.array_equal(got.mu, want.mu)
         assert np.array_equal(np.array(got.theta), np.array(want.theta))
         assert np.array_equal(got.objective_trace, want.objective_trace)
-    omegas = {omega for _, omega in design.block_factors}
-    assert omegas == {basis.omega.tobytes(), other.omega.tobytes()}
+        assert [omega for _, omega in design.solver_slot] == [b.omega.tobytes()]
+
+
+def test_a_design_keeps_the_sweep_tables_of_the_last_penalty_only():
+    # one slot per design: a fit at a new (lambda2, Omega) replaces the tables,
+    # and a fit at the same one reads them again without forming them
+    rng = np.random.default_rng(45)
+    ds, basis, design = make_instance(rng)
+    other = build_basis(SplineConfig(num_internal_knots=basis.q - 4,
+                                     knot_placement=TIME_QUANTILES), observed_times=ds.times)
+    for b, lam2 in ((basis, 1e-2), (basis, 1e-4), (basis, 0.0), (other, 0.0), (basis, 1e-2)):
+        fit_bcd(design, b, PenaltyConfig(0.1 * lambda1_max(design), lam2))
+        assert list(design.solver_slot) == [(lam2, b.omega.tobytes())]
+    tables = design.solver_slot[(1e-2, basis.omega.tobytes())]
+    fit_baseline(design, basis, METHOD_VC_RIDGE, PenaltyConfig(0.0, 1e-2))
+    assert _sweep_tables(design, basis, 1e-2) is tables and len(design.solver_slot) == 1
 
 
 def gauss_seidel_pass(ctc, cte):
@@ -619,15 +644,15 @@ def gauss_seidel_pass(ctc, cte):
 @pytest.mark.parametrize("intercept", [True, False])
 @pytest.mark.parametrize("seed", range(3))
 def test_constants_step_is_one_gauss_seidel_pass(seed, intercept):
-    # the design's inv(tril(C'C)) gives in one product the step of the
+    # the sweep tables' inv(tril(C'C)) gives in one product the step of the
     # sequential pass that `row_form_bcd` runs
     rng = np.random.default_rng(70 + seed)
-    _, _, design = make_instance(rng, N=15, n_i=4, p=2 + 2 * seed, q=6)
+    _, basis, design = make_instance(rng, N=15, n_i=4, p=2 + 2 * seed, q=6)
     design = replace(design, intercept_included=intercept)
     m = design.p + intercept
     ctc = design.gram[:m, :m]
     assert np.linalg.cond(ctc) < 1e3
-    gauss_seidel = design.sweep_tables[0]
+    gauss_seidel = _sweep_tables(design, basis, 0.0)[1]
     for cte in rng.standard_normal((5, m)) * 10.0 ** rng.uniform(-3, 3, (5, 1)):
         want = gauss_seidel_pass(ctc, cte)
         assert np.linalg.norm(gauss_seidel.dot(cte) - want) <= 1e-13 * np.linalg.norm(want)
@@ -911,7 +936,7 @@ def test_smooth_hessian_matches_the_rows(intercept, blocks):
 @pytest.mark.parametrize("intercept", [True, False])
 @pytest.mark.parametrize("lam2", [0.0, 0.3])
 def test_block_factors_are_the_smooth_hessians_diagonal_blocks(intercept, lam2):
-    # the factorizations read G_kk from the design's sweep tables, with the same bits
+    # the factorizations read G_kk from the design's Gram, with the same bits
     rng = np.random.default_rng(63)
     _, basis, design = make_instance(rng, q=7)
     design = replace(design, intercept_included=intercept)

@@ -223,21 +223,21 @@ def test_model_fits_are_built_in_one_place():
 
 def test_the_oracle_stays_independent_of_the_sweep():
     # fit_oracle certifies fit_bcd, so neither it, its polish nor its KKT residual
-    # may reach the sweep's block solve, factorizations, tables, Gram, rotated
-    # Gram or cold start; the certificate's gradient is computed on the design
-    # rows, and the polish's Hessian is the one thing the oracle takes from the Gram
+    # may reach the sweep's block solve, factorizations, tables (which hold the
+    # rotated Gram), the design's slot for them, the Gram or the cold start; the
+    # certificate's gradient is computed on the design rows, and the polish's
+    # Hessian is the one thing the oracle takes from the Gram
     tree = dict(module_trees())["solver.py"]
     oracle = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
               and node.name in ("fit_oracle", "_active_set_polish", "_oracle_kkt_residual")}
     assert len(oracle) == 3
     calls = [f"{name}->{callee}" for name, node in oracle.items()
              for callee in ("fit_bcd", "_solve_block_subproblem", "precompute_block_factors",
-                            "rotated_gram")
+                            "_sweep_tables")
              if calls_by_function(node, callee)]
     reads = [f"{name}->{ref}" for name, node in oracle.items() for sub in ast.walk(node)
              for ref in (getattr(sub, "attr", None), getattr(sub, "id", None))
-             if ref in ("sweep_tables", "block_factors", "rotated_gram", "gram",
-                        "cold_constants")]
+             if ref in ("_sweep_tables", "solver_slot", "gram", "cold_constants")]
     assert calls == [] and reads == []
     assert len(calls_by_function(oracle["fit_oracle"], "smooth_hessian")) == 1
 
