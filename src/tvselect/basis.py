@@ -76,10 +76,10 @@ def _interior_knots(config: SplineConfig, observed_times) -> np.ndarray:
         raise DegenerateDesignError(
             "observed times put a quantile knot at an end of [0,1], where too many rows "
             "share the first or the last time; use fewer or equally spaced knots")
-    if np.unique(knots).size < K:
+    distinct = 1 + np.count_nonzero(np.diff(knots))     # ascending probs: equal knots adjoin
+    if distinct < K:
         raise DegenerateDesignError(
-            f"observed times yield only {np.unique(knots).size} distinct quantile knots, need {K}"
-        )
+            f"observed times yield only {distinct} distinct quantile knots, need {K}")
     return knots
 
 
@@ -221,7 +221,7 @@ def build_basis_from_interior(config: SplineConfig, interior_knots) -> CenteredS
     knots = np.concatenate([np.zeros(d + 1), interior, np.ones(d + 1)])
     q = config.q
 
-    breakpts = np.unique(knots)[:, None]
+    breakpts = np.concatenate([[0.0], interior, [1.0]])[:, None]    # the distinct knots
     a, b = breakpts[:-1], breakpts[1:]
     x_ref, w_ref = np.polynomial.legendre.leggauss(d + 1)
     x = (0.5 * (b - a) * x_ref + 0.5 * (a + b)).ravel()

@@ -21,7 +21,8 @@ import numpy as np
 from . import artifact
 from .basis import EQUALLY_SPACED, TIME_QUANTILES, SplineConfig, build_basis
 from .data import build_design, demean_within_subject, load_long_csv, standardize
-from .errors import DegenerateColumnError, ParseError, TVSelectError, UsageError
+from .errors import (ConfigurationError, DegenerateColumnError, ParseError, TVSelectError,
+                     UsageError)
 from .simulate import (
     CURVE_GRID_SIZE,
     StudyOptions,
@@ -157,12 +158,6 @@ def _prepare_dataset(cfg):
     return dataset
 
 
-def _basis_for(cfg, dataset):
-    config = SplineConfig(degree=cfg["degree"], num_internal_knots=cfg["knots"],
-                          knot_placement=cfg["knot_placement"])
-    return build_basis(config, observed_times=dataset.times)
-
-
 def _descending(text, default=()) -> tuple:
     """Comma-separated finite floats sorted descending; empty text gives `default`."""
     items = str(text).split(",") if text != "" else default
@@ -175,8 +170,15 @@ def _descending(text, default=()) -> tuple:
     return tuple(sorted(values, reverse=True))
 
 
-def _solver_options(cfg) -> SolverOptions:
-    return SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
+def _model_settings(cfg) -> tuple:
+    """(SplineConfig, SolverOptions) of `fit` and `tune`, and the threshold multiplier checked.
+
+    Built before the data are read, so a bad setting is named ahead of any data error.
+    """
+    threshold(2, 1, cfg["threshold_multiplier"])   # classify's check needs no real n or p
+    spline = SplineConfig(degree=cfg["degree"], num_internal_knots=cfg["knots"],
+                          knot_placement=cfg["knot_placement"])
+    return spline, SolverOptions(tol=cfg["tol"], max_iter=cfg["max_iter"])
 
 
 def _write_partition_report(path, part, names):
@@ -190,11 +192,6 @@ def _write_partition_report(path, part, names):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _check_threshold_multiplier(cfg) -> None:
-    """Refuse a --threshold-multiplier that `classify` would refuse, before any fit runs."""
-    threshold(2, 1, cfg["threshold_multiplier"])   # the check needs no real n or p
 
 
 def _write_fit_outputs(cfg, fit, dataset):
@@ -212,12 +209,11 @@ def _write_fit_outputs(cfg, fit, dataset):
 
 
 def cmd_fit(cfg) -> int:
-    _check_threshold_multiplier(cfg)
-    dataset = _prepare_dataset(cfg)
-    basis = _basis_for(cfg, dataset)
-    design = build_design(dataset, basis)
+    spline, options = _model_settings(cfg)
     penalty = PenaltyConfig(lambda1=cfg["lambda1"], lambda2=cfg["lambda2"])
-    options = _solver_options(cfg)
+    dataset = _prepare_dataset(cfg)
+    basis = build_basis(spline, observed_times=dataset.times)
+    design = build_design(dataset, basis)
     if cfg["method"] == METHOD_TV_SELECT:
         fit = fit_bcd(design, basis, penalty, options)
     else:
@@ -231,16 +227,17 @@ def cmd_fit(cfg) -> int:
 
 
 def cmd_tune(cfg) -> int:
-    _check_threshold_multiplier(cfg)
-    dataset = _prepare_dataset(cfg)
-    basis = _basis_for(cfg, dataset)
-    design = build_design(dataset, basis)
-    options = _solver_options(cfg)
+    spline, options = _model_settings(cfg)
     lam2 = _descending(cfg["lambda2_grid"], DEFAULT_LAMBDA2_GRID)
-    if cfg["lambda1_grid"]:
-        grid = TuningGrid(_descending(cfg["lambda1_grid"]), lam2, gamma=cfg["gamma"])
-    else:
-        grid = default_grid(design, gamma=cfg["gamma"], lambda2_values=lam2)
+    # checked before the data are read; (0,) stands in for a default lambda1 path
+    grid = TuningGrid(_descending(cfg["lambda1_grid"], (0.0,)), lam2, gamma=cfg["gamma"])
+    if cfg["criterion"] == "cv" and cfg["cv_folds"] < 2:
+        raise ConfigurationError("--cv-folds must be at least 2")
+    dataset = _prepare_dataset(cfg)
+    basis = build_basis(spline, observed_times=dataset.times)
+    design = build_design(dataset, basis)
+    if not cfg["lambda1_grid"]:
+        grid = default_grid(design, gamma=grid.gamma, lambda2_values=lam2)
     if cfg["criterion"] == "ebic":
         result = tune_ebic(design, basis, grid, options)
     else:

@@ -408,7 +408,7 @@ def standardize(dataset: LongitudinalDataset, binary_columns=()) -> Longitudinal
 
     Columns named in `binary_columns` are passed through untouched
     (center 0, scale 1).  Degenerate (zero-variance) columns raise, and so do
-    columns whose mean or variance overflows.
+    columns whose mean or variance overflows, or whose variance underflows.
     """
     binary = set(binary_columns)
     unknown = binary - set(dataset.covariate_names)
@@ -424,6 +424,9 @@ def standardize(dataset: LongitudinalDataset, binary_columns=()) -> Longitudinal
         elif not (math.isfinite(center[k]) and math.isfinite(scale[k])):
             raise DegenerateColumnError(f"covariate '{name}' is too large in magnitude for its "
                                         "pooled mean and variance; rescale it")
+        elif scale[k] == 0.0 and np.ptp(X[:, k]) > 0.0:
+            raise DegenerateColumnError(f"covariate '{name}' is too small in magnitude for its "
+                                        "pooled variance; rescale it")
         elif scale[k] == 0.0:
             raise DegenerateColumnError(f"covariate '{name}' has zero pooled variance")
     state = replace(dataset.preprocessing, center=center, scale=scale)

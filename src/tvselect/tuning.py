@@ -152,14 +152,17 @@ def _check_grid(grid: TuningGrid, method: str) -> None:
         raise ConfigurationError("vc-ridge tunes lambda2 only; use lambda1_values=(0,)")
 
 
-def _fit_grid(design, basis, grid, options, method):
+def _fit_grid(design, basis, grid, options, method, score):
     """All grid fits on one design, warm-started down the lambda1 path at fixed lambda2.
 
-    Returns the fits and each failed fit's reason, keyed by grid index (i, j).
+    Each fit is scored as its column runs: `surface[i, j] = score(fit)`.
+    Returns (surface, fits, failed, nonconverged); the last three are keyed
+    by grid index (i, j), the last two give the reason of each point whose
+    fit failed (its cell stays NaN) or stopped at max_iter (its cell is kept).
     A `UsageError` aborts the grid instead.
     """
-    fits = {}
-    failures = {}
+    surface = np.full((len(grid.lambda1_values), len(grid.lambda2_values)), np.nan)
+    fits, failed, nonconverged = {}, {}, {}
     for j, lam2 in enumerate(grid.lambda2_values):
         warm = None
         for i, lam1 in enumerate(grid.lambda1_values):
@@ -169,45 +172,44 @@ def _fit_grid(design, basis, grid, options, method):
                     fit = fit_bcd(design, basis, pen, options, init=warm)
                 else:
                     fit = fit_baseline(design, basis, method, pen, options, init=warm)
-                fits[(i, j)] = fit
-                warm = fit
             except UsageError:
                 raise       # a property of the design or options: every point would fail
             except (TVSelectError, np.linalg.LinAlgError) as exc:
                 # numerical failure: keep scanning; the result records the point
-                failures[(i, j)] = f"{type(exc).__name__}: {exc}"
+                failed[(i, j)] = f"{type(exc).__name__}: {exc}"
+                continue
+            surface[i, j] = score(fit)
+            fits[(i, j)] = warm = fit
+            if not fit.converged:
+                nonconverged[(i, j)] = f"stopped at max_iter={fit.iterations}"
     if not fits:
-        raise TuningError(f"all {len(failures)} grid fits failed; "
-                          f"first error: {next(iter(failures.values()))}")
-    return fits, failures
+        raise TuningError(f"all {len(failed)} grid fits failed; "
+                          f"first error: {next(iter(failed.values()))}")
+    return surface, fits, failed, nonconverged
 
 
-def _nonconverged(fits) -> dict:
-    """(i, j) -> reason for each fit that stopped at max_iter before meeting `tol`."""
-    return {ij: f"stopped at max_iter={fit.iterations}"
-            for ij, fit in fits.items() if not fit.converged}
-
-
-def _by_point(reasons: dict) -> tuple:
-    return tuple((*ij, reason) for ij, reason in sorted(reasons.items()))
+def _tuning_result(grid, surface, fit_at, criterion, failed, nonconverged) -> TuningResult:
+    """The result at the tie-broken argmin (i, j) of `surface`, whose fit is `fit_at(i, j)`."""
+    i, j = _argmin_with_tiebreak(surface)
+    best_fit = fit_at(i, j)
+    surface.setflags(write=False)
+    return TuningResult(
+        best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],
+        criterion_surface=surface, best_fit=best_fit, grid=grid, criterion=criterion,
+        failed_points=tuple((*ij, why) for ij, why in sorted(failed.items())),
+        nonconverged=tuple((*ij, why) for ij, why in sorted(nonconverged.items())),
+    )
 
 
 def tune_ebic(design: DesignBlocks, basis: CenteredSplineBasis, grid: TuningGrid,
               options: SolverOptions = SolverOptions(),
               method: str = METHOD_TV_SELECT) -> TuningResult:
-    """Fit every grid point and return the EBIC minimizer."""
+    """Fit every grid point, scoring each fit's EBIC as it is made, and return the minimizer."""
     _check_grid(grid, method)
-    fits, failures = _fit_grid(design, basis, grid, options, method)
-    surface = np.full((len(grid.lambda1_values), len(grid.lambda2_values)), np.nan)
-    for (i, j), fit in fits.items():
-        surface[i, j] = ebic(fit, design, grid.gamma)
-    i, j = _argmin_with_tiebreak(surface)
-    surface.setflags(write=False)
-    return TuningResult(
-        best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],
-        criterion_surface=surface, best_fit=fits[(i, j)], grid=grid, criterion="ebic",
-        failed_points=_by_point(failures), nonconverged=_by_point(_nonconverged(fits)),
-    )
+    surface, fits, failed, nonconverged = _fit_grid(
+        design, basis, grid, options, method, lambda fit: ebic(fit, design, grid.gamma))
+    return _tuning_result(grid, surface, lambda i, j: fits[(i, j)], "ebic", failed,
+                          nonconverged)
 
 
 def subject_folds(subject_ids, n_folds: int, seed) -> list[list[str]]:
@@ -228,10 +230,11 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     """Subject-wise K-fold cross-validation of tv-select on mean squared prediction error.
 
     The dataset is used exactly as preprocessed by the caller; whole subjects
-    are held out, and the winning pair is refit on the full data.  Every row
-    is held out once, so a grid point fitted in all K folds scores its
-    squared errors summed over the held-out rows divided by n.  A grid point
-    whose fit failed in any fold is NaN in the surface, and `failed_points`
+    are held out, and the winning pair is refit on the full data.  Each
+    training fit is scored by its squared errors summed over the held-out
+    rows as its column runs, and the fold surfaces are summed; every row is
+    held out once, so the surface is that sum divided by n.  A grid point
+    whose fit failed in any fold is NaN in the sum, and `failed_points`
     gives the first fold it failed in and why; `nonconverged` gives the first
     fold a point's fit stopped at max_iter in.  Each held-out design's own
     Gram of [A y] (G, A'y and y'y) is its fold's Gram; fold f trains on a
@@ -242,29 +245,24 @@ def tune_cv(dataset: LongitudinalDataset, basis: CenteredSplineBasis, grid: Tuni
     held_out_designs = [build_design(subset_subjects(dataset, held_out), basis)
                         for held_out in folds]
     fold_grams = [d_test.gram for d_test in held_out_designs]
-    shape = (len(grid.lambda1_values), len(grid.lambda2_values))
-    sq_err = np.zeros(shape)
-    folds_ok = np.zeros(shape, dtype=int)
-    failed, nonconverged = {}, {}
+    fold_sq_err, failed, nonconverged = [], {}, {}
     for f, (held_out, d_test) in enumerate(zip(folds, held_out_designs)):
         d_train = build_design(subset_subjects(dataset, held_out, others=True), basis).with_gram(
             sum(G for g, G in enumerate(fold_grams) if g != f))
-        fits, failures = _fit_grid(d_train, basis, grid, options, METHOD_TV_SELECT)
-        for found, reasons in ((failed, failures), (nonconverged, _nonconverged(fits))):
+        sq_err, _, fold_failed, fold_nonconverged = _fit_grid(
+            d_train, basis, grid, options, METHOD_TV_SELECT,
+            lambda fit: float(np.sum(residuals(d_test, fit) ** 2)))
+        fold_sq_err.append(sq_err)
+        for found, reasons in ((failed, fold_failed), (nonconverged, fold_nonconverged)):
             for ij, reason in reasons.items():
                 found.setdefault(ij, f"fold {f + 1} of {len(folds)}: {reason}")
-        for (i, j), fit in fits.items():
-            sq_err[i, j] += float(np.sum(residuals(d_test, fit) ** 2))
-            folds_ok[i, j] += 1
         del d_train         # freed before the next fold's training design is built
-    surface = np.where(folds_ok == len(folds), sq_err / dataset.n_total, np.nan)
-    i, j = _argmin_with_tiebreak(surface)
-    pen = PenaltyConfig(lambda1=grid.lambda1_values[i], lambda2=grid.lambda2_values[j])
-    best_fit = fit_bcd(build_design(dataset, basis).with_gram(sum(fold_grams)), basis, pen,
+
+    def refit(i, j):
+        pen = PenaltyConfig(lambda1=grid.lambda1_values[i], lambda2=grid.lambda2_values[j])
+        return fit_bcd(build_design(dataset, basis).with_gram(sum(fold_grams)), basis, pen,
                        options)
-    surface.setflags(write=False)
-    return TuningResult(
-        best_lambda1=grid.lambda1_values[i], best_lambda2=grid.lambda2_values[j],
-        criterion_surface=surface, best_fit=best_fit, grid=grid, criterion="cv-mspe",
-        failed_points=_by_point(failed), nonconverged=_by_point(nonconverged),
-    )
+
+    # a point that failed in any fold is NaN in its fold's surface, so in the sum
+    return _tuning_result(grid, sum(fold_sq_err) / dataset.n_total, refit, "cv-mspe", failed,
+                          nonconverged)

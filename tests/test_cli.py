@@ -804,6 +804,29 @@ def test_tune_refuses_bad_threshold_multiplier_before_fitting(train_csv, tmp_pat
     assert not (out / "surface.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--max-iter", "0"], "max_iter"),
+    (["fit", "--tol", "0"], "tol"),
+    (["fit", "--lambda1", "-1"], "penalty levels"),
+    (["fit", "--degree", "-1"], "degree"),
+    (["tune", "--max-iter", "0"], "max_iter"),
+    (["tune", "--tol", "inf"], "tol"),
+    (["tune", "--gamma", "2"], "gamma"),
+    (["tune", "--lambda2-grid", "0.1,-1"], "lambda2_values"),
+    (["tune", "--lambda1-grid", "nan"], "NaN"),
+    (["tune", "--knots", "-1"], "num_internal_knots"),
+    (["tune", "--criterion", "cv", "--cv-folds", "1"], "cv-folds"),
+], ids=["fit-max-iter", "fit-tol", "fit-lambda1", "fit-degree", "tune-max-iter", "tune-tol",
+        "tune-gamma", "tune-lambda2-grid", "tune-lambda1-grid", "tune-knots", "tune-cv-folds"])
+def test_bad_setting_is_named_before_the_data_are_read(tmp_path, capsys, argv, message):
+    # the settings were built after the CSV was loaded and turned into a
+    # design, so `fit --max-iter 0` on a missing file named the file
+    data = tmp_path / "missing.csv"
+    assert main([*argv, "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "missing.csv" not in err
+
+
 def test_classify_refuses_nan_threshold_multiplier_exit_code_2(train_csv, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["fit", "--data", str(train_csv), "--out", str(out), "--knots", "2"]) == 0
@@ -1123,6 +1146,24 @@ def test_covariate_whose_squares_underflow_exit_code_2(tmp_path, capsys, command
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
+    assert not (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("command", [["fit", "--lambda1", "0.05"], ["tune"]], ids=["fit", "tune"])
+@pytest.mark.parametrize("factor, message", [
+    (1e-300, "'x1' is too small in magnitude for its pooled variance"),
+    (0.0, "'x1' has zero pooled variance"),      # a truly constant column keeps its message
+], ids=["1e-300", "zero"])
+def test_covariate_whose_variance_underflows_exit_code_2(train_csv, tmp_path, capsys, command,
+                                                         factor, message):
+    # a covariate scaled by 1e-300 varies, but its pooled variance underflows to
+    # 0: standardizing reported it as having zero pooled variance
+    path = scale_column(train_csv, 3, factor, tmp_path / "small.csv")
+    out = tmp_path / "o"
+    rc = main([*command, "--data", str(path), "--out", str(out), "--knots", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not (out / "fit.json").exists()
 
 

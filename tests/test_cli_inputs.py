@@ -5,6 +5,7 @@ the `fit.json` fitted on it, applies a few of the mutations below, and runs
 one command through `cli.main`:
 
 - a column of the CSV scaled by 10^+-160 or 10^+-300;
+- one cell of one row scaled the same way: a single outlier row;
 - a header name duplicated, blanked or padded, or a UTF-8 BOM before it;
 - rows dropped or duplicated;
 - the data cut to a single subject, or to a single row per subject;
@@ -75,6 +76,14 @@ def scale_column(rows, column, factor):
                         for r in rows[1:]]
 
 
+def outlier_cell(rows, index, column, factor):
+    """One cell of one row scaled by `factor`: a single outlier row."""
+    body = [list(r) for r in rows[1:]]
+    row = body[index % len(body)]
+    row[column] = repr(float(row[column]) * factor)
+    return [rows[0]] + body
+
+
 def rename_header(rows, column, how):
     header = list(rows[0])
     if how == "duplicate":
@@ -127,6 +136,8 @@ def nul_ids(rows, every):
 
 csv_mutation = st.one_of(
     st.tuples(st.just(scale_column), st.integers(1, 4), st.sampled_from(FACTORS)),
+    st.tuples(st.just(outlier_cell), st.integers(0, 23), st.integers(1, 4),
+              st.sampled_from(FACTORS)),
     st.tuples(st.just(rename_header), st.integers(0, 4),
               st.sampled_from(["duplicate", "blank", "pad"])),
     st.tuples(st.just(drop_rows), st.integers(2, 5)),

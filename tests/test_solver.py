@@ -773,12 +773,14 @@ def test_grid_fits_keep_their_recorded_sweeps_and_coefficients():
     # past the refresh) keeps its sweep count and its coefficients to 1e-10
     _, basis, design = make_instance(np.random.default_rng(80), N=15, n_i=4, p=3, q=6)
     grid = default_grid(design, lambda1_count=10, lambda2_values=(0.1, 1e-3, 0.0))
-    fits, failures = _fit_grid(design, basis, grid, SolverOptions(), METHOD_TV_SELECT)
-    assert not failures
+    surface, fits, failed, nonconverged = _fit_grid(design, basis, grid, SolverOptions(),
+                                                    METHOD_TV_SELECT, lambda fit: fit.iterations)
+    assert not failed and not nonconverged
     with open(os.path.join(os.path.dirname(__file__), "data", "fit_grid_seed80.json")) as fh:
         recorded = np.array(json.load(fh)["coefficients"])
     sweeps = [[fits[(i, j)].iterations for j in range(3)] for i in range(10)]
     assert sweeps == GRID_SWEEPS_SEED80
+    assert surface.tolist() == GRID_SWEEPS_SEED80        # each cell scores its own fit
     coef = np.array([[np.concatenate([[fits[(i, j)].beta0], fits[(i, j)].mu, *fits[(i, j)].theta])
                       for j in range(3)] for i in range(10)])
     assert np.abs(coef - recorded).max() <= 1e-10

@@ -8,7 +8,8 @@ the calls that the traced run's span-count check expects of its outputs and
 reproduce the benchmark's recorded reference outputs.
 The package's imports must match its declared runtime dependencies, and
 importing it must not pull in scipy, whose import would dominate start-up, nor
-the process pool, which only `simulate --parallel` uses.  A private helper
+the process pool, which only `simulate --parallel` uses; nor may `fit`, `tune`
+and `classify` pull in `numpy.ma`.  A private helper
 that nothing else in the package calls is dead code, and one that another
 package module imports is not private.
 """
@@ -22,6 +23,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -142,6 +144,31 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_fit_tune_and_classify_leave_numpy_ma_unloaded(tmp_path):
+    # numpy imports numpy.ma on the first np.unique (or np.quantile) of floats,
+    # a start-up cost that building an equally spaced basis used to pay
+    rng = np.random.default_rng(5)
+    rows = ["subject,time,y,x1,x2"]
+    for i in range(12):
+        base = rng.standard_normal(2)
+        for t in np.sort(rng.uniform(0.0, 1.0, 4)):
+            x = base + 0.5 * rng.standard_normal(2)
+            y = x[0] * np.sin(2 * np.pi * t) - x[1] + 0.1 * rng.standard_normal()
+            rows.append(",".join([f"s{i}", *(repr(float(v)) for v in (t, y, *x))]))
+    data = tmp_path / "train.csv"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = (f"import sys; from tvselect.cli import main; d, o = {str(data)!r}, {str(tmp_path)!r}; "
+            "codes = [main(['fit', '--data', d, '--out', o, '--knots', '2']), "
+            "main(['tune', '--data', d, '--out', o, '--knots', '2']), "
+            "main(['classify', '--artifact', o + '/fit.json', '--out', o])]; "
+            "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stderr.strip().splitlines()[-1] == "[0, 0, 0] False"
 
 
 def module_trees():

@@ -367,13 +367,15 @@ def test_tune_cv_surface_matches_fits_on_training_grams(method, grid):
     for held_out in subject_folds(ds.subject_ids, 4, 7):
         d_train, d_test = (build_design(subset_subjects(ds, held_out, others=others), basis)
                            for others in (True, False))
-        fits, _ = _fit_grid(d_train, basis, grid, SolverOptions(), method)
-        for (i, j), fit in fits.items():
-            sq_err[i, j] += float(np.sum(tuning.residuals(d_test, fit) ** 2))
+        surface, fits, failed, _ = _fit_grid(
+            d_train, basis, grid, SolverOptions(), method,
+            lambda fit: float(np.sum(tuning.residuals(d_test, fit) ** 2)))
+        assert not failed and len(fits) == surface.size
+        sq_err += surface
         count += d_test.n
     np.testing.assert_allclose(res.criterion_surface, sq_err / count, rtol=1e-10)
     ref = _fit_grid(design, basis, TuningGrid((res.best_lambda1,), (res.best_lambda2,)),
-                    SolverOptions(), method)[0][(0, 0)]
+                    SolverOptions(), method, lambda fit: 0.0)[1][(0, 0)]
     np.testing.assert_allclose(res.best_fit.mu, ref.mu, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(np.array(res.best_fit.theta), np.array(ref.theta),
                                rtol=1e-10, atol=1e-12)
