@@ -70,8 +70,11 @@ def _interior_knots(config: SplineConfig, observed_times) -> np.ndarray:
     times = np.asarray(observed_times, dtype=float)
     if times.size == 0:
         raise DegenerateDesignError("quantile knot placement needs observed times")
-    probs = np.arange(1, K + 1) / (K + 1)
-    knots = np.quantile(times, probs)
+    # np.quantile's default linear rule, formed here since np.quantile imports numpy.ma
+    pos = (times.size - 1) * (np.arange(1, K + 1) / (K + 1))
+    idx, ordered = np.floor(pos).astype(int), np.sort(times)
+    lo, hi, frac = ordered[idx], ordered[np.minimum(idx + 1, times.size - 1)], pos - idx
+    knots = np.where(frac < 0.5, lo + (hi - lo) * frac, hi - (hi - lo) * (1 - frac))
     if knots[0] <= 0.0 or knots[-1] >= 1.0:
         raise DegenerateDesignError(
             "observed times put a quantile knot at an end of [0,1], where too many rows "
@@ -200,7 +203,13 @@ def build_basis(config: SplineConfig, observed_times=None) -> CenteredSplineBasi
     derivatives (degree 2d-4).
     """
     interior = _interior_knots(config, observed_times)
-    return build_basis_from_interior(config, interior)
+    try:
+        return build_basis_from_interior(config, interior)
+    except ConfigurationError:      # quantile knots squeezed together by an outlying time
+        raise DegenerateDesignError(
+            f"observed times crowd the quantile knots toward one end of [0,1] ({interior[0]:.3g} "
+            f".. {interior[-1]:.3g}), too close for a finite basis; use equally spaced knots"
+        ) from None
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")   # a non-finite basis is refused

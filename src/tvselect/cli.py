@@ -28,7 +28,7 @@ from .simulate import (
     StudyOptions,
     format_summary,
     make_scenario,
-    replication_curves,
+    make_truth,
     run_study,
 )
 from .solver import (
@@ -331,16 +331,17 @@ def cmd_simulate(cfg) -> int:
     _write_csv(os.path.join(out, "metrics.csv"),
                ("scenario", "config", "method", "metric", "mean", "se"),
                zip(*(row for rep in reports for row in rep.rows())))
-    if cfg["curves"]:
-        data = replication_curves(spec, 0, cfg["seed"], options)
-        curves = data["methods"]          # method -> (p, len(t)) array
-        ks = _blocks_of([str(k + 1) for k in range(spec.p)], len(data["t"]))
+    if cfg["curves"] and reports[0].curves is None:
+        print("warning: replication 0 failed, so curves.csv is not written", file=sys.stderr)
+    elif cfg["curves"]:
+        tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
+        truth = np.concatenate([make_truth(spec).beta(k, tgrid) for k in range(spec.p)])
+        ks = _blocks_of([str(k + 1) for k in range(spec.p)], len(tgrid))
         _write_csv(os.path.join(out, "curves.csv"),
                    ("method", "k", "t", "beta_true", "beta_hat"),
-                   (_blocks_of(curves, len(ks)), ks * len(curves),
-                    np.tile(data["t"], spec.p * len(curves)),
-                    np.tile(data["truth"].ravel(), len(curves)),
-                    np.array(list(curves.values())).ravel()))
+                   (_blocks_of([rep.method for rep in reports], len(ks)), ks * len(reports),
+                    np.tile(tgrid, spec.p * len(reports)), np.tile(truth, len(reports)),
+                    np.concatenate([rep.curves.ravel() for rep in reports])))
     print(format_summary(reports))
     return 0
 

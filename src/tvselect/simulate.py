@@ -373,13 +373,16 @@ class StudyOptions:
                 raise ConfigurationError(f"unknown method '{m}', expected subset of {METHODS}")
         if self.n_test < 1:
             raise ConfigurationError("n_test must be >= 1")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigurationError("gamma must lie in [0, 1]")
+        if self.lambda1_count < 1:
+            raise ConfigurationError("lambda1_count must be >= 1")
+        # every replication's tuning grid checks these; refuse them before any data are drawn
+        TuningGrid((0.0,), sorted(map(float, self.lambda2_values), reverse=True), self.gamma)
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Mean and Monte Carlo standard error of each metric for one method."""
+    """Mean and Monte Carlo standard error of each metric for one method, and
+    the raw-scale curves (p, CURVE_GRID_SIZE) of its replication-0 fit, None if that failed."""
 
     spec: ScenarioSpec
     method: str
@@ -387,6 +390,7 @@ class MetricsReport:
     ses: dict
     n_replications: int
     n_failures: int
+    curves: np.ndarray | None = None
 
     def rows(self):
         for name in METRIC_NAMES:
@@ -426,38 +430,36 @@ def fit_study_methods(design, basis, opts: StudyOptions) -> dict:
     return fits
 
 
-def _fit_replication(spec: ScenarioSpec, truth: TrueStructure, train_seed,
-                     opts: StudyOptions):
-    """Training standardization and every method's fit for one replication."""
-    train_std = standardize(generate(spec, truth, seed=train_seed))
-    basis = build_basis(SplineConfig.from_q(spec.q))
-    design = build_design(train_std, basis)
-    return train_std.preprocessing, fit_study_methods(design, basis, opts)
-
-
 def _run_replication(payload):
+    """Draw, fit and score one replication: each method's metrics and selected set,
+    and for replication 0 only (else None) its raw-scale curves on CURVE_GRID_SIZE times."""
     spec, r, seed, opts = payload
     train_ss, test_ss = _child_seeds(seed, spec, r)
     truth = make_truth(spec)
     test = generate(replace(spec, N=opts.n_test), truth, seed=test_ss)
-    prep, fits = _fit_replication(spec, truth, train_ss, opts)
-    metrics, selected = {}, {}
-    for method, fit in fits.items():
-        metrics[method] = score_fit(fit, truth, prep, test_set=test)
-        selected[method] = tuple(sorted(select_vary(fit)))
-    return metrics, selected
+    train_std = standardize(generate(spec, truth, seed=train_ss))
+    prep = train_std.preprocessing
+    basis = build_basis(SplineConfig.from_q(spec.q))
+    fits = fit_study_methods(build_design(train_std, basis), basis, opts)
+    metrics = {m: score_fit(fit, truth, prep, test_set=test) for m, fit in fits.items()}
+    selected = {m: tuple(sorted(select_vary(fit))) for m, fit in fits.items()}
+    tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
+    curves = None if r else {m: fit.coefficient_curves(tgrid) / prep.scale[:, None]
+                             for m, fit in fits.items()}
+    return metrics, selected, curves
 
 
 def run_study(spec: ScenarioSpec, R: int, seed: int = 0, parallelism: int = 1,
               options: StudyOptions = StudyOptions()) -> list[MetricsReport]:
     """Replicated paired comparison of the configured methods; one report per method.
 
-    `seed` is the study's only seed.  A replication that raises a package
+    Reports follow `options.methods`.  `seed` is the study's only seed.  Each
+    replication is drawn, fitted and scored once, and the report's `curves`
+    come from replication 0's fits.  A replication that raises a package
     error or `LinAlgError` is recorded as failed (`n_failures`); more than
     MAX_FAILURE_FRACTION of R raise `StudyError`, and any other exception
-    propagates.  Replications run in
-    min(parallelism, R) processes, serially when that is 1.  Aggregation is
-    deterministic and independent of `parallelism`.
+    propagates.  Replications run in min(parallelism, R) processes, serially
+    when that is 1.  Aggregation is deterministic and independent of `parallelism`.
     """
     if R < 1:
         raise ConfigurationError("R must be >= 1")
@@ -474,6 +476,7 @@ def run_study(spec: ScenarioSpec, R: int, seed: int = 0, parallelism: int = 1,
 
     failures = [err for err in raw if isinstance(err, str)]
     results = [res for res in raw if not isinstance(res, str)]
+    curves = None if isinstance(raw[0], str) else raw[0][2]
     if len(failures) > MAX_FAILURE_FRACTION * R:
         raise StudyError(
             f"{len(failures)}/{R} replications failed for scenario {spec.scenario}; "
@@ -481,7 +484,7 @@ def run_study(spec: ScenarioSpec, R: int, seed: int = 0, parallelism: int = 1,
         )
     reports = []
     for method in options.methods:
-        rows = [metrics[method] for metrics, _ in results]
+        rows = [metrics[method] for metrics, _, _ in results]
         means, ses = {}, {}
         for name in rows[0].keys():
             vals = np.array([row[name] for row in rows])
@@ -489,11 +492,12 @@ def run_study(spec: ScenarioSpec, R: int, seed: int = 0, parallelism: int = 1,
             ses[name] = (float(vals.std(ddof=1) / math.sqrt(len(vals)))
                          if len(vals) > 1 else float("nan"))
         if len(rows) >= 2:
-            means["stab"] = stability([selected[method] for _, selected in results])
+            means["stab"] = stability([selected[method] for _, selected, _ in results])
         ses["stab"] = float("nan")
         reports.append(MetricsReport(
             spec=spec, method=method, means=means, ses=ses,
             n_replications=len(rows), n_failures=len(failures),
+            curves=None if curves is None else curves[method],
         ))
     return reports
 
@@ -503,22 +507,6 @@ def _run_replication_safe(payload):
         return _run_replication(payload)
     except (TVSelectError, np.linalg.LinAlgError) as exc:   # recorded; run_study caps them
         return f"{type(exc).__name__}: {exc}"
-
-
-def replication_curves(spec: ScenarioSpec, r: int, seed: int,
-                       options: StudyOptions) -> dict:
-    """Fitted and true coefficient curves for one replication (figure data).
-
-    The fits are the ones `run_study` scores for replication r; fitted curves
-    are mapped back to the raw covariate scale.
-    """
-    truth = make_truth(spec)
-    prep, fits = _fit_replication(spec, truth, _child_seeds(seed, spec, r)[0], options)
-    tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
-    truth_curves = np.vstack([truth.beta(k, tgrid) for k in range(spec.p)])
-    curves = {method: fit.coefficient_curves(tgrid) / prep.scale[:, None]
-              for method, fit in fits.items()}
-    return {"t": tgrid, "truth": truth_curves, "methods": curves}
 
 
 def format_summary(reports) -> str:

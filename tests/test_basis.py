@@ -7,6 +7,7 @@ from tvselect.basis import (
     EQUALLY_SPACED,
     TIME_QUANTILES,
     SplineConfig,
+    _interior_knots,
     build_basis,
     build_basis_from_interior,
 )
@@ -211,6 +212,17 @@ def test_quantile_knot_at_an_end_refused(end):
     with pytest.raises(DegenerateDesignError, match="quantile knot at an end"):
         build_basis(cfg, observed_times=times)
     assert np.isfinite(build_basis(cfg, observed_times=times[15:]).omega).all()
+
+
+@given(times=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      min_size=2, max_size=60, unique=True),
+       K=st.integers(1, 9))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_quantile_knots_equal_numpy_quantile(times, K):
+    # formed from a sort so that numpy.ma, which np.quantile imports, stays unloaded
+    cfg = SplineConfig(degree=3, num_internal_knots=K, knot_placement=TIME_QUANTILES)
+    want = np.quantile(np.array(times), np.arange(1, K + 1) / (K + 1))
+    assert np.array_equal(_interior_knots(cfg, times), want)
 
 
 def test_build_from_interior_round_trip(cubic_q8):

@@ -625,17 +625,80 @@ def test_cli_determinism_fit(train_csv, tmp_path):
     assert first == second
 
 
-def test_cli_determinism_simulate(tmp_path):
-    out = tmp_path / "sim"
-    args = ["simulate", "--scenario", "A", "--subjects", "20",
+SIM_ARGS = ["simulate", "--scenario", "A", "--subjects", "20",
             "--obs-per-subject", "4", "--covariates", "6", "--s-vary", "1",
             "--s-const", "1", "--q", "6", "--replications", "2", "--seed", "5",
-            "--out", str(out), "--parallel", "1", "--test-subjects", "30",
-            "--lambda2-grid", "1e-6"]
-    assert main(args) == 0
+            "--test-subjects", "30", "--lambda2-grid", "1e-6"]
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"], ids=["serial", "parallel"])
+@pytest.mark.parametrize("curves", [[], ["--curves"]], ids=["metrics", "curves"])
+def test_cli_determinism_simulate(tmp_path, curves, parallel):
+    # a rerun writes the same bytes, and parallel replications write those of serial ones
+    out = tmp_path / "sim"
+    assert main([*SIM_ARGS, *curves, "--out", str(out), "--parallel", "1"]) == 0
     first = read_bytes(out)
-    assert main(args) == 0
-    assert first == read_bytes(out)
+    assert main([*SIM_ARGS, *curves, "--out", str(out), "--parallel", parallel]) == 0
+    second = read_bytes(out)
+    assert ("curves.csv" in first) == bool(curves)
+    if parallel != "1":     # the echo records --parallel
+        del first["config_echo.json"], second["config_echo.json"]
+    assert first == second
+
+
+def test_simulate_curves_are_those_of_the_scored_fits(tmp_path):
+    # replication 0 refitted apart from the CLI gives every beta_hat block of curves.csv
+    from tvselect.simulate import CURVE_GRID_SIZE, _child_seeds, fit_study_methods, make_truth
+    out = tmp_path / "sim"
+    methods = ("vc-ridge", "tv-select", "screen-refit", "group-lasso")
+    assert main([*SIM_ARGS, "--curves", "--out", str(out), "--parallel", "1",
+                 "--methods", ",".join(methods)]) == 0
+    with open(out / "curves.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    spec = make_scenario("A", N=20, n_i=4, p=6, s_v=1, s_c=1, q=6)
+    train = standardize(generate(spec, seed=_child_seeds(5, spec, 0)[0]))
+    basis = build_basis(SplineConfig.from_q(spec.q))
+    fits = fit_study_methods(build_design(train, basis), basis,
+                             StudyOptions(methods=methods, lambda2_values=(1e-6,), n_test=30))
+    tgrid = np.linspace(0.0, 1.0, CURVE_GRID_SIZE)
+    truth = make_truth(spec)
+    block = spec.p * len(tgrid)
+    assert len(rows) == len(methods) * block
+    for m, method in enumerate(methods):     # one block per method, in --methods order
+        part = rows[m * block:(m + 1) * block]
+        assert {r["method"] for r in part} == {method}
+        hat = np.array([float(r["beta_hat"]) for r in part]).reshape(spec.p, -1)
+        want = fits[method].coefficient_curves(tgrid) / train.preprocessing.scale[:, None]
+        assert np.array_equal(hat, want)
+        true = np.array([float(r["beta_true"]) for r in part]).reshape(spec.p, -1)
+        assert np.array_equal(true, np.vstack([truth.beta(k, tgrid) for k in range(spec.p)]))
+        assert [int(r["k"]) for r in part[::len(tgrid)]] == list(range(1, spec.p + 1))
+        assert np.array_equal(np.array([float(r["t"]) for r in part]).reshape(spec.p, -1),
+                              np.tile(tgrid, (spec.p, 1)))
+
+
+def test_simulate_curves_fit_each_replication_once(tmp_path, monkeypatch):
+    from tvselect import simulate
+    calls = {"fit_study_methods": 0, "generate": 0}
+
+    def counted(name):
+        real = getattr(simulate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simulate, name, counted(name))
+    rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
+               "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "6",
+               "--replications", "3", "--out", str(tmp_path / "sim"), "--parallel", "1",
+               "--test-subjects", "20", "--methods", "tv-select", "--lambda2-grid", "1e-6",
+               "--curves"])
+    assert rc == 0
+    assert (tmp_path / "sim" / "curves.csv").exists()
+    assert calls == {"fit_study_methods": 3, "generate": 6}
 
 
 def test_simulate_writes_wellformed_csv(tmp_path):
@@ -689,6 +752,31 @@ def test_simulate_warns_of_failed_replications(tmp_path, capsys, monkeypatch):
     warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
     assert warnings == ["warning: 1 of 10 replications failed; metrics.csv averages the other 9"]
     assert (out / "metrics.csv").exists()
+
+
+def test_simulate_curves_without_replication_0_warn_and_write_no_curves(tmp_path, capsys,
+                                                                        monkeypatch):
+    from tvselect import simulate
+    real = simulate._run_replication
+
+    def flaky(payload):
+        if payload[1] == 0:
+            raise SingularBlockError("synthetic failure")
+        return real(payload)
+
+    monkeypatch.setattr(simulate, "_run_replication", flaky)
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
+               "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "6",
+               "--replications", "10", "--out", str(out), "--parallel", "1",
+               "--test-subjects", "20", "--methods", "tv-select", "--lambda2-grid", "1e-6",
+               "--curves"])
+    assert rc == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert [ln for ln in warnings if "replication 0" in ln] == [
+        "warning: replication 0 failed, so curves.csv is not written"]
+    assert (out / "metrics.csv").exists()
+    assert not (out / "curves.csv").exists()
 
 
 def test_simulate_rejects_empty_test_set_exit_code_2(tmp_path, capsys):
@@ -847,9 +935,15 @@ def test_classify_refuses_nan_threshold_multiplier_exit_code_2(train_csv, tmp_pa
     ["--methods", ""],
     ["--methods", " , "],
     ["--methods", "tv-select,lasso"],
+    ["--lambda2-grid=-1"],
+    ["--lambda2-grid", "1e-6,-0.5"],
 ], ids=["sigma", "sigma-x2", "amplitude", "t-df", "gamma", "parallel-zero",
-        "parallel-negative", "methods-empty", "methods-blank", "methods-unknown"])
-def test_simulate_refuses_bad_inputs_before_any_replication(tmp_path, capsys, argv):
+        "parallel-negative", "methods-empty", "methods-blank", "methods-unknown",
+        "lambda2-negative", "lambda2-one-negative"])
+def test_simulate_refuses_bad_inputs_before_any_replication(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    from tvselect import simulate
+    monkeypatch.setattr(simulate, "generate", refuse_to_fit)    # no data are drawn
     rc = main(["simulate", "--subjects", "12", "--obs-per-subject", "4",
                "--covariates", "6", "--s-vary", "1", "--s-const", "1", "--q", "6",
                "--replications", "1", "--out", str(tmp_path / "sim"), "--parallel", "1",
@@ -1094,6 +1188,23 @@ def test_quantile_knot_at_the_first_time_exit_code_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: observed times put a quantile knot at an end of [0,1]")
     assert not (tmp_path / "k9" / "fit.json").exists()
+
+
+def test_one_outlying_time_under_quantile_knots_exit_code_2(tmp_path, capsys):
+    # the other times crowd near 0 once rescaled, and so do the knots; the error
+    # blamed "interior knots [5.3e-161, ...]" the user never gave
+    from test_cli_inputs import BASE_ROWS, outlier_cell
+    path = tmp_path / "outlier.csv"
+    rows = outlier_cell(BASE_ROWS, 3, 1, 1e160)
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+    argv = ["fit", "--data", str(path), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--knot-placement", "quantile"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: observed times crowd the quantile knots toward one end "
+                          "of [0,1]")
+    assert err.rstrip().endswith("use equally spaced knots")
+    assert not (tmp_path / "out" / "fit.json").exists()
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("command", [["fit"], ["fit", "--method", "vc-ridge"]],

@@ -11,6 +11,7 @@ from tvselect.solver import (METHOD_TV_SELECT, ModelFit, PenaltyConfig, SolverOp
                              predict)
 from tvselect.simulate import (
     COV_TIME_VARYING,
+    CURVE_GRID_SIZE,
     ERROR_AR1,
     ERROR_HETEROSCEDASTIC,
     ERROR_STUDENT_T,
@@ -90,6 +91,13 @@ def test_scenario_validation():
     for methods in ((), ("tv-select", "lasso")):
         with pytest.raises(ConfigurationError, match="method"):
             StudyOptions(methods=methods)
+    # the tuning grid's own checks, made before any replication draws data
+    for grid in ((), (1e-2, -1e-3), (float("nan"),), (float("inf"), 1.0)):
+        with pytest.raises(ConfigurationError, match="lambda2_values"):
+            StudyOptions(lambda2_values=grid)
+    with pytest.raises(ConfigurationError, match="lambda1_count"):
+        StudyOptions(lambda1_count=0)
+    StudyOptions(lambda2_values=(1e-6, 1e-2))      # sorted before the check, as default_grid does
 
 
 # -------------------------------------------------------------------- truth
@@ -332,6 +340,8 @@ def test_run_study_r1_has_no_se():
     reports = run_study(SMALL, R=1, seed=5, options=FAST)
     assert all(np.isnan(rep.ses["ise"]) for rep in reports)
     assert all(rep.n_replications == 1 for rep in reports)
+    assert [rep.method for rep in reports] == list(FAST.methods)
+    assert all(rep.curves.shape == (SMALL.p, CURVE_GRID_SIZE) for rep in reports)
 
 
 def test_run_study_deterministic():
@@ -450,6 +460,7 @@ def test_run_study_tolerates_minority_failures(monkeypatch):
     reports = run_study(SMALL, R=12, seed=3, options=FAST)
     assert all(rep.n_failures == 1 for rep in reports)
     assert all(rep.n_replications == 11 for rep in reports)
+    assert all(rep.curves is None for rep in reports)     # replication 0 has no fits
 
 
 def test_run_study_propagates_an_error_outside_the_failure_policy(monkeypatch):

@@ -148,7 +148,7 @@ def test_import_leaves_scipy_unloaded():
 
 def test_fit_tune_and_classify_leave_numpy_ma_unloaded(tmp_path):
     # numpy imports numpy.ma on the first np.unique (or np.quantile) of floats,
-    # a start-up cost that building an equally spaced basis used to pay
+    # a start-up cost that building an equally spaced or quantile basis used to pay
     rng = np.random.default_rng(5)
     rows = ["subject,time,y,x1,x2"]
     for i in range(12):
@@ -163,12 +163,14 @@ def test_fit_tune_and_classify_leave_numpy_ma_unloaded(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     code = (f"import sys; from tvselect.cli import main; d, o = {str(data)!r}, {str(tmp_path)!r}; "
             "codes = [main(['fit', '--data', d, '--out', o, '--knots', '2']), "
+            "main(['fit', '--data', d, '--out', o, '--knots', '2', "
+            "'--knot-placement', 'quantile']), "
             "main(['tune', '--data', d, '--out', o, '--knots', '2']), "
             "main(['classify', '--artifact', o + '/fit.json', '--out', o])]; "
             "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
-    assert proc.stderr.strip().splitlines()[-1] == "[0, 0, 0] False"
+    assert proc.stderr.strip().splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
 def module_trees():
