@@ -369,8 +369,9 @@ class StudyOptions:
         if not self.methods:
             raise ConfigurationError(f"methods must name at least one of {METHODS}")
         for m in self.methods:
-            if m not in METHODS:
-                raise ConfigurationError(f"unknown method '{m}', expected subset of {METHODS}")
+            if m not in METHODS or self.methods.count(m) > 1:
+                raise ConfigurationError(f"unknown or repeated method '{m}', expected distinct "
+                                         f"names from {METHODS}")
         if self.n_test < 1:
             raise ConfigurationError("n_test must be >= 1")
         if self.lambda1_count < 1:

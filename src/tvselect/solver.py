@@ -16,7 +16,8 @@ minimizing its convex subproblem
     (1/2n) ||r_k - Z_k theta||^2 + lambda2 theta' Omega theta + lambda1 ||theta||_2.
 
 The sweep runs on rotated coefficients R'x, R = blockdiag(I_m, V_1, ...,
-V_p), where V_k is the eigenbasis of G_kk/n + 2*lambda2*Omega with
+V_p), where V_k (q x (q-1)) is the eigenbasis of G_kk/n + 2*lambda2*Omega
+on the complement of the ones vector, null in Z_k and in Omega, with
 eigenvalues w (`precompute_block_factors`).  There block k's quadratic is
 diag(w), so in t = V_k' theta its subproblem is
 
@@ -29,12 +30,9 @@ Newton iteration on h(s)^(-1/2) that stops when a step or the bracket falls
 within 4 ulp of s, or when two steps from the left of the root predict the
 next one below that.  The iteration starts from the block's current norm,
 which along a lambda1 path and in every later sweep is close to the new
-root.  The directions whose eigenvalue the factorization truncates (the
-ones vector, null in Z_k and in Omega) carry only roundoff of zt, so the
-solve drops them and theta has no component along them at any lambda1.
-Exact block minimization keeps the objective monotone and drives the iterate
-to the global minimum of the convex problem, which the reference solver
-`fit_oracle` certifies.
+root.  Exact block minimization keeps the objective monotone and drives the
+iterate to the global minimum of the convex problem, which the reference
+solver `fit_oracle` certifies.
 
 The sweep runs in covariance form, as glmnet does (Friedman, Hastie &
 Tibshirani 2010, JSS, section 2.2), for the constants and the spline blocks
@@ -170,18 +168,15 @@ class ModelFit:
 class BlockFactor:
     """Eigendecomposition of G_kk/n + 2*lambda2*Omega, the coordinates block k is swept in.
 
-    The centered basis functions sum to zero pointwise, so the ones vector
-    is a structural nullvector of every Z_k and of Omega; the block matrix
-    is singular by construction.  Eigenvalues below a relative cutoff are
-    truncated: `kept` is 0.0 on their directions and 1.0 on the others, and
-    the block solve drops the truncated directions, which gives the
-    minimum-norm solution, the representative the group penalty selects
-    anyway.  In `w` a truncated eigenvalue reads as the least kept one,
-    which keeps the solve's quotients zt / (w + lambda1/s) finite where zt
-    is 0; `inv_w` is 0 there.  `refusal` is empty unless the cutoff also
-    dropped a direction the data see; then it is the message a nonzero
-    block solve raises, and `kept` keeps every direction for the zero test
-    (`precompute_block_factors`).
+    Its eigenvectors `v` (q x (q-1)) exclude the ones vector by construction
+    (`precompute_block_factors`).  Eigenvalues below a relative cutoff are
+    truncated: their columns of `v` are zero, so every sweep table is exactly
+    zero there and the block solve gives the minimum-norm solution, the
+    representative the group penalty selects anyway.  In `w` a truncated
+    eigenvalue reads as the least kept one, which keeps the solve's quotients
+    finite.  `refusal` is empty unless the cutoff also dropped a direction
+    the data see; then it is the message a nonzero block solve raises, and
+    `v` keeps that direction for the zero test.
     """
 
     def __init__(self, w: np.ndarray, v: np.ndarray):
@@ -192,11 +187,9 @@ class BlockFactor:
         kept = w > 1e-12 * w[-1]
         self.w_pos_min = float(w[kept].min())
         self.w = np.where(kept, w, self.w_pos_min)
-        self.kept = kept.astype(float)
-        self.inv_w = self.kept / self.w
+        self.v = v * kept
         self.zero = np.zeros_like(self.w)     # the solve's one zero block, read-only
         self.zero.setflags(write=False)
-        self.v = v
         self.refusal = ""
 
 
@@ -219,14 +212,14 @@ def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
                              lambda2: float) -> list[BlockFactor]:
     """One factorization of G_kk/n + 2*lambda2*Omega per block, G_kk from `design.gram`.
 
-    A lambda2 so large that the sum overflows raises `ConfigurationError`.  The
-    cutoff should drop only the ones vector, null in both terms.  Omega is also
-    null on the linear functions, which the data see; once 2 lambda2 Omega
-    outweighs G_kk/n by about 1e12 the cutoff drops them too, and the block's
-    optimum is lost.  So a truncated eigenvector carrying more than
-    LOST_DIRECTION_SHARE of G_kk/n's trace gives the factor a refusal naming
-    lambda2.  The computed ones vector, mixed with its neighbours by
-    roundoff, carries under 1e-7 of it.
+    Each is the eigendecomposition P'MP = U diag(w) U' of the block matrix M
+    on an orthonormal basis P of the complement of the ones vector, the
+    centered basis's null vector, with v = P U.  A lambda2 so large that M
+    overflows raises `ConfigurationError`.  Omega is also null on the linear
+    functions, which the data see; once 2 lambda2 Omega outweighs G_kk/n by
+    about 1e12 the cutoff drops them, and the block's optimum is lost.  So a
+    truncated eigenvector carrying more than LOST_DIRECTION_SHARE of
+    G_kk/n's trace gives the factor a refusal naming lambda2.
     """
     g_kk = np.stack([design.gram[cols, cols] for cols in design.block_slices]) / design.n
     with np.errstate(over="ignore", invalid="ignore"):
@@ -234,14 +227,16 @@ def precompute_block_factors(design: DesignBlocks, basis: CenteredSplineBasis,
     if not np.isfinite(stacked).all():
         raise ConfigurationError(f"lambda2={lambda2:g} is too large: G_kk/n + 2 lambda2 Omega "
                                  "is not finite")
-    w, v = np.linalg.eigh(stacked)
+    ones_complement = np.linalg.qr(np.ones((design.q, 1)), mode="complete")[0][:, 1:]
+    w, u = np.linalg.eigh(ones_complement.T @ stacked @ ones_complement)
+    v = ones_complement @ u
     factors = [BlockFactor(w_k, v_k) for w_k, v_k in zip(w, v)]
     seen = np.einsum("kij,kij->kj", v, g_kk @ v)        # v' (G_kk/n) v per eigenvector
-    for k, (factor, seen_k) in enumerate(zip(factors, seen)):
-        if (seen_k[factor.kept == 0.0] > LOST_DIRECTION_SHARE * seen_k.sum()).any():
+    for k, (factor, v_k, seen_k) in enumerate(zip(factors, v, seen)):
+        if (seen_k[~factor.v.any(axis=0)] > LOST_DIRECTION_SHARE * seen_k.sum()).any():
             factor.refusal = (f"lambda2={lambda2:g} is too large: 2 lambda2 Omega swamps the "
                               f"data of covariate {k + 1}, whose linear trend is lost to roundoff")
-            factor.kept[:] = 1.0
+            factor.v = v_k
     return factors
 
 
@@ -253,7 +248,8 @@ def _sweep_tables(design: DesignBlocks, basis: CenteredSplineBasis, lambda2: flo
     n in the sweep's coordinates: for R = blockdiag(I_m, V_1, ..., V_p),
     R'GR/n as one contiguous array, so that each block's rows are a
     contiguous view, then R'A'y/n, y'y/n and each block's diagonal block
-    (R'GR/n)_kk as a contiguous copy.  The design's one slot
+    (R'GR/n)_kk as a contiguous copy; last, each block's q - 1 columns in
+    R'GR and the (p, q, q - 1) stack of the V_k.  The design's one slot
     (`DesignBlocks.solver_slot`) keeps the tables of the last
     (lambda2, Omega) asked for, so memory does not grow with a lambda2 grid.
     """
@@ -264,16 +260,22 @@ def _sweep_tables(design: DesignBlocks, basis: CenteredSplineBasis, lambda2: flo
     factors = precompute_block_factors(design, basis, lambda2)
     gram, n, m = design.gram, design.n, design.p + design.intercept_included
     gauss_seidel = np.linalg.inv(np.tril(gram[:m, :m]))
-    G, aty = gram[:-1, :-1] / n, gram[:-1, -1] / n
-    for cols, factor in zip(design.block_slices, factors):
-        G[:, cols] = G[:, cols].dot(factor.v)
-        aty[cols] = factor.v.T.dot(aty[cols])
-    for cols, factor in zip(design.block_slices, factors):
-        G[cols] = factor.v.T.dot(G[cols])
-    for arr in (gauss_seidel, G, aty):
+    vs = np.stack([factor.v for factor in factors])
+    p, q, r = vs.shape
+    block_cols = [slice(m + k * r, m + (k + 1) * r) for k in range(p)]
+    G = np.empty((m + p * r,) * 2)      # R'GR/n, one block row V_k' G[cols] / n R at a time
+    G[:m, :m] = gram[:m, :m] / n
+    for v_k, cols, rows in zip(vs, design.block_slices, block_cols):
+        block_row = v_k.T @ gram[cols, :-1] / n
+        G[rows, :m] = block_row[:, :m]
+        np.matmul(block_row[:, m:].reshape(r, p, q).transpose(1, 0, 2), vs,
+                  out=G[rows, m:].reshape(r, p, r).transpose(1, 0, 2))
+    G[:m, m:] = G[m:, :m].T
+    aty = np.append(gram[:m, -1], np.einsum("kij,ki->kj", vs, gram[m:-1, -1].reshape(p, q))) / n
+    for arr in (gauss_seidel, G, aty, vs):
         arr.setflags(write=False)
     slot[key] = (factors, gauss_seidel, G, aty, float(gram[-1, -1]) / n,
-                 [np.ascontiguousarray(G[cols, cols]) for cols in design.block_slices])
+                 [np.ascontiguousarray(G[cols, cols]) for cols in block_cols], block_cols, vs)
     return slot[key]
 
 
@@ -282,12 +284,12 @@ def _solve_block_subproblem(factor: BlockFactor, zt: np.ndarray, lambda1: float,
     """Exact minimizer t of 0.5 sum_i w_i t_i^2 - zt't + lambda1 ||t||_2, in block coordinates.
 
     zt is V'z for the block's correlation z with its partial residual, and
-    theta = V t.  Its components on the truncated directions are dropped
-    first (`BlockFactor.kept`).  Then t is zero iff ||zt|| <= lambda1;
-    otherwise t = zt / (w + lambda1/s), zt * w^+ when lambda1 = 0, where the
-    norm s solves h(s) = sum_i a_i / (w_i s + lambda1)^2 = 1 over the kept
-    directions, a_i = zt_i^2.  h is decreasing in s, from
-    h(0) = ||zt||^2 / lambda1^2 > 1, so the root is unique, and
+    theta = V t, where V excludes the ones vector by construction and zt is
+    zero on its truncated directions (`BlockFactor`).  t is zero iff
+    ||zt|| <= lambda1; otherwise t = zt / (w + lambda1/s), zt / w when
+    lambda1 = 0, where the norm s solves h(s) = sum_i a_i / (w_i s + lambda1)^2 = 1,
+    a_i = zt_i^2.  h is decreasing in s, from h(0) = ||zt||^2 / lambda1^2 > 1,
+    so the root is unique, and
     g(s) = h(s)^(-1/2) is concave and increasing (More & Sorensen's
     trust-region secular equation).  Newton on g - 1 starts at
     s = min(s0, hi), a guess of the norm such as the block's current one;
@@ -308,7 +310,6 @@ def _solve_block_subproblem(factor: BlockFactor, zt: np.ndarray, lambda1: float,
     land far left of the root.  A block that is not zero raises the factor's
     `refusal`, if it has one, as a `ConfigurationError`.
     """
-    zt = zt * factor.kept
     norm_z = math.sqrt(zt.dot(zt))
     # relative slack keeps boundary roundoff (lambda1 == lambda1_max) at zero
     if lambda1 > 0.0 and norm_z <= lambda1 * (1.0 + 1e-12):
@@ -316,7 +317,7 @@ def _solve_block_subproblem(factor: BlockFactor, zt: np.ndarray, lambda1: float,
     if factor.refusal:
         raise ConfigurationError(factor.refusal)
     if lambda1 <= 0.0:
-        return zt * factor.inv_w
+        return zt / factor.w
     w = factor.w
     a = zt * zt
     aw = a * w
@@ -464,34 +465,29 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
     if basis.q != design.q:
         raise DimensionError(f"basis has q={basis.q}, design has q={design.q}")
     omega = basis.omega
-    lam1 = penalty.lambda1
-
-    m, blocks = len(design.cold_constants), design.block_slices
-    factors, gauss_seidel, G, aty, yty, g_kk = _sweep_tables(design, basis, penalty.lambda2)
+    lam1, m = penalty.lambda1, len(design.cold_constants)
+    factors, gauss_seidel, G, aty, yty, g_kk, blocks, vs = _sweep_tables(design, basis,
+                                                                         penalty.lambda2)
     c_rows, g_rows = G[:m], [G[cols] for cols in blocks]
 
     if init is not None:
-        # (beta0, mu, theta), or (mu, theta) when C has no intercept column
-        x = np.concatenate([[init.beta0], init.mu, init.theta.ravel()])[p + 1 - m:]
-        for cols, factor in zip(blocks, factors):
-            x[cols] = factor.v.T.dot(x[cols])
+        # (beta0, mu), or mu when C has no intercept column, then t_k = V_k' theta_k
+        x = np.concatenate([np.append(init.beta0, init.mu)[p + 1 - m:],
+                            np.einsum("kij,ki->kj", vs, init.theta).ravel()])
     else:
-        x = np.concatenate([design.cold_constants, np.zeros(p * basis.q)])
+        x = np.concatenate([design.cold_constants, np.zeros(len(G) - m)])
     c, theta = x[:m], [x[cols] for cols in blocks]
     # each block's norm (0.0 for a zero block, the block solve's warm start)
     norms = [math.sqrt(th @ th) for th in theta]
 
-    def rotated_back():
-        x_back = x.copy()
-        for cols, factor in zip(blocks, factors):
-            x_back[cols] = factor.v.dot(x[cols])
-        return x_back
+    def rotated_back():         # theta_k = V_k t_k, as one (p, q) array
+        return np.einsum("kij,kj->ki", vs, x[m:].reshape(p, -1))
 
     def refresh():
         """g = (R'A'y - R'GR xt)/n and the objective, e'e/n = y'y/n - xt'(R'A'y/n + g)."""
         g = aty - G.dot(x)
         loss = 0.5 * (yty - float(x.dot(aty)) - float(x.dot(g)))
-        return g, loss + _penalty_value(rotated_back()[m:].reshape(p, -1), penalty, omega)
+        return g, loss + _penalty_value(rotated_back(), penalty, omega)
 
     g, obj = refresh()
     trace = [obj]
@@ -545,7 +541,7 @@ def fit_bcd(design: DesignBlocks, basis: CenteredSplineBasis, penalty: PenaltyCo
             converged = True
             break
 
-    return _model_fit(design, basis, rotated_back(), trace, sweeps, converged,
+    return _model_fit(design, basis, np.append(c, rotated_back()), trace, sweeps, converged,
                       METHOD_TV_SELECT, penalty)
 
 

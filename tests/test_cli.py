@@ -935,11 +935,12 @@ def test_classify_refuses_nan_threshold_multiplier_exit_code_2(train_csv, tmp_pa
     ["--methods", ""],
     ["--methods", " , "],
     ["--methods", "tv-select,lasso"],
+    ["--methods", "tv-select,tv-select"],
     ["--lambda2-grid=-1"],
     ["--lambda2-grid", "1e-6,-0.5"],
 ], ids=["sigma", "sigma-x2", "amplitude", "t-df", "gamma", "parallel-zero",
         "parallel-negative", "methods-empty", "methods-blank", "methods-unknown",
-        "lambda2-negative", "lambda2-one-negative"])
+        "methods-twice", "lambda2-negative", "lambda2-one-negative"])
 def test_simulate_refuses_bad_inputs_before_any_replication(tmp_path, capsys, monkeypatch,
                                                             argv):
     from tvselect import simulate
@@ -1383,21 +1384,23 @@ def write_golden_panel(path):
 # own and artifacts were read back as raw dicts; a platform whose BLAS rounds
 # differently changes them.  The fit, pred, tune and vc-ridge files were
 # recorded again when `fit_bcd` came to sweep each block in its eigenbasis,
-# which moved their values by at most 3.4e-14 relative
+# which moved their values by at most 3.4e-14 relative, and again when the
+# block factors came to exclude the ones vector: each number of each file
+# moved by at most 1.2e-13 as |a - b| / max(|a|, |b|)
 GOLDEN_DIGESTS = {
-    "fit/curves.csv": "266cb9eadb29528dd5215bd179d6b62c795d068a7015ea9ca362e9dfdabfe7a1",
-    "fit/fit.json": "b30557e66203a1fbc644ff653e726fc4f618eeaa40a65421d25e5f7c9b66efa6",
+    "fit/curves.csv": "dd082267eba8832a2eb3a49da8a374403d2513e1cab9343c22dfc715d9338954",
+    "fit/fit.json": "734a8152929eafb6ada3ab7982bbd23119133a1adb9361fadf24653123f3e132",
     "classify/partition.json": "3823fdf8b2ff017f50f5a7d0d164144dcf73ca557fd12702dc64d6dd67a9d9db",
-    "pred/predictions.csv": "6b47edf4fb9fff373740c0c1575ed34289faf4a0bbffec807a59fd87e4478395",
-    "tune/surface.csv": "44d296ec839c777700c3fce23ad13504eeab95ed17cb1eaa4298db3329aadb6a",
-    "tune/curves.csv": "4e99168f00291b0f000c27fc556f84b5d019d2df20afa7623bad1a43f08297a4",
-    "tune/fit.json": "d5b50e2d877f57fa21058ae0dd898d16bf9e4d71a9eadbf0a992bd429fba2510",
+    "pred/predictions.csv": "4d53e0b6220a755aa9dbcc6bba05e13098bb8faaca4ec1423490fa30f19bc940",
+    "tune/surface.csv": "aad62ab31d795a4d5c82d185a1f92514e3e2ce018904efd808a175be5d95352e",
+    "tune/curves.csv": "24768114ee3b10f2ec2cee50a7460f4722fc395f6c6b11c8b96da96be6071fa4",
+    "tune/fit.json": "b1099e5af9ba30a349d4e1c1136a5655d86862737a39907e479c3134e5541de3",
     # the block factorizations and the screen-refit's joint least squares on
     # the blocks of x1 and x3, recorded before both read `solver.smooth_hessian`
     "screen-refit/fit.json": "9a12d2b7c5c02b38347a9f92de0468a0d46547dc104ee9fe16ed964051fd3d3b",
     "screen-refit/curves.csv": "83a8f14e3b775d340ed7dae4ba5d6001469d947658df312425fa42e9816458a0",
-    "vc-ridge/fit.json": "f7a74eca885ea9eb916930d62bb3889c181c370532b2e97fd5dcae184d553d87",
-    "vc-ridge/curves.csv": "cbd8bd38448a7dba985a1362be858b44533a8d1871006514ef195cdafa24f56e",
+    "vc-ridge/fit.json": "63db70b2d496d6757dc74d0168b03f83e99cafa31b8f9867d5e38fb84eb8f729",
+    "vc-ridge/curves.csv": "65b3d6bb0c9872256381a36b6fd014f665aa8378435030947338730bd1c74e9f",
 }
 
 

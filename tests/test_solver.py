@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tvselect.basis import TIME_QUANTILES, SplineConfig, build_basis
 from tvselect import data, solver
-from tvselect.data import build_design, design_gram, from_arrays, standardize
+from tvselect.data import DesignBlocks, build_design, design_gram, from_arrays, standardize
 from tvselect.errors import (
     ConfigurationError,
     DegenerateColumnError,
@@ -132,6 +132,17 @@ def test_update_mu_k_zero_column():
         fit_bcd(degenerate, basis, PenaltyConfig(0.1, 0.01), SolverOptions())
 
 
+def complement_eigh(blocks):
+    """Eigenpairs of each block on the complement of the ones vector, as the solver takes them.
+
+    For the orthonormal basis P of the complement that `precompute_block_factors`
+    builds: the eigenvalues w of P'MP and its eigenvectors u as v = P u.
+    """
+    P = np.linalg.qr(np.ones((blocks.shape[-1], 1)), mode="complete")[0][:, 1:]
+    w, u = np.linalg.eigh(P.T @ blocks @ P)
+    return w, P @ u
+
+
 def solve_in_block_coordinates(factor, z, lambda1, s0=0.0):
     """The block solve for a correlation z in the block's own coordinates, rotated back."""
     return factor.v @ _solve_block_subproblem(factor, factor.v.T @ z, lambda1, s0)
@@ -144,7 +155,7 @@ def test_ridge_smooth_zero_residual():
     rng = np.random.default_rng(4)
     _, basis, design = make_instance(rng)
     factor = precompute_block_factors(design, basis, 0.1)[0]
-    assert np.allclose(_solve_block_subproblem(factor, np.zeros(basis.q), 0.0), 0.0)
+    assert np.allclose(_solve_block_subproblem(factor, np.zeros(basis.q - 1), 0.0), 0.0)
 
 
 def test_ridge_smooth_identity_gram():
@@ -180,12 +191,15 @@ EPS = np.finfo(float).eps
 
 
 def brentq_block_solve(factor, z, lambda1):
-    """Reference block solve: bracketed brentq on the secular equation, kept directions only."""
+    """Reference block solve: bracketed brentq on the secular equation, kept directions only.
+
+    The truncated directions are the factor's zero columns of v.
+    """
     brentq = pytest.importorskip("scipy.optimize").brentq
     w, v = factor.w, factor.v
-    zt = (v.T @ z) * factor.kept
+    zt = v.T @ z
     if lambda1 <= 0.0:
-        return v @ (zt * factor.inv_w)
+        return v @ (zt / w)
     norm_z = float(np.linalg.norm(zt))
     if norm_z <= lambda1 * (1.0 + 1e-12):
         return np.zeros_like(z)
@@ -203,11 +217,18 @@ def brentq_block_solve(factor, z, lambda1):
     return v @ (zt / (w + lambda1 / s))
 
 
-def block_with_null_vector(seed, log_eigs):
-    """Random block matrix with one zero eigenvalue and its orthonormal eigenbasis."""
+def block_with_null_vector(seed, log_eigs, ones=False):
+    """Random block matrix with one zero eigenvalue and its orthonormal eigenbasis.
+
+    With `ones`, a reflection maps the null vector onto the ones vector, the
+    null vector of every spline block.
+    """
     q = len(log_eigs) + 1
     rng = np.random.default_rng(seed)
     V, _ = np.linalg.qr(rng.standard_normal((q, q)))
+    if ones:
+        u = V[:, 0] - np.copysign(1.0, V[:, 0].sum()) / math.sqrt(q)
+        V = (np.eye(q) - 2.0 * np.outer(u, u) / (u @ u)) @ V
     w = np.concatenate([[0.0], 10.0 ** np.asarray(log_eigs)])
     return (V * w) @ V.T, V, rng
 
@@ -247,7 +268,7 @@ def test_block_solve_matches_brentq_reference(seed, log_eigs, lam1, delta, start
     assert theta.any() == ref.any()
     # the solve drops z's component along the computed null vector, which
     # eigh mixes with the next eigenvector by up to eps ||M|| / w_1
-    z = factor.v @ ((factor.v.T @ z) * factor.kept)
+    z = factor.v @ (factor.v.T @ z)
     norm_z = math.sqrt(z @ z)
     if not ref.any():
         assert norm_z <= lam1 * (1.0 + 1e-12)
@@ -272,7 +293,9 @@ def test_block_solve_drops_the_null_directions(lam1):
     # lambda1 = 1e-16 or 1e-300 gives the lambda1 = 0 fit
     M, V, rng = block_with_null_vector(7, [0.0, 1.0, 2.0])
     factor = BlockFactor(*np.linalg.eigh(M))
-    assert factor.kept.tolist() == [0.0, 1.0, 1.0, 1.0]
+    # the truncated direction is a zero column of v, its eigenvalue the least kept one
+    assert (np.linalg.norm(factor.v, axis=0) > 0.0).tolist() == [False, True, True, True]
+    assert factor.w[0] == factor.w_pos_min == factor.w[1]
     z_seen = 2.0 * V[:, 1:] @ rng.standard_normal(3)
     z = z_seen + 2.0 * V[:, 0]
     want = solve_in_block_coordinates(factor, z_seen, lam1)
@@ -285,6 +308,57 @@ def test_block_solve_drops_the_null_directions(lam1):
     if lam1 < 1e-15:
         ridge = solve_in_block_coordinates(factor, z, 0.0)
         assert np.linalg.norm(want - ridge) <= 1e-13 * np.linalg.norm(ridge)
+
+
+@pytest.mark.parametrize("lam2", [0.0, 1e-4, 1e2])
+def test_block_factors_exclude_the_ones_vector(lam2):
+    # every factor of a real design is taken on the complement of the ones
+    # vector, null in Z_k and Omega, so no eigenvector carries it beyond roundoff
+    spec = make_scenario("A", N=30, n_i=4, p=6, s_v=2, s_c=2, q=12, rho=0.0)
+    basis = build_basis(SplineConfig.from_q(spec.q))
+    design = build_design(standardize(generate(spec, seed=3)), basis)
+    for factor in precompute_block_factors(design, basis, lam2):
+        assert factor.v.shape == (spec.q, spec.q - 1)
+        assert np.linalg.norm(factor.v.T @ np.ones(spec.q)) <= 4 * spec.q * EPS
+
+
+def factor_of_block(M):
+    """`precompute_block_factors`'s factor of a one-block design whose G_11/n is M, at lambda2 = 0."""
+    q = len(M)
+    basis = build_basis(SplineConfig(degree=q - 1, num_internal_knots=0))
+    n = 10
+    gram = np.zeros((q + 2, q + 2))
+    gram[0, 0] = n                        # X = ones: the one constant column
+    gram[1:-1, 1:-1] = n * M
+    design = DesignBlocks(y=np.zeros(n), X=np.ones((n, 1)), B=np.zeros((n, q)),
+                          intercept_included=False).with_gram(gram)
+    return precompute_block_factors(design, basis, 0.0)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-2.0, 5.0), min_size=2, max_size=13),
+       st.one_of(st.just(0.0), st.floats(-4.0, 2.0).map(lambda e: 10.0 ** e)),
+       st.one_of(st.floats(-0.9, 0.0), st.floats(-11.0, 1.0).map(lambda e: 10.0 ** e)))
+# factored with eigh's computed null vector, which mixes with its neighbour
+# by eps w_max / w_1, the solve left 8.5e-10 of this block's ||z|| unfitted
+@example(0, [-2.0, 5.0], 10.0, 0.1)
+def test_block_solve_is_stationary_against_the_full_correlation(seed, log_eigs, lam1, delta):
+    # the block's null vector is the ones vector, which its factor excludes by
+    # construction, so the solve fits all of z, not z less its component along
+    # a computed null vector
+    M, V, rng = block_with_null_vector(seed, log_eigs, ones=True)
+    factor = factor_of_block(M)
+    z = V[:, 1:] @ rng.standard_normal(len(log_eigs))
+    z *= (lam1 if lam1 > 0.0 else 1.0) * (1.0 + delta) / np.linalg.norm(z)
+    theta = solve_in_block_coordinates(factor, z, lam1)
+    if not theta.any():
+        assert np.linalg.norm(z) <= lam1 * (1.0 + 1e-12)
+        return
+    norm_th = math.sqrt(theta @ theta)
+    grad = M @ theta - z + (lam1 / norm_th) * theta
+    assert np.linalg.norm(grad) <= (1e-10 * (1.0 + np.linalg.norm(z))
+                                    + 64 * EPS * np.linalg.norm(M, 2) * norm_th)
 
 
 def test_block_solve_bisects_when_the_slope_overflows():
@@ -531,7 +605,7 @@ def test_design_gram_is_formed_once_per_design(monkeypatch):
 
     class CountedFactor(BlockFactor):
         def __init__(self, w, v):
-            factors.append(v.shape)
+            factors.append((w.shape, v.shape))
             super().__init__(w, v)
 
     def counted_eigvalsh(mat):
@@ -553,6 +627,7 @@ def test_design_gram_is_formed_once_per_design(monkeypatch):
     assert all(fit.method == method for method, fit in fits.items())
     assert calls == [design.n]
     assert len(factors) == (2 * len(opts.lambda2_values) + 1) * design.p
+    assert set(factors) == {((spec.q - 1,), (spec.q, spec.q - 1))}
     assert factored == [1e-2, 1e-4, 0.0, 1e-2, 1e-4]
     assert list(design.solver_slot) == [(1e-4, basis.omega.tobytes())]
     assert eigen_checks == [(design.p + 1, design.p + 1)]
@@ -671,7 +746,8 @@ def row_form_bcd(design, basis, penalty, options):
     lam1, lam2 = penalty.lambda1, penalty.lambda2
     C = _constant_design(design)
     ctc = C.T @ C
-    factors = [BlockFactor(*np.linalg.eigh(Zk.T @ Zk / n + 2.0 * lam2 * omega)) for Zk in Z]
+    factors = list(map(BlockFactor, *complement_eigh(
+        np.stack([Zk.T @ Zk / n + 2.0 * lam2 * omega for Zk in Z]))))
     c = np.linalg.solve(ctc, C.T @ y)
     theta = [np.zeros(basis.q) for _ in range(p)]
     norms = [0.0] * p
@@ -943,7 +1019,7 @@ def test_block_factors_are_the_smooth_hessians_diagonal_blocks(intercept, lam2):
     _, basis, design = make_instance(rng, q=7)
     design = replace(design, intercept_included=intercept)
     _, hess = smooth_hessian(design, basis.omega, lam2, range(design.p))
-    w, v = np.linalg.eigh(np.stack([hess[sl, sl] for sl in design.block_slices]))
+    w, v = complement_eigh(np.stack([hess[sl, sl] for sl in design.block_slices]))
     got = precompute_block_factors(design, basis, lam2)
     assert len(got) == design.p
     for factor, want in zip(got, map(BlockFactor, w, v)):

@@ -302,3 +302,74 @@ def test_failure_handlers_name_only_the_policy_classes(module, function):
     node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
     names = handled_names(node)
     assert names and set(names) <= {"UsageError", "TVSelectError", "OSError", "LinAlgError"}
+
+
+def load_bench_record():
+    path = os.path.join(ROOT, "tools", "bench_record.py")
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_imports_the_standard_library_only():
+    with open(os.path.join(ROOT, "tools", "bench_record.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {node.module.split(".")[0] for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert names and names <= set(sys.stdlib_module_names) | {"__future__"}
+
+
+def fake_benchmark_run(correct, wall):
+    """What `perfbench/run.py --trace 0` prints: env line, table, then the JSON object."""
+    metrics = {"wall_s": (wall, "s"), "setup_s": (0.5, "s"), "peak_rss_mb": (60.0, "MB")}
+    lines = ['env {"nproc": 2}'] + [f"desk-study  {k:<28} {v:>16.6f} {u}"
+                                   for k, (v, u) in metrics.items()]
+    lines.append(f"desk-study  {'machine.probe_s':<28} {0.1:>16.6f} s")
+    lines.append(json.dumps({"correct": correct, "attempted": 3, "failed": 0 if correct else 1,
+                             "metrics": {k: {"value": v, "unit": u}
+                                         for k, (v, u) in metrics.items()}}))
+    return subprocess.CompletedProcess([], 0 if correct else 1, "\n".join(lines) + "\n", "")
+
+
+def test_bench_record_keeps_one_entry_per_code_and_refuses_incorrect_runs(
+        tmp_path, monkeypatch):
+    recorder = load_bench_record()
+    git_out = {"rev-parse": "abc", "status": "", "ls-files": "src/a.py"}
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    walls = iter([2.0, 1.0, 3.0, 4.0, 4.0, 4.0])
+    monkeypatch.setattr(recorder, "ROOT", str(tmp_path))
+    monkeypatch.setattr(recorder, "WORKLOADS", ("desk-study",))
+    monkeypatch.setattr(recorder, "git", lambda *args: git_out[args[0]])
+    monkeypatch.setattr(recorder.subprocess, "run",
+                        lambda *a, **k: fake_benchmark_run(True, next(walls)))
+    path = tmp_path / "BENCH_desk-study.json"
+    for _ in range(2):          # the same commit and code twice: its entry is replaced
+        assert recorder.main([]) == 0
+    entries = json.loads(path.read_text())["entries"]
+    assert len(entries) == 1 and (entries[0]["commit"], entries[0]["dirty"]) == ("abc", False)
+    assert entries[0]["wall_s"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}
+    assert entries[0]["machine.probe_s"]["median"] == 0.1 and entries[0]["env"] == {"nproc": 2}
+    assert [run["seed"] for run in entries[0]["runs"]] == [0, 1, 2]
+    assert entries[0]["seconds"] == recorder.SECONDS
+
+    # uncommitted changes to the code: an entry of its own, under the same commit
+    git_out["status"] = " M src/a.py"
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    walls = iter([5.0, 5.0, 5.0])
+    assert recorder.main([]) == 0
+    entries = json.loads(path.read_text())["entries"]
+    assert [(e["commit"], e["dirty"]) for e in entries] == [("abc", False), ("abc", True)]
+    assert entries[0]["code_sha256"] != entries[1]["code_sha256"]
+
+    results = iter([True, False, True])
+    monkeypatch.setattr(recorder.subprocess, "run",
+                        lambda *a, **k: fake_benchmark_run(next(results), 1.0))
+    with pytest.raises(SystemExit, match="refused"):
+        recorder.main([])
+    assert json.loads(path.read_text())["entries"] == entries
+    with pytest.raises(SystemExit):
+        recorder.main(["--seconds", "5"])
